@@ -1,23 +1,13 @@
 """Bid-level budget optimization: LP model construction, a bounded
 variable simplex, SOS1/SOS2 branch and bound with hot-start fixing
 strategies, synthetic instance generation, brute-force oracles, and
-file formats (instance JSON, MPS, solution files, benchmark CSV)."""
+file formats (instance JSON, MPS, solution files, benchmark CSV).
 
-from .fileio import (
-    instance_from_json,
-    instance_to_json,
-    model_to_instance,
-    models_structurally_equal,
-    read_instance,
-    read_mps,
-    read_solution,
-    run_benchmark,
-    verify_solution,
-    write_instance,
-    write_mps,
-    write_solution,
-)
-from .generate import GenParams, generate_instance, scale_suite
+The package namespace carries the library workflow of README.md plus
+the model dataclasses; everything else lives in its submodule."""
+
+from .fileio import verify_solution
+from .generate import GenParams, generate_instance
 from .model import (
     BidLevelData,
     Business,
@@ -28,26 +18,8 @@ from .model import (
     LpRow,
     SosSet,
     build_model,
-    decompose_by_business,
-    validate_instance,
 )
-from .oracle import enumerate_sos1, enumerate_sos2
-from .search import (
-    FixEntry,
-    FixingSet,
-    Node,
-    SearchLimits,
-    SolveReport,
-    branch_and_bound,
-    interpolate_bid,
-    relax_to_sos2,
-    rollback_on_infeasible,
-    sos_branch,
-    strategy1_fix,
-    strategy2_fix,
-    strategy3_hotstart,
-)
-from .simplex import LpSolution, SimplexEngine, resolve, solve_lp
+from .search import SearchLimits, branch_and_bound, relax_to_sos2
 
 __version__ = "0.1.0"
 
@@ -55,46 +27,16 @@ __all__ = [
     "BidLevelData",
     "Business",
     "Campaign",
-    "FixEntry",
-    "FixingSet",
     "GenParams",
     "Instance",
     "LpColumn",
     "LpModel",
     "LpRow",
-    "LpSolution",
-    "Node",
     "SearchLimits",
-    "SimplexEngine",
-    "SolveReport",
     "SosSet",
     "branch_and_bound",
     "build_model",
-    "decompose_by_business",
-    "enumerate_sos1",
-    "enumerate_sos2",
     "generate_instance",
-    "instance_from_json",
-    "instance_to_json",
-    "interpolate_bid",
-    "model_to_instance",
-    "models_structurally_equal",
-    "read_instance",
-    "read_mps",
-    "read_solution",
     "relax_to_sos2",
-    "resolve",
-    "rollback_on_infeasible",
-    "run_benchmark",
-    "scale_suite",
-    "solve_lp",
-    "sos_branch",
-    "strategy1_fix",
-    "strategy2_fix",
-    "strategy3_hotstart",
-    "validate_instance",
     "verify_solution",
-    "write_instance",
-    "write_mps",
-    "write_solution",
 ]

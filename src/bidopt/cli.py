@@ -8,11 +8,16 @@ Tolerances can be overridden through environment variables:
 BIDOPT_FEAS_TOL, BIDOPT_OPT_TOL (simplex), BIDOPT_ZERO_TOL,
 BIDOPT_NEAR_ONE_TOL, BIDOPT_RC_TOL (fixing strategies) and BIDOPT_GAP
 (branch-and-bound pruning gap, also settable per run with --gap).
+Both ``solve`` and ``bench`` honour them; an out-of-range value is an
+input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import sys
 
@@ -27,24 +32,44 @@ EXIT_LIMIT = 2
 EXIT_INPUT = 3
 
 
-def _env_float(name: str, default: float) -> float:
+# Admissible ranges: (description, predicate).  NaN fails every predicate.
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+_NONNEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+_UNIT_INTERVAL = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+# (key, environment variable, default, admissible range)
+_TOLERANCES = (
+    ("feas_tol", "BIDOPT_FEAS_TOL", simplex.FEAS_TOL, _POSITIVE),
+    ("opt_tol", "BIDOPT_OPT_TOL", simplex.OPT_TOL, _POSITIVE),
+    ("zero_tol", "BIDOPT_ZERO_TOL", search.ZERO_TOL, _NONNEGATIVE),
+    ("near_one_tol", "BIDOPT_NEAR_ONE_TOL", search.NEAR_ONE_TOL, _UNIT_INTERVAL),
+    ("rc_tol", "BIDOPT_RC_TOL", search.RC_TOL, _NONNEGATIVE),
+    ("gap", "BIDOPT_GAP", search.GAP, _NONNEGATIVE),
+)
+
+
+def _check_range(name: str, value: float, admissible) -> float:
+    what, ok = admissible
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _env_float(name: str, default: float, admissible) -> float:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"environment variable {name} is not a number: {raw!r}")
+    return _check_range(f"environment variable {name}", value, admissible)
 
 
 def _tolerances() -> dict[str, float]:
     return {
-        "feas_tol": _env_float("BIDOPT_FEAS_TOL", simplex.FEAS_TOL),
-        "opt_tol": _env_float("BIDOPT_OPT_TOL", simplex.OPT_TOL),
-        "zero_tol": _env_float("BIDOPT_ZERO_TOL", search.ZERO_TOL),
-        "near_one_tol": _env_float("BIDOPT_NEAR_ONE_TOL", search.NEAR_ONE_TOL),
-        "rc_tol": _env_float("BIDOPT_RC_TOL", search.RC_TOL),
-        "gap": _env_float("BIDOPT_GAP", search.GAP),
+        key: _env_float(env, default, admissible)
+        for key, env, default, admissible in _TOLERANCES
     }
 
 
@@ -100,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="branch and bound on an instance JSON")
     s.add_argument("instance")
     s.add_argument("--sos", type=int, choices=(1, 2), default=1)
-    s.add_argument("--strategy", choices=("1", "2", "3", "none"), default="none")
+    s.add_argument("--strategy", choices=search.STRATEGIES, default="none")
     _add_limit_flags(s)
     s.add_argument("--mps-out", default=None, help="also write the model as MPS")
     s.add_argument("-o", "--output", default=None, help="solution file path")
@@ -138,11 +163,30 @@ def _cmd_generate(args) -> int:
 
 
 def _limits_from(args, tol) -> search.SearchLimits:
+    gap = tol["gap"]
+    if args.gap is not None:
+        gap = _check_range("--gap", args.gap, _NONNEGATIVE)
     return search.SearchLimits(
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        gap=tol["gap"] if args.gap is None else args.gap,
+        gap=gap,
         first_solution=args.first_solution,
+    )
+
+
+def _branch_and_bound(model, strategy, limits, tol):
+    """``search.branch_and_bound`` on an engine built with ``tol``."""
+    engine = simplex.SimplexEngine(
+        model, feas_tol=tol["feas_tol"], opt_tol=tol["opt_tol"]
+    )
+    return search.branch_and_bound(
+        model,
+        strategy,
+        limits,
+        near_one_tol=tol["near_one_tol"],
+        zero_tol=tol["zero_tol"],
+        rc_tol=tol["rc_tol"],
+        engine=engine,
     )
 
 
@@ -157,17 +201,8 @@ def _cmd_solve(args) -> int:
     if args.mps_out:
         _emit(fileio.write_mps(model), args.mps_out)
 
-    engine = simplex.SimplexEngine(
-        model, feas_tol=tol["feas_tol"], opt_tol=tol["opt_tol"]
-    )
-    report, values = search.branch_and_bound(
-        model,
-        args.strategy,
-        _limits_from(args, tol),
-        near_one_tol=tol["near_one_tol"],
-        zero_tol=tol["zero_tol"],
-        rc_tol=tol["rc_tol"],
-        engine=engine,
+    report, values = _branch_and_bound(
+        model, args.strategy, _limits_from(args, tol), tol
     )
     _emit(
         fileio.write_solution(
@@ -220,20 +255,73 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
+CSV_COLUMNS = (
+    "model",
+    "sos_count",
+    "strategy",
+    "degradation_pct",
+    "first_solution_seconds",
+    "best_known_degradation_pct",
+)
+
+
+def run_benchmark(
+    instances,
+    strategies=("1", "2", "3"),
+    limits: search.SearchLimits | None = None,
+    omit_timing: bool = False,
+) -> str:
+    """One CSV row per (instance, strategy).
+
+    Each run solves as ``bidopt solve`` does, under the same tolerance
+    overrides.  Strategies none/1/2 run on the SOS1 model, strategy 3 on
+    the SOS2 relaxation.  Degradations print with three decimals; a
+    limit hit without an incumbent renders the degradation columns as
+    ????.
+    """
     tol = _tolerances()
+    if limits is None:
+        limits = search.SearchLimits(gap=tol["gap"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+
+    def deg(x):
+        return "????" if x is None else f"{x:.3f}"
+
+    for number, instance in enumerate(instances, start=1):
+        base = build_model(instance)
+        for strat in strategies:
+            strat = str(strat)
+            model = search.relax_to_sos2(base) if strat == "3" else base
+            report, _ = _branch_and_bound(model, strat, limits, tol)
+            if omit_timing:
+                secs = "-"
+            elif report.first_solution_seconds is None:
+                secs = "????"
+            else:
+                secs = f"{report.first_solution_seconds:.3f}"
+            writer.writerow(
+                [
+                    number,
+                    report.sos_count,
+                    strat,
+                    deg(report.first_solution_degradation_pct),
+                    secs,
+                    deg(report.degradation_pct),
+                ]
+            )
+    return buf.getvalue()
+
+
+def _cmd_bench(args) -> int:
+    limits = _limits_from(args, _tolerances())
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if s not in ("none", "1", "2", "3"):
+        if s not in search.STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     instances = [fileio.read_instance(p) for p in args.instances]
-    csv_text = fileio.run_benchmark(
-        instances,
-        strategies=strategies,
-        limits=_limits_from(args, tol),
-        omit_timing=args.omit_timing,
-    )
-    _emit(csv_text, args.output)
+    _emit(run_benchmark(instances, strategies, limits, args.omit_timing), args.output)
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """File formats: instance JSON, fixed-format MPS with an SOS section,
-solution files, a solution verifier, and the benchmark CSV runner.
+solution files and a solution verifier.
 
 All writers produce deterministic bytes for a given input.  Floats in
 MPS files are serialized with repr() so a write/read cycle reproduces
@@ -9,8 +9,6 @@ formatting for stable goldens.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import replace
@@ -26,13 +24,7 @@ from .model import (
     SosSet,
     validate_instance,
 )
-from .search import (
-    SearchLimits,
-    SolveReport,
-    branch_and_bound,
-    interpolate_bid,
-    relax_to_sos2,
-)
+from .search import SolveReport, interpolate_bid
 
 VERIFY_TOL = 1e-6
 VERIFY_ZERO_TOL = 1e-6
@@ -685,64 +677,3 @@ def verify_solution(
                     f"set S_{c.id}: nonzero members {nz} are not an adjacent pair (SOS2)"
                 )
     return problems
-
-
-# ---------------------------------------------------------------------------
-# benchmark CSV
-
-CSV_COLUMNS = (
-    "model",
-    "sos_count",
-    "strategy",
-    "degradation_pct",
-    "first_solution_seconds",
-    "best_known_degradation_pct",
-)
-
-
-def run_benchmark(
-    instances,
-    strategies=("1", "2", "3"),
-    limits: SearchLimits | None = None,
-    omit_timing: bool = False,
-) -> str:
-    """One CSV row per (instance, strategy).
-
-    Strategies none/1/2 run on the SOS1 model, strategy 3 on the SOS2
-    relaxation.  Degradations print with three decimals; a limit hit
-    without an incumbent renders the degradation columns as ????.
-    """
-    from .model import build_model  # local import to avoid cycle at module load
-
-    if limits is None:
-        limits = SearchLimits()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-
-    def deg(x):
-        return "????" if x is None else f"{x:.3f}"
-
-    for number, instance in enumerate(instances, start=1):
-        base = build_model(instance)
-        for strat in strategies:
-            strat = str(strat)
-            model = relax_to_sos2(base) if strat == "3" else base
-            report, _ = branch_and_bound(model, strat, limits)
-            if omit_timing:
-                secs = "-"
-            elif report.first_solution_seconds is None:
-                secs = "????"
-            else:
-                secs = f"{report.first_solution_seconds:.3f}"
-            writer.writerow(
-                [
-                    number,
-                    report.sos_count,
-                    strat,
-                    deg(report.first_solution_degradation_pct),
-                    secs,
-                    deg(report.degradation_pct),
-                ]
-            )
-    return buf.getvalue()

@@ -182,15 +182,11 @@ def validate_instance(instance: Instance) -> list[str]:
     return problems
 
 
-def _require_valid(instance: Instance) -> None:
+def build_model(instance: Instance) -> LpModel:
+    """Expand a validated Instance into the LP/SOS matrix."""
     problems = validate_instance(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-
-
-def build_model(instance: Instance) -> LpModel:
-    """Expand a validated Instance into the LP/SOS matrix."""
-    _require_valid(instance)
 
     columns: list[LpColumn] = []
     col_of: dict[tuple[str, int], int] = {}
@@ -247,24 +243,3 @@ def build_model(instance: Instance) -> LpModel:
     )
 
     return LpModel(columns=tuple(columns), rows=tuple(rows), sos_sets=sos_sets)
-
-
-def decompose_by_business(instance: Instance) -> list[Instance]:
-    """Split into one sub-instance per business.
-
-    Every sub-instance keeps the full impression budget; whether the
-    decomposition is admissible (global impression row slack) is the
-    caller's decision.
-    """
-    _require_valid(instance)
-    out = []
-    for b in instance.businesses:
-        campaigns = tuple(c for c in instance.campaigns if c.business_id == b.id)
-        out.append(
-            Instance(
-                businesses=(b,),
-                campaigns=campaigns,
-                impression_budget=instance.impression_budget,
-            )
-        )
-    return out

@@ -15,10 +15,11 @@ tree search starts:
    LP is resolved, and a feasible resolve becomes the first incumbent.
    The temporary fixes are dropped before branching.
 
-If fixing makes the LP infeasible the fixes are withdrawn as a group
-and the search proceeds from the unfixed root.  Branching splits the
-most violated set at the weighted-average reference weight; nodes are
-explored depth-first until the first incumbent and best-bound after.
+If the LP with the fixes applied does not solve to optimality (it is
+infeasible, say) the fixes are withdrawn as a group and the search
+proceeds from the unfixed root.  Branching splits the most violated
+set at the weighted-average reference weight; nodes are explored
+depth-first until the first incumbent and best-bound after.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ class SolveReport:
     first_incumbent_objective: float | None = None
     first_solution_degradation_pct: float | None = None
     degradation_note: str | None = None
-
-
-def _set_values(sos: SosSet, primal) -> list[float]:
-    return [primal[j] for j in sos.members]
 
 
 def _nonzero_positions(sos: SosSet, primal, zero_tol: float) -> list[int]:
@@ -199,13 +196,6 @@ def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) ->
                 if p < nz[0] or p > nz[-1]:
                     entries.append(FixEntry(j, 0.0, 0.0, PERMANENT))
     return FixingSet(tuple(entries))
-
-
-def rollback_on_infeasible(fixes: FixingSet, lp: LpSolution) -> FixingSet:
-    """Withdraw every heuristic fix after an infeasible post-fix LP."""
-    if lp.status != INFEASIBLE:
-        raise ValueError("rollback is only defined for an infeasible post-fix LP")
-    return FixingSet(())
 
 
 def relax_to_sos2(model: LpModel) -> LpModel:
@@ -423,35 +413,25 @@ def branch_and_bound(
 
     fixes = FixingSet(())
     start_sol = root
-    if strategy in ("1", "2") and model.sos_sets:
-        fixes = (
-            strategy1_fix(model, root, near_one_tol, rc_tol)
-            if strategy == "1"
-            else strategy2_fix(model, root, zero_tol)
-        )
-        if fixes:
-            trial = engine.solve(bounds=fixes.as_bounds(), warm=root.basis)
-            if trial.status == INFEASIBLE:
-                fixes = rollback_on_infeasible(fixes, trial)
-                start_sol = root
-            elif trial.status == OPTIMAL:
-                start_sol = trial
-            else:
-                fixes = FixingSet(())
-    elif strategy == "3" and model.sos_sets:
-        all_fixes, hot = strategy3_hotstart(model, root, zero_tol, engine=engine)
-        if hot is not None and all(
-            sos_satisfied(s, hot.primal, zero_tol) for s in model.sos_sets
-        ):
-            take_incumbent(hot)
-        fixes = all_fixes.permanent_only()
+    if strategy != "none" and model.sos_sets:
+        if strategy == "1":
+            fixes = strategy1_fix(model, root, near_one_tol, rc_tol)
+        elif strategy == "2":
+            fixes = strategy2_fix(model, root, zero_tol)
+        else:
+            all_fixes, hot = strategy3_hotstart(model, root, zero_tol, engine=engine)
+            if hot is not None and all(
+                sos_satisfied(s, hot.primal, zero_tol) for s in model.sos_sets
+            ):
+                take_incumbent(hot)
+            fixes = all_fixes.permanent_only()
         if fixes:
             trial = engine.solve(bounds=fixes.as_bounds(), warm=root.basis)
             if trial.status == OPTIMAL:
                 start_sol = trial
             else:
+                # Withdraw the fixes as a group; search from the unfixed root.
                 fixes = FixingSet(())
-                start_sol = root
 
     if limits.first_solution and incumbent_vals is not None:
         return report("feasible", incumbent_obj, first_obj, first_secs, 0), incumbent_vals

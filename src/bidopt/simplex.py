@@ -12,10 +12,10 @@ Pivot rule: largest reduced cost (Dantzig), with Bland's smallest-index
 rule engaged after 50 consecutive degenerate steps and released on the
 first real step.  Rows are equilibrated by power-of-two factors, exact
 in floating point; duals are mapped back through the factors.  The
-basis is factorized with a dense LU for small row counts and SuperLU
-for large ones, updated between refactorizations with product-form eta
-vectors.  A stall is only accepted as a final status right after a
-fresh factorization, which keeps terminal numerics honest.
+basis is factorized with SuperLU (``scipy.sparse.linalg.splu``) and
+updated between refactorizations with product-form eta vectors.  A
+stall is only accepted as a final status right after a fresh
+factorization, which keeps terminal numerics honest.
 
 Maximization models are negated internally; reported objective, duals
 and reduced costs are all in the model's own (maximization) sense, so
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -49,11 +48,6 @@ BLAND_AFTER = 50
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-10
 _REFACTOR_EVERY = 64
-_DENSE_LIMIT = 150
-
-# Per-column (lower, upper) overrides applied on top of the model bounds;
-# keys are column positions or names.  Fixing a column means lower == upper.
-Bounds = dict
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class LpSolution:
 
     ``basis`` is the per-variable status vector (structural columns then
     one logical per row); it is the warm-start token accepted by
-    ``resolve`` and carries no other meaning for callers.
+    ``SimplexEngine.solve`` and carries no other meaning for callers.
     """
 
     status: str
@@ -75,25 +69,22 @@ class LpSolution:
 
 
 class _Factor:
-    """LU factorization of the basis plus product-form eta updates."""
+    """Sparse LU factorization of the basis plus product-form eta updates.
 
-    def __init__(self, bmat: scipy.sparse.csc_matrix, dense: bool):
-        self.dense = dense
-        if dense:
-            lu, piv = scipy.linalg.lu_factor(bmat.toarray(), check_finite=False)
-            diag = np.abs(np.diag(lu))
-            if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
-                raise RuntimeError("singular basis")
-            self._lu = (lu, piv)
-        else:
-            self._lu = scipy.sparse.linalg.splu(bmat.tocsc())
+    Raises RuntimeError on a singular or near-singular basis: SuperLU
+    rejects exact singularity itself, and a smallest pivot at or below
+    1e-12 times the largest (or 1) is rejected here.
+    """
+
+    def __init__(self, bmat: scipy.sparse.csc_matrix):
+        self._lu = scipy.sparse.linalg.splu(bmat.tocsc())
+        diag = np.abs(self._lu.U.diagonal())
+        if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
+            raise RuntimeError("singular basis")
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def ftran(self, b: np.ndarray) -> np.ndarray:
-        if self.dense:
-            x = scipy.linalg.lu_solve(self._lu, b)
-        else:
-            x = self._lu.solve(b)
+        x = self._lu.solve(b)
         for p, d in self.etas:
             xp = x[p] / d[p]
             x = x - d * xp
@@ -104,8 +95,6 @@ class _Factor:
         c = c.copy()
         for p, d in reversed(self.etas):
             c[p] = (c[p] - (d @ c - d[p] * c[p])) / d[p]
-        if self.dense:
-            return scipy.linalg.lu_solve(self._lu, c, trans=1)
         return self._lu.solve(c, trans="T")
 
     def update(self, pos: int, w: np.ndarray) -> None:
@@ -126,12 +115,10 @@ class SimplexEngine:
         model: LpModel,
         feas_tol: float = FEAS_TOL,
         opt_tol: float = OPT_TOL,
-        bland_after: int = BLAND_AFTER,
     ):
         self.model = model
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
-        self.bland_after = bland_after
 
         n = len(model.columns)
         m = len(model.rows)
@@ -176,16 +163,6 @@ class SimplexEngine:
             self.base_lower[n + i] = 0.0
             self.base_upper[n + i] = math.inf if r.sense == "L" else 0.0
 
-        # Structural columns whose only nonzero sits in one equality row:
-        # natural crash candidates for that row's basis slot.
-        nnz = np.diff(amat.indptr)
-        self._crash: dict[int, list[int]] = {}
-        for j in range(n):
-            if nnz[j] == 1:
-                i = int(amat.indices[amat.indptr[j]])
-                if model.rows[i].sense == "E":
-                    self._crash.setdefault(i, []).append(j)
-
     # -- helpers -------------------------------------------------------
 
     def _column(self, j: int) -> np.ndarray:
@@ -205,21 +182,14 @@ class SimplexEngine:
         return x
 
     def _cold_vstat(self, lower, upper) -> np.ndarray:
+        """The all-logical basis."""
         vstat = np.full(self.n + self.m, AT_LOWER, dtype=np.int8)
-        no_lo = ~np.isfinite(lower)
-        vstat[no_lo & np.isfinite(upper)] = AT_UPPER
-        for i in range(self.m):
-            pick = self.n + i
-            for cand in self._crash.get(i, ()):
-                if lower[cand] < upper[cand]:
-                    pick = cand
-                    break
-            vstat[pick] = BASIC
+        vstat[~np.isfinite(lower) & np.isfinite(upper)] = AT_UPPER
+        vstat[self.n:] = BASIC
         return vstat
 
     def _factorize(self, basis: np.ndarray) -> _Factor:
-        bmat = self._aug[:, basis]
-        return _Factor(bmat, dense=self.m <= _DENSE_LIMIT)
+        return _Factor(self._aug[:, basis])
 
     def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
         xn = self._nonbasic_values(vstat, lower, upper)
@@ -234,6 +204,14 @@ class SimplexEngine:
         warm: tuple[int, ...] | None = None,
         max_iterations: int | None = None,
     ) -> LpSolution:
+        """Solve the LP relaxation (SOS sets ignored).
+
+        ``bounds`` maps column positions or names to (lower, upper)
+        overrides applied on top of the model bounds; fixing a column
+        means lower == upper.  ``warm`` is the ``basis`` of an earlier
+        solution of this engine; a token of the wrong shape or with a
+        singular basis falls back to the cold, all-logical basis.
+        """
         n, m = self.n, self.m
         lower = self.base_lower.copy()
         upper = self.base_upper.copy()
@@ -389,7 +367,7 @@ class SimplexEngine:
 
             if step <= _TIE_TOL:
                 degen_streak += 1
-                if degen_streak >= self.bland_after:
+                if degen_streak >= BLAND_AFTER:
                     bland = True
             else:
                 degen_streak = 0
@@ -426,34 +404,3 @@ class SimplexEngine:
             iterations=iterations,
             basis=tuple(int(s) for s in vstat),
         )
-
-
-def solve_lp(
-    model: LpModel,
-    bounds: dict | None = None,
-    max_iterations: int | None = None,
-    feas_tol: float = FEAS_TOL,
-    opt_tol: float = OPT_TOL,
-) -> LpSolution:
-    """Solve the LP relaxation (SOS sets ignored) from a cold start."""
-    engine = SimplexEngine(model, feas_tol=feas_tol, opt_tol=opt_tol)
-    return engine.solve(bounds=bounds, max_iterations=max_iterations)
-
-
-def resolve(
-    model: LpModel,
-    previous: LpSolution,
-    new_bounds: dict | None = None,
-    max_iterations: int | None = None,
-    feas_tol: float = FEAS_TOL,
-    opt_tol: float = OPT_TOL,
-) -> LpSolution:
-    """Re-solve after a bound change, warm-starting from ``previous``.
-
-    The result must agree with a cold solve on status and objective;
-    the warm start only saves iterations.
-    """
-    engine = SimplexEngine(model, feas_tol=feas_tol, opt_tol=opt_tol)
-    return engine.solve(
-        bounds=new_bounds, warm=previous.basis, max_iterations=max_iterations
-    )

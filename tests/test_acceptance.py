@@ -26,7 +26,7 @@ from bidopt.search import (
     strategy2_fix,
     strategy3_hotstart,
 )
-from bidopt.simplex import INFEASIBLE, SimplexEngine, solve_lp
+from bidopt.simplex import INFEASIBLE, SimplexEngine
 
 from conftest import make_rollback_instance, make_t1
 
@@ -83,7 +83,7 @@ def test_criterion_3_relaxation_chain(suite1, capsys):
     worst = 0.0
     for inst in suite1:
         model = build_model(inst)
-        lp = solve_lp(model).objective
+        lp = SimplexEngine(model).solve().objective
         sos2 = branch_and_bound(relax_to_sos2(model), "none", PROVE)[0].incumbent_objective
         sos1, _ = enumerate_sos1(inst)
         slack = 1e-9 * max(1.0, abs(lp))
@@ -105,7 +105,7 @@ def test_criterion_4_worked_example(capsys):
     model = build_model(inst)
     frac = 900.0 / 11.0
 
-    lp = solve_lp(model).objective
+    lp = SimplexEngine(model).solve().objective
     report1, _ = branch_and_bound(model, "none", PROVE)
     sos1, deg = report1.incumbent_objective, report1.degradation_pct
     report2, _ = branch_and_bound(relax_to_sos2(model), "none", PROVE)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bidopt
 from bidopt.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
 from bidopt.fileio import (
     instance_from_json,
@@ -11,6 +16,7 @@ from bidopt.fileio import (
     verify_solution,
     write_instance,
 )
+from bidopt.generate import GenParams, generate_instance
 from bidopt.model import build_model
 
 from conftest import make_nonadjacent_instance, make_t1
@@ -157,6 +163,43 @@ class TestEnvOverrides:
         doc = read_solution(stdout)
         assert math.isclose(doc["objective"], 900.0 / 11.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("BIDOPT_FEAS_TOL", "nan"),
+            ("BIDOPT_FEAS_TOL", "0"),
+            ("BIDOPT_OPT_TOL", "nan"),
+            ("BIDOPT_OPT_TOL", "-1"),
+            ("BIDOPT_OPT_TOL", "inf"),
+            ("BIDOPT_ZERO_TOL", "nan"),
+            ("BIDOPT_ZERO_TOL", "-1"),
+            ("BIDOPT_NEAR_ONE_TOL", "0"),
+            ("BIDOPT_NEAR_ONE_TOL", "1.5"),
+            ("BIDOPT_RC_TOL", "-1"),
+            ("BIDOPT_GAP", "inf"),
+            ("--gap", "-1"),
+            ("--gap", "nan"),
+        ],
+    )
+    def test_out_of_range_tolerance_is_input_error(self, tmp_path, name, value):
+        # a child process with a timeout: an unchecked value can keep the
+        # search running without end, and the timeout makes that a failure
+        p = tmp_path / "four.json"
+        write_instance(
+            generate_instance(GenParams(campaigns_per_business=4, seed=5)), str(p)
+        )
+        src = str(Path(bidopt.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("BIDOPT_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "bidopt.cli", "solve", str(p), "--prove"]
+        if name == "--gap":
+            argv += ["--gap", value]
+        else:
+            env[name] = value
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert name in done.stderr
+
 
 class TestOracle:
     def test_sos1_lines(self, t1_path, capsys):
@@ -243,6 +286,22 @@ class TestBench:
         code, _, stderr = run(capsys, "bench", t1_path, "--strategies", "9")
         assert code == EXIT_INPUT
         assert "unknown strategy" in stderr
+
+    @pytest.mark.parametrize("strategy", ["none", "1", "2", "3"])
+    def test_honours_tolerance_overrides(self, t1_path, capsys, monkeypatch, strategy):
+        # zero_tol 0.6 accepts the T1 root point: degradation 0 instead of 38.889
+        monkeypatch.setenv("BIDOPT_ZERO_TOL", "0.6")
+        common = ["--prove", "--gap", "0", "--omit-timing"]
+        sos = ["--sos", "2"] if strategy == "3" else []
+        code, stdout, _ = run(
+            capsys, "solve", t1_path, "--strategy", strategy, *sos, *common
+        )
+        assert code == EXIT_OK
+        solved = read_solution(stdout)["degradation_pct"]
+        code, stdout, _ = run(capsys, "bench", t1_path, "--strategies", strategy, *common)
+        assert code == EXIT_OK
+        row = stdout.splitlines()[1].split(",")
+        assert row[5] == f"{solved:.3f}"
 
     def test_multiple_files(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"

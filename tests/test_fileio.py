@@ -13,12 +13,12 @@ from bidopt.fileio import (
     read_instance,
     read_mps,
     read_solution,
-    run_benchmark,
     verify_solution,
     write_instance,
     write_mps,
     write_solution,
 )
+from bidopt.cli import run_benchmark
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import build_model
 from bidopt.search import SearchLimits, branch_and_bound

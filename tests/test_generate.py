@@ -6,7 +6,7 @@ import pytest
 from bidopt.generate import CURVE_SHAPES, GenParams, generate_instance, scale_suite
 from bidopt.model import build_model, validate_instance
 from bidopt.oracle import enumerate_sos1
-from bidopt.simplex import OPTIMAL, solve_lp
+from bidopt.simplex import OPTIMAL, SimplexEngine
 
 
 def grid_params():
@@ -150,7 +150,7 @@ class TestBudgetFormulas:
             )
             inst = generate_instance(p)
             model = build_model(inst)
-            lp = solve_lp(model)
+            lp = SimplexEngine(model).solve()
             assert lp.status == OPTIMAL
             bud = next(r for r in model.rows if r.name.startswith("BUD_"))
             act = sum(v * lp.primal[j] for j, v in bud.coeffs)

@@ -9,7 +9,6 @@ from bidopt.model import (
     Campaign,
     Instance,
     build_model,
-    decompose_by_business,
     validate_instance,
 )
 
@@ -157,30 +156,3 @@ class TestBuildModel:
         assert len(m.rows) == 3 + 2 * 2 + 1
         assert len(m.sos_sets) == 3
         assert [s.name for s in m.sos_sets] == ["S_c1", "S_c2", "S_c3"]
-
-
-class TestDecompose:
-    def test_single_business_identity(self, t1_instance):
-        parts = decompose_by_business(t1_instance)
-        assert len(parts) == 1
-        assert parts[0].businesses == t1_instance.businesses
-        assert parts[0].campaigns == t1_instance.campaigns
-        assert parts[0].impression_budget == t1_instance.impression_budget
-
-    def test_split_keeps_campaigns_with_owner(self):
-        t1 = make_t1()
-        lev = (
-            BidLevelData(0, 0.0, 0.0, 0.0),
-            BidLevelData(1, 7.0, 0.2, 30.0),
-        )
-        inst = Instance(
-            businesses=t1.businesses + (Business("k2", 10.0, 1.0, ("c2",)),),
-            campaigns=t1.campaigns + (Campaign("c2", "k2", 0.1, lev),),
-            impression_budget=500.0,
-        )
-        parts = decompose_by_business(inst)
-        assert [p.businesses[0].id for p in parts] == ["k1", "k2"]
-        assert [tuple(c.id for c in p.campaigns) for p in parts] == [("c1",), ("c2",)]
-        # every part keeps the shared impression budget
-        assert all(p.impression_budget == 500.0 for p in parts)
-        assert all(validate_instance(p) == [] for p in parts)

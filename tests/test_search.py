@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,14 +8,12 @@ from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
     PERMANENT,
     TEMPORARY,
-    FixingSet,
     SearchLimits,
     _pick_violated,
     branch_and_bound,
     current_interval,
     interpolate_bid,
     relax_to_sos2,
-    rollback_on_infeasible,
     sos_branch,
     sos_satisfied,
     strategy1_fix,
@@ -22,9 +21,9 @@ from bidopt.search import (
     strategy3_hotstart,
     violation_measure,
 )
-from bidopt.simplex import INFEASIBLE, OPTIMAL, LpSolution, SimplexEngine, solve_lp
+from bidopt.simplex import INFEASIBLE, OPTIMAL, LpSolution, SimplexEngine
 
-from conftest import make_t1
+from conftest import make_rollback_instance, make_t1
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
@@ -91,7 +90,7 @@ class TestSatisfaction:
 
 class TestStrategy1:
     def test_t1_no_near_one_member(self, t1_model):
-        lp = solve_lp(t1_model)
+        lp = SimplexEngine(t1_model).solve()
         assert max(lp.primal) < 0.95
         assert not strategy1_fix(t1_model, lp)
 
@@ -117,7 +116,7 @@ class TestStrategy1:
 
         bus = (dataclasses.replace(t1_instance.businesses[0], budget=1000.0),)
         model = build_model(dataclasses.replace(t1_instance, businesses=bus))
-        lp = solve_lp(model)
+        lp = SimplexEngine(model).solve()
         assert lp.primal[2] >= 0.95
         fixes = strategy1_fix(model, lp)
         got = {e.column: (e.lower, e.upper) for e in fixes.entries}
@@ -133,7 +132,7 @@ class TestStrategy1:
 
 class TestStrategy2:
     def test_t1_zeroes_outside_span(self, t1_model):
-        lp = solve_lp(t1_model)
+        lp = SimplexEngine(t1_model).solve()
         fixes = strategy2_fix(t1_model, lp)
         got = {e.column: (e.lower, e.upper) for e in fixes.entries}
         assert got == {0: (0.0, 0.0)}
@@ -151,12 +150,6 @@ class TestStrategy2:
 
 
 class TestRollback:
-    def test_requires_infeasible_lp(self, t1_model):
-        fixes = FixingSet()
-        ok = solve_lp(t1_model)
-        with pytest.raises(ValueError, match="infeasible"):
-            rollback_on_infeasible(fixes, ok)
-
     def test_rounding_can_break_the_lp(self, rollback_instance):
         model = build_model(rollback_instance)
         engine = SimplexEngine(model)
@@ -168,8 +161,6 @@ class TestRollback:
         assert len(fixes.entries) == 4  # both sets look single-valued
         broken = engine.solve(bounds=fixes.as_bounds(), warm=root.basis)
         assert broken.status == INFEASIBLE
-
-        assert rollback_on_infeasible(fixes, broken) == FixingSet(())
 
     def test_search_recovers_after_rollback(self, rollback_instance):
         model = build_model(rollback_instance)
@@ -205,7 +196,7 @@ class TestRelaxAndInterval:
 
 class TestStrategy3:
     def test_requires_sos2(self, t1_model):
-        lp = solve_lp(t1_model)
+        lp = SimplexEngine(t1_model).solve()
         with pytest.raises(ValueError, match="SOS2"):
             strategy3_hotstart(t1_model, lp)
 
@@ -260,7 +251,7 @@ class TestBranching:
 
     def test_sos2_split_keeps_cut_member_free(self, nonadjacent_instance):
         model = relax_to_sos2(build_model(nonadjacent_instance))
-        root_lp = solve_lp(model)
+        root_lp = SimplexEngine(model).solve()
         from bidopt.search import Node
 
         node = Node({}, root_lp.objective, 0, 0)
@@ -307,7 +298,7 @@ class TestInterpolateBid:
 
     def test_accepts_lp_solution_object(self, t1_model):
         s = relax_to_sos2(t1_model).sos_sets[0]
-        lp = solve_lp(t1_model)
+        lp = SimplexEngine(t1_model).solve()
         bid = interpolate_bid(s, lp)
         assert math.isclose(bid, 0.5363636363636364, rel_tol=1e-9)
 
@@ -437,3 +428,34 @@ class TestBranchAndBound:
             assert values is not None
             for s in model.sos_sets:
                 assert sos_satisfied(s, values)
+
+
+class SolveOnlyEngine:
+    """Exactly the engine interface that branch_and_bound may rely on."""
+
+    def __init__(self, model):
+        self._engine = SimplexEngine(model)
+        self.calls = 0
+
+    def solve(self, bounds=None, warm=None, max_iterations=None):
+        self.calls += 1
+        return self._engine.solve(
+            bounds=bounds, warm=warm, max_iterations=max_iterations
+        )
+
+
+class TestEngineInjection:
+    @pytest.mark.parametrize("make_instance", [make_t1, make_rollback_instance])
+    @pytest.mark.parametrize("strategy", ["none", "1", "2", "3"])
+    def test_injected_engine_gives_same_result(self, make_instance, strategy):
+        model = build_model(make_instance())
+        if strategy == "3":
+            model = relax_to_sos2(model)
+        proxy = SolveOnlyEngine(model)
+        got, got_values = branch_and_bound(model, strategy, PROVE, engine=proxy)
+        want, want_values = branch_and_bound(model, strategy, PROVE)
+        assert proxy.calls > 0
+        assert got_values == want_values
+        untimed = dict(total_seconds=0.0, first_solution_seconds=None)
+        assert dataclasses.replace(got, **untimed) == dataclasses.replace(want, **untimed)
+        assert (got.first_solution_seconds is None) == (want.first_solution_seconds is None)

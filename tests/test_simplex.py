@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 from bidopt.model import LpColumn, LpModel, LpRow
 from bidopt.simplex import (
+    AT_LOWER,
+    BASIC,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
     LpSolution,
     SimplexEngine,
-    resolve,
-    solve_lp,
+    _Factor,
 )
 
 FRAC = 900.0 / 11.0
@@ -97,7 +100,7 @@ def scipy_reference(model: LpModel, bounds: dict | None = None):
 
 class TestT1Exact:
     def test_objective_and_primal(self, t1_model):
-        sol = solve_lp(t1_model)
+        sol = SimplexEngine(t1_model).solve()
         assert sol.status == OPTIMAL
         assert math.isclose(sol.objective, FRAC, rel_tol=1e-12)
         want = (0.0, 6.0 / 11.0, 5.0 / 11.0)
@@ -105,7 +108,7 @@ class TestT1Exact:
             assert math.isclose(got, exp, rel_tol=0, abs_tol=1e-10)
 
     def test_reduced_costs_and_duals(self, t1_model):
-        sol = solve_lp(t1_model)
+        sol = SimplexEngine(t1_model).solve()
         # slack level priced out by the convexity dual
         assert math.isclose(sol.reduced_costs[0], -200.0 / 11.0, rel_tol=1e-10)
         assert abs(sol.reduced_costs[1]) <= 1e-9
@@ -116,20 +119,20 @@ class TestT1Exact:
         assert math.isclose(dual_obj, sol.objective, rel_tol=1e-10)
 
     def test_fix_level_one(self, t1_model):
-        sol = solve_lp(t1_model, bounds={"D_c1_1": (1.0, 1.0)})
+        sol = SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 1.0)})
         assert sol.status == OPTIMAL
         assert math.isclose(sol.objective, 50.0, rel_tol=1e-12)
         assert math.isclose(sol.primal[1], 1.0, rel_tol=1e-12)
 
     def test_fix_both_levels_infeasible(self, t1_model):
-        sol = solve_lp(
-            t1_model, bounds={"D_c1_1": (1.0, 1.0), "D_c1_2": (1.0, 1.0)}
+        sol = SimplexEngine(t1_model).solve(
+            bounds={"D_c1_1": (1.0, 1.0), "D_c1_2": (1.0, 1.0)}
         )
         assert sol.status == INFEASIBLE
 
     def test_crossed_bounds_raise(self, t1_model):
         with pytest.raises(ValueError, match="lower > upper"):
-            solve_lp(t1_model, bounds={"D_c1_1": (1.0, 0.0)})
+            SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 0.0)})
 
 
 class TestStates:
@@ -139,7 +142,7 @@ class TestStates:
             rows=(LpRow("r", "L", 1.0, ((0, -1.0),)),),
             sos_sets=(),
         )
-        assert solve_lp(model).status == UNBOUNDED
+        assert SimplexEngine(model).solve().status == UNBOUNDED
 
     def test_infeasible_rows(self):
         model = LpModel(
@@ -150,14 +153,14 @@ class TestStates:
             ),
             sos_sets=(),
         )
-        assert solve_lp(model).status == INFEASIBLE
+        assert SimplexEngine(model).solve().status == INFEASIBLE
 
     def test_iteration_limit(self, t1_model):
-        sol = solve_lp(t1_model, max_iterations=0)
+        sol = SimplexEngine(t1_model).solve(max_iterations=0)
         assert sol.status == ITERATION_LIMIT
 
     def test_empty_bounds_dict(self, t1_model):
-        assert solve_lp(t1_model, bounds={}).status == OPTIMAL
+        assert SimplexEngine(t1_model).solve(bounds={}).status == OPTIMAL
 
 
 class TestAgainstScipy:
@@ -166,7 +169,7 @@ class TestAgainstScipy:
         optimal_seen = 0
         for trial in range(150):
             model = random_model(rng)
-            mine = solve_lp(model)
+            mine = SimplexEngine(model).solve()
             ref = scipy_reference(model)
             if mine.status == OPTIMAL:
                 optimal_seen += 1
@@ -216,8 +219,8 @@ class TestAgainstScipy:
 
 class TestDeterminismAndWarm:
     def test_repeat_solves_identical(self, t1_model):
-        a = solve_lp(t1_model)
-        b = solve_lp(t1_model)
+        a = SimplexEngine(t1_model).solve()
+        b = SimplexEngine(t1_model).solve()
         assert a == b
 
     def test_warm_resolve_matches_cold(self, t1_model):
@@ -228,13 +231,8 @@ class TestDeterminismAndWarm:
         cold = engine.solve(bounds=tightened)
         assert warm.status == cold.status == OPTIMAL
         assert math.isclose(warm.objective, cold.objective, rel_tol=1e-9)
+        assert math.isclose(warm.objective, 50.0, rel_tol=1e-12)
         assert warm.iterations <= cold.iterations + 2
-
-    def test_resolve_helper(self, t1_model):
-        root = solve_lp(t1_model)
-        again = resolve(t1_model, root, new_bounds={"D_c1_2": (0.0, 0.0)})
-        assert again.status == OPTIMAL
-        assert math.isclose(again.objective, 50.0, rel_tol=1e-12)
 
     def test_monotone_tightening(self, t1_model):
         engine = SimplexEngine(t1_model)
@@ -265,3 +263,31 @@ class TestDeterminismAndWarm:
                 assert abs(warm.objective - cold.objective) <= 1e-7 * scale
                 checked += 1
         assert checked >= 20
+
+
+class TestSingularBasis:
+    def test_dependent_warm_basis_falls_back_to_cold(self):
+        # columns (1, 1) and (2, 2) are parallel, so no basis holds both
+        model = LpModel(
+            columns=(LpColumn("x", 1.0, 0.0, 10.0), LpColumn("y", 1.0, 0.0, 10.0)),
+            rows=(
+                LpRow("a", "L", 4.0, ((0, 1.0), (1, 2.0))),
+                LpRow("b", "L", 6.0, ((0, 1.0), (1, 2.0))),
+            ),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        with pytest.raises(RuntimeError):
+            engine._factorize(np.array([0, 1]))
+        cold = engine.solve()
+        warm = engine.solve(warm=(BASIC, BASIC, AT_LOWER, AT_LOWER))
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.objective == cold.objective == 4.0
+
+    def test_factor_rejects_near_singular_basis(self):
+        bmat = scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+        lu = scipy.sparse.linalg.splu(bmat)  # SuperLU alone accepts it
+        pivots = np.abs(lu.U.diagonal())
+        assert 0.0 < pivots.min() < 1e-12 * pivots.max()
+        with pytest.raises(RuntimeError, match="singular"):
+            _Factor(bmat)
