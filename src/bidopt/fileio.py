@@ -218,7 +218,8 @@ def read_mps(text: str) -> LpModel:
     """Parse the subset emitted by write_mps.
 
     Raises MpsParseError with a line number for malformed sections,
-    unknown row or column references, and non-increasing SOS weights.
+    unknown row or column references, non-finite numbers and
+    non-increasing SOS weights.
     """
     maximize = True
     section = None
@@ -246,9 +247,12 @@ def read_mps(text: str) -> LpModel:
 
     def parse_float(tok: str, ln: int) -> float:
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise MpsParseError(ln, f"bad numeric value {tok!r}") from None
+        if not math.isfinite(value):
+            raise MpsParseError(ln, f"numeric value {tok!r} is not finite")
+        return value
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("*"):

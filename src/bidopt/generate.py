@@ -31,10 +31,6 @@ from .model import BidLevelData, Business, Campaign, Instance
 
 CURVE_SHAPES = ("uniform", "front-loaded", "back-loaded")
 
-# Budget tightness at or above this leaves every generated resource row
-# slack at the all-top assignment (see module docstring).
-SLACK_TIGHTNESS = 2.0
-
 
 @dataclass(frozen=True)
 class GenParams:

@@ -21,6 +21,7 @@ all-zero "do nothing" slack, so a campaign can opt out of bidding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -114,6 +115,13 @@ class LpModel:
             )
 
 
+def _check_amount(problems: list[str], where: str, name: str, value: float) -> None:
+    if not math.isfinite(value):
+        problems.append(f"{where}: {name} must be finite")
+    elif value < 0:
+        problems.append(f"{where}: {name} must be >= 0")
+
+
 def validate_instance(instance: Instance) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
@@ -122,8 +130,7 @@ def validate_instance(instance: Instance) -> list[str]:
     """
     problems: list[str] = []
 
-    if instance.impression_budget < 0:
-        problems.append("instance: impression_budget must be >= 0")
+    _check_amount(problems, "instance", "impression_budget", instance.impression_budget)
 
     seen_business: set[str] = set()
     for b in instance.businesses:
@@ -132,10 +139,8 @@ def validate_instance(instance: Instance) -> list[str]:
         if b.id in seen_business:
             problems.append(f"business {b.id}: duplicate id")
         seen_business.add(b.id)
-        if b.budget < 0:
-            problems.append(f"business {b.id}: budget must be >= 0")
-        if b.cpc < 0:
-            problems.append(f"business {b.id}: cpc must be >= 0")
+        _check_amount(problems, f"business {b.id}", "budget", b.budget)
+        _check_amount(problems, f"business {b.id}", "cpc", b.cpc)
 
     by_business: dict[str, list[str]] = {b.id: [] for b in instance.businesses}
     seen_campaign: set[str] = set()
@@ -164,14 +169,12 @@ def validate_instance(instance: Instance) -> list[str]:
         if lev0.ret != 0.0 or lev0.ad_value != 0.0 or lev0.impressions != 0.0:
             problems.append(f"campaign {c.id}: slack level must be all-zero")
         for lev in c.levels:
-            if lev.ret < 0:
-                problems.append(f"campaign {c.id} level {lev.level_index}: ret must be >= 0")
-            if lev.ad_value < 0:
-                problems.append(f"campaign {c.id} level {lev.level_index}: ad_value must be >= 0")
-            if lev.impressions < 0:
-                problems.append(
-                    f"campaign {c.id} level {lev.level_index}: impressions must be >= 0"
-                )
+            where = f"campaign {c.id} level {lev.level_index}"
+            _check_amount(problems, where, "ret", lev.ret)
+            _check_amount(problems, where, "ad_value", lev.ad_value)
+            _check_amount(problems, where, "impressions", lev.impressions)
+            if lev.bid is not None and not math.isfinite(lev.bid):
+                problems.append(f"{where}: bid must be finite")
 
     for b in instance.businesses:
         if sorted(b.campaign_ids) != sorted(by_business.get(b.id, [])):

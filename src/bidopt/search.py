@@ -1,7 +1,8 @@
 """SOS1/SOS2 branch and bound with hot-start variable fixing.
 
 Three fixing strategies read the root LP and pin columns before the
-tree search starts:
+tree search starts.  Fixes are bounds dicts, column -> (lower, upper),
+the same overrides ``SimplexEngine.solve`` and ``Node`` take:
 
 1. a set whose LP solution puts some member at or above ``near_one_tol``
    is rounded to that member, provided the member is the do-nothing
@@ -9,11 +10,13 @@ tree search starts:
    the objective by more than ``rc_tol``;
 2. a set with exactly one member above ``zero_tol`` is rounded to it;
    otherwise members outside the span of nonzero members are zeroed;
-3. (SOS2 models) members outside each set's nonzero span are zeroed
-   permanently; unsatisfied sets are then temporarily narrowed to the
-   adjacent pair bracketing the weighted-average reference weight, the
-   LP is resolved, and a feasible resolve becomes the first incumbent.
-   The temporary fixes are dropped before branching.
+3. (SOS2 models) members outside each set's nonzero span are zeroed;
+   unsatisfied sets are then also narrowed to the adjacent pair
+   bracketing the weighted-average reference weight, the LP is
+   resolved, and a feasible resolve becomes the first incumbent.  The
+   narrowing is not kept for the search.  When the search stops at the
+   first solution, that incumbent is returned before the fixes are
+   applied to the root.
 
 If the LP with the fixes applied does not solve to optimality (it is
 infeasible, say) the fixes are withdrawn as a group and the search
@@ -44,39 +47,15 @@ ZERO_TOL = 1e-6
 RC_TOL = 1e-5
 GAP = 1e-4
 
-PERMANENT = "permanent"
-TEMPORARY = "temporary"
-
 STRATEGIES = ("none", "1", "2", "3")
 
-
-@dataclass(frozen=True)
-class FixEntry:
-    column: int
-    lower: float
-    upper: float
-    permanence: str = PERMANENT
-
-
-@dataclass(frozen=True)
-class FixingSet:
-    entries: tuple[FixEntry, ...] = ()
-
-    def permanent_only(self) -> "FixingSet":
-        return FixingSet(tuple(e for e in self.entries if e.permanence == PERMANENT))
-
-    def as_bounds(self) -> dict[int, tuple[float, float]]:
-        return {e.column: (e.lower, e.upper) for e in self.entries}
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
+Bounds = dict[int, tuple[float, float]]
 
 
 @dataclass(frozen=True)
 class Node:
-    bounds: dict[int, tuple[float, float]]
+    bounds: Bounds
     lp_bound: float
-    depth: int
     creation_order: int
     warm: tuple[int, ...] | None = None
 
@@ -103,20 +82,22 @@ class SolveReport:
     sos_type_used: int
     first_incumbent_objective: float | None = None
     first_solution_degradation_pct: float | None = None
-    degradation_note: str | None = None
 
 
 def _nonzero_positions(sos: SosSet, primal, zero_tol: float) -> list[int]:
     return [p for p, j in enumerate(sos.members) if abs(primal[j]) > zero_tol]
 
 
-def sos_satisfied(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> bool:
-    nz = _nonzero_positions(sos, primal, zero_tol)
-    if sos.sos_type == 1:
-        return len(nz) <= 1
-    if len(nz) <= 1:
-        return True
-    return len(nz) == 2 and nz[1] - nz[0] == 1
+def _zero_outside(sos: SosSet, lo: int, hi: int) -> Bounds:
+    """Fix to zero every member outside positions lo..hi."""
+    return {j: (0.0, 0.0) for p, j in enumerate(sos.members) if p < lo or p > hi}
+
+
+def _round_to(sos: SosSet, pos: int) -> Bounds:
+    """Fix the member at ``pos`` to one and every other member to zero."""
+    return {
+        j: (1.0, 1.0) if p == pos else (0.0, 0.0) for p, j in enumerate(sos.members)
+    }
 
 
 def violation_measure(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> float:
@@ -128,6 +109,10 @@ def violation_measure(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> float:
     if len(nz) <= 1:
         return 0
     return (len(nz) - 2) + (1 if nz[-1] - nz[0] > 1 else 0)
+
+
+def sos_satisfied(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> bool:
+    return violation_measure(sos, primal, zero_tol) == 0
 
 
 def _weighted_average(sos: SosSet, primal) -> float:
@@ -155,10 +140,10 @@ def strategy1_fix(
     lp: LpSolution,
     near_one_tol: float = NEAR_ONE_TOL,
     rc_tol: float = RC_TOL,
-) -> FixingSet:
-    """Round near-one sets to their dominant member (permanent fixes)."""
+) -> Bounds:
+    """Round near-one sets to their dominant member."""
     sense = 1.0 if model.maximize else -1.0
-    entries: list[FixEntry] = []
+    fixes: Bounds = {}
     for sos in model.sos_sets:
         near = [p for p, j in enumerate(sos.members) if lp.primal[j] >= near_one_tol]
         if not near:
@@ -173,29 +158,21 @@ def strategy1_fix(
             )
             if not ok:
                 continue
-        for p, j in enumerate(sos.members):
-            v = 1.0 if p == p_star else 0.0
-            entries.append(FixEntry(j, v, v, PERMANENT))
-    return FixingSet(tuple(entries))
+        fixes.update(_round_to(sos, p_star))
+    return fixes
 
 
-def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) -> FixingSet:
+def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) -> Bounds:
     """Round exactly-one-nonzero sets; zero outside the nonzero span
-    otherwise (permanent fixes)."""
-    entries: list[FixEntry] = []
+    otherwise."""
+    fixes: Bounds = {}
     for sos in model.sos_sets:
         nz = _nonzero_positions(sos, lp.primal, zero_tol)
-        if not nz:
-            continue
         if len(nz) == 1:
-            for p, j in enumerate(sos.members):
-                v = 1.0 if p == nz[0] else 0.0
-                entries.append(FixEntry(j, v, v, PERMANENT))
-        else:
-            for p, j in enumerate(sos.members):
-                if p < nz[0] or p > nz[-1]:
-                    entries.append(FixEntry(j, 0.0, 0.0, PERMANENT))
-    return FixingSet(tuple(entries))
+            fixes.update(_round_to(sos, nz[0]))
+        elif nz:
+            fixes.update(_zero_outside(sos, nz[0], nz[-1]))
+    return fixes
 
 
 def relax_to_sos2(model: LpModel) -> LpModel:
@@ -218,40 +195,31 @@ def current_interval(sos: SosSet, primal) -> tuple[int, int]:
 def strategy3_hotstart(
     model: LpModel,
     lp: LpSolution,
+    engine: SimplexEngine,
     zero_tol: float = ZERO_TOL,
-    engine: SimplexEngine | None = None,
-) -> tuple[FixingSet, LpSolution | None]:
+) -> tuple[Bounds, LpSolution | None]:
     """Zero-flag outside nonzero spans, narrow unsatisfied sets to their
     current interval, resolve, and offer the resolve as an incumbent.
 
-    Returns the full FixingSet (permanent zero flags plus temporary
-    narrowing) and the feasible resolve, or None when the narrowed LP is
-    infeasible.  Callers keep only the permanent entries for the search.
+    Returns the zero flags, which the search keeps, and the resolve, or
+    None when the narrowed LP does not solve to optimality.  The
+    narrowing applies to the resolve only.
     """
     if any(s.sos_type != 2 for s in model.sos_sets):
         raise ValueError("strategy 3 requires an SOS2 model")
-    if engine is None:
-        engine = SimplexEngine(model)
 
-    entries: list[FixEntry] = []
+    zero_flags: Bounds = {}
+    narrowing: Bounds = {}
     for sos in model.sos_sets:
         nz = _nonzero_positions(sos, lp.primal, zero_tol)
         if not nz:
             continue
-        for p, j in enumerate(sos.members):
-            if p < nz[0] or p > nz[-1]:
-                entries.append(FixEntry(j, 0.0, 0.0, PERMANENT))
+        zero_flags.update(_zero_outside(sos, nz[0], nz[-1]))
         if not sos_satisfied(sos, lp.primal, zero_tol):
-            lo, hi = current_interval(sos, lp.primal)
-            for p, j in enumerate(sos.members):
-                if nz[0] <= p <= nz[-1] and p not in (lo, hi):
-                    entries.append(FixEntry(j, 0.0, 0.0, TEMPORARY))
-    fixes = FixingSet(tuple(entries))
+            narrowing.update(_zero_outside(sos, *current_interval(sos, lp.primal)))
 
-    trial = engine.solve(bounds=fixes.as_bounds(), warm=lp.basis)
-    if trial.status != OPTIMAL:
-        return fixes, None
-    return fixes, trial
+    trial = engine.solve(bounds={**zero_flags, **narrowing}, warm=lp.basis)
+    return zero_flags, (trial if trial.status == OPTIMAL else None)
 
 
 def sos_branch(
@@ -264,7 +232,9 @@ def sos_branch(
     zeroes members at or below it (strictly below for SOS2, so the
     split member stays free on both sides).  The split is clamped into
     the nonzero span so each child zeroes at least one genuinely
-    nonzero member and the parent LP point is excluded.
+    nonzero member and the parent LP point is excluded.  Both children
+    take ``lp``'s objective as their bound and its basis as their warm
+    start.
     """
     nz = _nonzero_positions(sos, lp.primal, zero_tol)
     if not nz:
@@ -275,18 +245,13 @@ def sos_branch(
     else:
         r = min(max(r, nz[0] + 1), nz[-1] - 1)
 
-    left = dict(node.bounds)
-    right = dict(node.bounds)
     cut_right = r if sos.sos_type == 2 else r + 1
-    for p, j in enumerate(sos.members):
-        if p > r:
-            left[j] = (0.0, 0.0)
-        if p < cut_right:
-            right[j] = (0.0, 0.0)
-
-    child_l = Node(left, node.lp_bound, node.depth + 1, first_order, lp.basis)
-    child_r = Node(right, node.lp_bound, node.depth + 1, first_order + 1, lp.basis)
-    return child_l, child_r
+    left = {**node.bounds, **_zero_outside(sos, 0, r)}
+    right = {**node.bounds, **_zero_outside(sos, cut_right, len(sos.members) - 1)}
+    return (
+        Node(left, lp.objective, first_order, lp.basis),
+        Node(right, lp.objective, first_order + 1, lp.basis),
+    )
 
 
 def interpolate_bid(sos: SosSet, solution, zero_tol: float = ZERO_TOL) -> float | None:
@@ -357,7 +322,7 @@ def branch_and_bound(
     t_start = time.perf_counter()
     root = engine.solve()
 
-    def report(status, inc_obj, first_obj, first_secs, nodes, note=None):
+    def report(status, inc_obj, first_obj, first_secs, nodes):
         lp_obj = root.objective if root.status == OPTIMAL else math.nan
 
         def degr(v):
@@ -371,9 +336,6 @@ def branch_and_bound(
                 d = abs(lp_obj - v)
             return 0.0 if abs(d) < 1e-9 else d
 
-        deg_note = note
-        if inc_obj is not None and lp_obj == 0.0 and inc_obj != 0.0:
-            deg_note = "undefined-relative"
         return SolveReport(
             status=status,
             incumbent_objective=inc_obj,
@@ -387,7 +349,6 @@ def branch_and_bound(
             sos_type_used=sos_type_used,
             first_incumbent_objective=first_obj,
             first_solution_degradation_pct=degr(first_obj),
-            degradation_note=deg_note,
         )
 
     if root.status == INFEASIBLE:
@@ -411,73 +372,61 @@ def branch_and_bound(
                 first_obj = sol.objective
                 first_secs = time.perf_counter() - t_start
 
-    fixes = FixingSet(())
+    def pruned(bound: float) -> bool:
+        if incumbent_vals is None:
+            return False
+        slack = max(limits.gap * max(1.0, abs(incumbent_obj)), 1e-9)
+        return bound <= incumbent_obj + slack
+
+    fixes: Bounds = {}
+    if strategy == "1":
+        fixes = strategy1_fix(model, root, near_one_tol, rc_tol)
+    elif strategy == "2":
+        fixes = strategy2_fix(model, root, zero_tol)
+    elif strategy == "3":
+        fixes, hot = strategy3_hotstart(model, root, engine, zero_tol)
+        if hot is not None and _pick_violated(model, hot.primal, zero_tol) is None:
+            take_incumbent(hot)
+            if limits.first_solution:
+                return (
+                    report("feasible", incumbent_obj, first_obj, first_secs, 0),
+                    incumbent_vals,
+                )
     start_sol = root
-    if strategy != "none" and model.sos_sets:
-        if strategy == "1":
-            fixes = strategy1_fix(model, root, near_one_tol, rc_tol)
-        elif strategy == "2":
-            fixes = strategy2_fix(model, root, zero_tol)
+    if fixes:
+        trial = engine.solve(bounds=fixes, warm=root.basis)
+        if trial.status == OPTIMAL:
+            start_sol = trial
         else:
-            all_fixes, hot = strategy3_hotstart(model, root, zero_tol, engine=engine)
-            if hot is not None and all(
-                sos_satisfied(s, hot.primal, zero_tol) for s in model.sos_sets
-            ):
-                take_incumbent(hot)
-            fixes = all_fixes.permanent_only()
-        if fixes:
-            trial = engine.solve(bounds=fixes.as_bounds(), warm=root.basis)
-            if trial.status == OPTIMAL:
-                start_sol = trial
-            else:
-                # Withdraw the fixes as a group; search from the unfixed root.
-                fixes = FixingSet(())
+            # Withdraw the fixes as a group; search from the unfixed root.
+            fixes = {}
 
-    if limits.first_solution and incumbent_vals is not None:
-        return report("feasible", incumbent_obj, first_obj, first_secs, 0), incumbent_vals
-
-    # Tree search.  Unevaluated nodes live on a stack (depth-first) until
-    # the first incumbent appears, then move to a best-bound heap.
+    # Tree search over one frontier of (-bound, creation order, node)
+    # entries: a stack (depth-first) until the first incumbent appears,
+    # then a heap (best-bound).  Creation orders are unique, so entries
+    # never tie.  The root, creation order 0, reuses start_sol.
     order = 1
-    root_node = Node(fixes.as_bounds(), start_sol.objective, 0, 0, None)
-    stack: list[Node] = [root_node]
-    heap: list[tuple[float, int, Node]] = []
-    root_cache: LpSolution | None = start_sol
+    frontier = [(-start_sol.objective, 0, Node(fixes, start_sol.objective, 0))]
+    best_first = False
     nodes_evaluated = 0
     hit_limit = False
 
-    def pop_node() -> Node:
-        if incumbent_vals is None and stack:
-            return stack.pop()
-        if stack:
-            for nd in stack:
-                heapq.heappush(heap, (-nd.lp_bound, nd.creation_order, nd))
-            stack.clear()
-        return heapq.heappop(heap)[2]
-
-    def push_node(nd: Node) -> None:
-        if incumbent_vals is None and not heap:
-            stack.append(nd)
-        else:
-            heapq.heappush(heap, (-nd.lp_bound, nd.creation_order, nd))
-
-    while stack or heap:
+    while frontier:
         if limits.time_limit is not None and time.perf_counter() - t_start >= limits.time_limit:
             hit_limit = True
             break
         if limits.node_limit is not None and nodes_evaluated >= limits.node_limit:
             hit_limit = True
             break
-        node = pop_node()
+        if incumbent_vals is not None and not best_first:
+            heapq.heapify(frontier)
+            best_first = True
+        node = heapq.heappop(frontier)[2] if best_first else frontier.pop()[2]
+        if pruned(node.lp_bound):
+            continue
 
-        if incumbent_vals is not None:
-            slack = max(limits.gap * max(1.0, abs(incumbent_obj)), 1e-9)
-            if node.lp_bound <= incumbent_obj + slack:
-                continue
-
-        if node.creation_order == 0 and root_cache is not None:
-            lp = root_cache
-            root_cache = None
+        if node.creation_order == 0:
+            lp = start_sol
         else:
             lp = engine.solve(bounds=node.bounds, warm=node.warm)
         nodes_evaluated += 1
@@ -487,10 +436,8 @@ def branch_and_bound(
         if lp.status != OPTIMAL:
             hit_limit = True
             break
-        if incumbent_vals is not None:
-            slack = max(limits.gap * max(1.0, abs(incumbent_obj)), 1e-9)
-            if lp.objective <= incumbent_obj + slack:
-                continue
+        if pruned(lp.objective):
+            continue
 
         violated = _pick_violated(model, lp.primal, zero_tol)
         if violated is None:
@@ -499,16 +446,16 @@ def branch_and_bound(
                 break
             continue
 
-        child_l, child_r = sos_branch(
-            replace(node, lp_bound=lp.objective), violated, lp, order, zero_tol
-        )
+        for child in reversed(sos_branch(node, violated, lp, order, zero_tol)):
+            entry = (-child.lp_bound, child.creation_order, child)
+            if best_first:
+                heapq.heappush(frontier, entry)
+            else:
+                frontier.append(entry)
         order += 2
-        push_node(child_r)
-        push_node(child_l)
 
-    total_open = bool(stack or heap)
     if incumbent_vals is not None:
-        if hit_limit or (limits.first_solution and total_open):
+        if hit_limit or (limits.first_solution and frontier):
             status = "feasible"
         else:
             status = OPTIMAL

@@ -112,7 +112,7 @@ def test_criterion_4_worked_example(capsys):
 
     model2 = relax_to_sos2(model)
     engine = SimplexEngine(model2)
-    _, hot = strategy3_hotstart(model2, engine.solve(), engine=engine)
+    _, hot = strategy3_hotstart(model2, engine.solve(), engine)
     hot_deg = 100.0 * (lp - hot.objective) / abs(lp)
 
     ok = (
@@ -152,7 +152,7 @@ def test_criterion_5_heuristic_soundness(suite1, capsys):
     rb_engine = SimplexEngine(rb_model)
     rb_root = rb_engine.solve()
     rb_fixes = strategy2_fix(rb_model, rb_root)
-    rb_trial = rb_engine.solve(bounds=rb_fixes.as_bounds(), warm=rb_root.basis)
+    rb_trial = rb_engine.solve(bounds=rb_fixes, warm=rb_root.basis)
     rollback_hit = rb_trial.status == INFEASIBLE
     rb_report, rb_values = branch_and_bound(rb_model, "2", PROVE)
     recovered = rb_values is not None and rb_report.status == "optimal"

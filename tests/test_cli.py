@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ import bidopt
 from bidopt.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
 from bidopt.fileio import (
     instance_from_json,
+    instance_to_json,
     read_mps,
     read_solution,
     verify_solution,
     write_instance,
+    write_mps,
 )
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import build_model
@@ -33,6 +36,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, env=None):
+    """``bidopt`` in a child process with a timeout: an unchecked value can
+    keep the search running without end, and the timeout makes that a
+    failure.  ``BIDOPT_*`` variables come from ``env`` only."""
+    src = str(Path(bidopt.__file__).resolve().parent.parent)
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("BIDOPT_")}
+    child_env.update(env or {})
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, child_env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "bidopt.cli", *argv],
+        env=child_env, capture_output=True, text=True, timeout=30,
+    )
 
 
 class TestGenerate:
@@ -182,23 +201,59 @@ class TestEnvOverrides:
         ],
     )
     def test_out_of_range_tolerance_is_input_error(self, tmp_path, name, value):
-        # a child process with a timeout: an unchecked value can keep the
-        # search running without end, and the timeout makes that a failure
         p = tmp_path / "four.json"
         write_instance(
             generate_instance(GenParams(campaigns_per_business=4, seed=5)), str(p)
         )
-        src = str(Path(bidopt.__file__).resolve().parent.parent)
-        env = {k: v for k, v in os.environ.items() if not k.startswith("BIDOPT_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "bidopt.cli", "solve", str(p), "--prove"]
+        argv = ["solve", str(p), "--prove"]
+        env = {}
         if name == "--gap":
             argv += ["--gap", value]
         else:
             env[name] = value
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        done = run_child(*argv, env=env)
         assert done.returncode == EXIT_INPUT, done.stdout
         assert name in done.stderr
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("impression_budget", "NaN"),
+            ("budget", "NaN"),
+            ("cpc", "NaN"),
+            ("ret", "Infinity"),
+            ("ad_value", "Infinity"),
+            ("impressions", "Infinity"),
+            ("bid", "-Infinity"),
+            ("mps", "nan"),
+        ],
+    )
+    def test_is_input_error(self, tmp_path, field, value):
+        instance = generate_instance(
+            GenParams(businesses=1, campaigns_per_business=3, levels_per_campaign=2, seed=1)
+        )
+        if field == "mps":
+            p = tmp_path / "model.mps"
+            text = write_mps(build_model(instance))
+            p.write_text(re.sub(r"(COST +)\S+", r"\g<1>" + value, text, count=1))
+            argv = ["convert", str(p)]
+        else:
+            doc = json.loads(instance_to_json(instance))
+            if field == "impression_budget":
+                doc[field] = float(value)
+            elif field in ("budget", "cpc"):
+                doc["businesses"][0][field] = float(value)
+            else:
+                doc["campaigns"][0]["levels"][1][field] = float(value)
+            p = tmp_path / "instance.json"
+            p.write_text(json.dumps(doc))
+            argv = ["solve", str(p), "--prove"]
+        done = run_child(*argv)
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert "Traceback" not in done.stderr
+        assert "finite" in done.stderr
 
 
 class TestOracle:

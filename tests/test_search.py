@@ -3,11 +3,10 @@ import math
 
 import pytest
 
+from bidopt.generate import GenParams, generate_instance
 from bidopt.model import LpColumn, LpModel, LpRow, SosSet, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
-    PERMANENT,
-    TEMPORARY,
     SearchLimits,
     _pick_violated,
     branch_and_bound,
@@ -23,7 +22,7 @@ from bidopt.search import (
 )
 from bidopt.simplex import INFEASIBLE, OPTIMAL, LpSolution, SimplexEngine
 
-from conftest import make_rollback_instance, make_t1
+from conftest import make_nonadjacent_instance, make_rollback_instance, make_t1
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
@@ -97,9 +96,7 @@ class TestStrategy1:
     def test_slack_member_fixed_without_price_check(self, t1_model):
         lp = fake_lp((0.96, 0.02, 0.02), reduced_costs=(0.0, 10.0, 10.0))
         fixes = strategy1_fix(t1_model, lp)
-        got = {e.column: (e.lower, e.upper) for e in fixes.entries}
-        assert got == {0: (1.0, 1.0), 1: (0.0, 0.0), 2: (0.0, 0.0)}
-        assert all(e.permanence == PERMANENT for e in fixes.entries)
+        assert fixes == {0: (1.0, 1.0), 1: (0.0, 0.0), 2: (0.0, 0.0)}
 
     def test_non_slack_member_needs_strict_disimprovement(self, t1_model):
         # a sibling with zero reduced cost blocks the fix
@@ -108,8 +105,7 @@ class TestStrategy1:
         # strictly negative prices on every sibling allow it
         lp = fake_lp((0.0, 0.0, 0.96), reduced_costs=(-120.0, -70.0, 0.0))
         fixes = strategy1_fix(t1_model, lp)
-        got = {e.column: (e.lower, e.upper) for e in fixes.entries}
-        assert got == {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0)}
+        assert fixes == {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0)}
 
     def test_loose_budget_fixes_top_level(self, t1_instance):
         import dataclasses
@@ -119,8 +115,7 @@ class TestStrategy1:
         lp = SimplexEngine(model).solve()
         assert lp.primal[2] >= 0.95
         fixes = strategy1_fix(model, lp)
-        got = {e.column: (e.lower, e.upper) for e in fixes.entries}
-        assert got == {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0)}
+        assert fixes == {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0)}
 
     def test_rc_tol_boundary(self, t1_model):
         # disimprovement must exceed rc_tol strictly
@@ -134,13 +129,11 @@ class TestStrategy2:
     def test_t1_zeroes_outside_span(self, t1_model):
         lp = SimplexEngine(t1_model).solve()
         fixes = strategy2_fix(t1_model, lp)
-        got = {e.column: (e.lower, e.upper) for e in fixes.entries}
-        assert got == {0: (0.0, 0.0)}
+        assert fixes == {0: (0.0, 0.0)}
 
     def test_exactly_one_nonzero_rounds_whole_set(self, t1_model):
         fixes = strategy2_fix(t1_model, fake_lp((0.0, 1.0, 0.0)))
-        got = {e.column: (e.lower, e.upper) for e in fixes.entries}
-        assert got == {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
+        assert fixes == {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (0.0, 0.0)}
 
     def test_full_span_leaves_nothing_to_fix(self, t1_model):
         assert not strategy2_fix(t1_model, fake_lp((0.5, 0.0, 0.5)))
@@ -158,8 +151,8 @@ class TestRollback:
         assert math.isclose(root.objective, 100.0000005, rel_tol=1e-12)
 
         fixes = strategy2_fix(model, root)
-        assert len(fixes.entries) == 4  # both sets look single-valued
-        broken = engine.solve(bounds=fixes.as_bounds(), warm=root.basis)
+        assert len(fixes) == 4  # both sets look single-valued
+        broken = engine.solve(bounds=fixes, warm=root.basis)
         assert broken.status == INFEASIBLE
 
     def test_search_recovers_after_rollback(self, rollback_instance):
@@ -198,14 +191,14 @@ class TestStrategy3:
     def test_requires_sos2(self, t1_model):
         lp = SimplexEngine(t1_model).solve()
         with pytest.raises(ValueError, match="SOS2"):
-            strategy3_hotstart(t1_model, lp)
+            strategy3_hotstart(t1_model, lp, SimplexEngine(t1_model))
 
     def test_satisfied_set_gets_flags_only(self):
         model = t1_sos2_model()
         engine = SimplexEngine(model)
         root = engine.solve()
-        fixes, hot = strategy3_hotstart(model, root, engine=engine)
-        assert [(e.column, e.permanence) for e in fixes.entries] == [(0, PERMANENT)]
+        fixes, hot = strategy3_hotstart(model, root, engine)
+        assert fixes == {0: (0.0, 0.0)}
         assert hot is not None
         assert math.isclose(hot.objective, FRAC, rel_tol=1e-9)
 
@@ -218,21 +211,16 @@ class TestStrategy3:
         assert math.isclose(root.primal[1], 0.5, rel_tol=0, abs_tol=1e-9)
         assert math.isclose(root.primal[3], 0.5, rel_tol=0, abs_tol=1e-9)
 
-        fixes, hot = strategy3_hotstart(model, root, engine=engine)
-        by_col = {e.column: e.permanence for e in fixes.entries}
-        assert by_col == {0: PERMANENT, 1: TEMPORARY}
+        # column 1 is narrowed away for the resolve only: the zero flag
+        # on column 0 is all the search keeps
+        fixes, hot = strategy3_hotstart(model, root, engine)
+        assert fixes == {0: (0.0, 0.0)}
         assert hot is not None
+        assert hot.primal[1] == 0.0
         assert math.isclose(hot.objective, 13.0, rel_tol=1e-9)
 
         obj2, _ = enumerate_sos2(nonadjacent_instance)
         assert math.isclose(hot.objective, obj2, rel_tol=1e-9)
-
-    def test_permanent_only_drops_temporaries(self, nonadjacent_instance):
-        model = relax_to_sos2(build_model(nonadjacent_instance))
-        engine = SimplexEngine(model)
-        fixes, _ = strategy3_hotstart(model, engine.solve(), engine=engine)
-        kept = fixes.permanent_only()
-        assert [e.column for e in kept.entries] == [0]
 
 
 class TestBranching:
@@ -241,11 +229,11 @@ class TestBranching:
         root_lp = engine.solve()
         from bidopt.search import Node
 
-        node = Node({}, root_lp.objective, 0, 0)
+        node = Node({}, math.inf, 0)
         left, right = sos_branch(node, t1_model.sos_sets[0], root_lp, first_order=1)
         assert left.bounds == {2: (0.0, 0.0)}
         assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
-        assert (left.depth, right.depth) == (1, 1)
+        assert left.lp_bound == right.lp_bound == root_lp.objective
         assert (left.creation_order, right.creation_order) == (1, 2)
         assert left.warm == root_lp.basis
 
@@ -254,7 +242,7 @@ class TestBranching:
         root_lp = SimplexEngine(model).solve()
         from bidopt.search import Node
 
-        node = Node({}, root_lp.objective, 0, 0)
+        node = Node({}, root_lp.objective, 0)
         left, right = sos_branch(node, model.sos_sets[0], root_lp, first_order=1)
         # split at position 2: left forbids above it, right forbids below it
         assert left.bounds == {3: (0.0, 0.0)}
@@ -263,7 +251,7 @@ class TestBranching:
     def test_all_zero_set_cannot_branch(self, t1_model):
         from bidopt.search import Node
 
-        node = Node({}, 0.0, 0, 0)
+        node = Node({}, 0.0, 0)
         with pytest.raises(ValueError, match="all-zero"):
             sos_branch(node, t1_model.sos_sets[0], fake_lp((0.0, 0.0, 0.0)), 1)
 
@@ -415,9 +403,21 @@ class TestBranchAndBound:
             "strategy",
             "sos_type_used",
             "first_incumbent_objective",
-            "degradation_note",
         ):
             assert getattr(r1, field) == getattr(r2, field), field
+
+    @pytest.mark.parametrize("seed, nodes", [(0, 108), (1, 148)])
+    def test_visit_order_pinned(self, seed, nodes):
+        # Under a nonzero gap the node count depends on the order nodes
+        # are visited in: depth-first until the first incumbent,
+        # best-bound after, ties broken by creation order.
+        params = GenParams(
+            businesses=2, campaigns_per_business=6, levels_per_campaign=4,
+            budget_tightness=0.3, seed=seed,
+        )
+        model = build_model(generate_instance(params))
+        report, _ = branch_and_bound(model, "none", SearchLimits(first_solution=False))
+        assert report.nodes == nodes
 
     def test_incumbent_always_verifies(self, rollback_instance, nonadjacent_instance):
         for inst, sos_type in ((rollback_instance, 1), (nonadjacent_instance, 2)):
@@ -444,7 +444,19 @@ class SolveOnlyEngine:
         )
 
 
+# Solves in the fixing pass: the re-solve under the fixes of strategies
+# 1 and 2 when they fix anything; for strategy 3 the hot start, then the
+# re-solve under its zero flags.
+FIXING_SOLVES = {
+    make_t1: {"none": 0, "1": 0, "2": 1, "3": 2},
+    make_rollback_instance: {"none": 0, "1": 1, "2": 1, "3": 2},
+}
+
+
 class TestEngineInjection:
+    """Every run makes one root solve, then the fixing solves, then one
+    solve per node after the root, which reuses the fixed root LP."""
+
     @pytest.mark.parametrize("make_instance", [make_t1, make_rollback_instance])
     @pytest.mark.parametrize("strategy", ["none", "1", "2", "3"])
     def test_injected_engine_gives_same_result(self, make_instance, strategy):
@@ -454,8 +466,17 @@ class TestEngineInjection:
         proxy = SolveOnlyEngine(model)
         got, got_values = branch_and_bound(model, strategy, PROVE, engine=proxy)
         want, want_values = branch_and_bound(model, strategy, PROVE)
-        assert proxy.calls > 0
+        fixing = FIXING_SOLVES[make_instance][strategy]
+        assert proxy.calls == 1 + fixing + max(got.nodes - 1, 0)
         assert got_values == want_values
         untimed = dict(total_seconds=0.0, first_solution_seconds=None)
         assert dataclasses.replace(got, **untimed) == dataclasses.replace(want, **untimed)
         assert (got.first_solution_seconds is None) == (want.first_solution_seconds is None)
+
+    def test_strategy3_first_solution_skips_fixing_resolve(self):
+        # the hot start is the first solution: root and hot start only
+        model = relax_to_sos2(build_model(make_nonadjacent_instance()))
+        proxy = SolveOnlyEngine(model)
+        report, _ = branch_and_bound(model, "3", engine=proxy)
+        assert (report.status, report.nodes) == ("feasible", 0)
+        assert proxy.calls == 2
