@@ -2,7 +2,8 @@
 
 Subcommands: generate, solve, oracle, convert, bench.  Exit codes:
 0 success, 1 infeasible, 2 limit hit without an incumbent, 3 input
-error.
+error, 4 numerical failure (a singular basis or an unblocked phase 1 in
+the simplex, or an LP relaxation reported unbounded).
 
 Tolerances can be overridden through environment variables:
 BIDOPT_FEAS_TOL, BIDOPT_OPT_TOL (simplex), BIDOPT_ZERO_TOL,
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_LIMIT = 2
 EXIT_INPUT = 3
+EXIT_NUMERICAL = 4
 
 
 # Admissible ranges: (description, predicate).  NaN fails every predicate.
@@ -342,6 +344,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

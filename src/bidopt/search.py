@@ -192,18 +192,29 @@ def current_interval(sos: SosSet, primal) -> tuple[int, int]:
     return r, min(r + 1, last)
 
 
+def _solve(engine: SimplexEngine, deadline: float | None, **kwargs) -> LpSolution:
+    """``engine.solve``, given the deadline only when there is one, so an
+    engine that takes just ``solve(bounds, warm, max_iterations)`` still
+    serves every search without a time limit."""
+    if deadline is not None:
+        kwargs["deadline"] = deadline
+    return engine.solve(**kwargs)
+
+
 def strategy3_hotstart(
     model: LpModel,
     lp: LpSolution,
     engine: SimplexEngine,
     zero_tol: float = ZERO_TOL,
+    deadline: float | None = None,
 ) -> tuple[Bounds, LpSolution | None]:
     """Zero-flag outside nonzero spans, narrow unsatisfied sets to their
     current interval, resolve, and offer the resolve as an incumbent.
 
     Returns the zero flags, which the search keeps, and the resolve, or
-    None when the narrowed LP does not solve to optimality.  The
-    narrowing applies to the resolve only.
+    None when the narrowed LP does not solve to optimality (a resolve
+    cut off at ``deadline``, a ``time.perf_counter()`` value, included).
+    The narrowing applies to the resolve only.
     """
     if any(s.sos_type != 2 for s in model.sos_sets):
         raise ValueError("strategy 3 requires an SOS2 model")
@@ -218,7 +229,9 @@ def strategy3_hotstart(
         if not sos_satisfied(sos, lp.primal, zero_tol):
             narrowing.update(_zero_outside(sos, *current_interval(sos, lp.primal)))
 
-    trial = engine.solve(bounds={**zero_flags, **narrowing}, warm=lp.basis)
+    trial = _solve(
+        engine, deadline, bounds={**zero_flags, **narrowing}, warm=lp.basis
+    )
     return zero_flags, (trial if trial.status == OPTIMAL else None)
 
 
@@ -320,7 +333,9 @@ def branch_and_bound(
         raise ValueError("strategy 3 requires an SOS2 model (relax_to_sos2 first)")
 
     t_start = time.perf_counter()
-    root = engine.solve()
+    # Every LP solve, the root's included, stops at the time limit.
+    deadline = None if limits.time_limit is None else t_start + limits.time_limit
+    root = _solve(engine, deadline)
 
     def report(status, inc_obj, first_obj, first_secs, nodes):
         lp_obj = root.objective if root.status == OPTIMAL else math.nan
@@ -384,7 +399,7 @@ def branch_and_bound(
     elif strategy == "2":
         fixes = strategy2_fix(model, root, zero_tol)
     elif strategy == "3":
-        fixes, hot = strategy3_hotstart(model, root, engine, zero_tol)
+        fixes, hot = strategy3_hotstart(model, root, engine, zero_tol, deadline)
         if hot is not None and _pick_violated(model, hot.primal, zero_tol) is None:
             take_incumbent(hot)
             if limits.first_solution:
@@ -394,7 +409,7 @@ def branch_and_bound(
                 )
     start_sol = root
     if fixes:
-        trial = engine.solve(bounds=fixes, warm=root.basis)
+        trial = _solve(engine, deadline, bounds=fixes, warm=root.basis)
         if trial.status == OPTIMAL:
             start_sol = trial
         else:
@@ -412,7 +427,7 @@ def branch_and_bound(
     hit_limit = False
 
     while frontier:
-        if limits.time_limit is not None and time.perf_counter() - t_start >= limits.time_limit:
+        if deadline is not None and time.perf_counter() >= deadline:
             hit_limit = True
             break
         if limits.node_limit is not None and nodes_evaluated >= limits.node_limit:
@@ -428,7 +443,7 @@ def branch_and_bound(
         if node.creation_order == 0:
             lp = start_sol
         else:
-            lp = engine.solve(bounds=node.bounds, warm=node.warm)
+            lp = _solve(engine, deadline, bounds=node.bounds, warm=node.warm)
         nodes_evaluated += 1
 
         if lp.status == INFEASIBLE:

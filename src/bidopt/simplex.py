@@ -17,6 +17,16 @@ updated between refactorizations with product-form eta vectors.  A
 stall is only accepted as a final status right after a fresh
 factorization, which keeps terminal numerics honest.
 
+Iterations exploit hypersparsity (Hall & McKinnon, "Hyper-sparsity in
+the revised simplex method and how to exploit it", 2005): the entering
+column ``w = B^-1 a_j`` of the models this package builds has a handful
+of nonzeros among thousands of rows.  Etas store only those nonzeros,
+and the ratio test and the update of the basic values run over them
+alone.  Pricing keeps one direction per variable (+1 at lower, -1 at
+upper, 0 basic or fixed), changed only where a flip or a pivot changes
+a status, so each iteration scores every column with one product.  The
+pivots are the ones the plain dense formulation takes.
+
 Maximization models are negated internally; reported objective, duals
 and reduced costs are all in the model's own (maximization) sense, so
 at optimality a column sitting at its lower bound has reduced cost
@@ -26,6 +36,7 @@ at optimality a column sitting at its lower bound has reduced cost
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +82,9 @@ class LpSolution:
 class _Factor:
     """Sparse LU factorization of the basis plus product-form eta updates.
 
+    Each eta keeps only the nonzeros of its column, so applying it costs
+    work in proportion to them rather than to the basis size.
+
     Raises RuntimeError on a singular or near-singular basis: SuperLU
     rejects exact singularity itself, and a smallest pivot at or below
     1e-12 times the largest (or 1) is rejected here.
@@ -81,24 +95,30 @@ class _Factor:
         diag = np.abs(self._lu.U.diagonal())
         if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
             raise RuntimeError("singular basis")
-        self.etas: list[tuple[int, np.ndarray]] = []
+        # (pivot position, nonzero positions, their values, pivot value)
+        self.etas: list[tuple[int, np.ndarray, np.ndarray, float]] = []
 
     def ftran(self, b: np.ndarray) -> np.ndarray:
         x = self._lu.solve(b)
-        for p, d in self.etas:
-            xp = x[p] / d[p]
-            x = x - d * xp
+        for p, idx, vals, dp in self.etas:
+            xp = x.item(p)
+            if xp == 0.0:
+                continue  # the eta would only flip the sign of zeros
+            xp /= dp
+            x[idx] -= vals * xp
             x[p] = xp
         return x
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         c = c.copy()
-        for p, d in reversed(self.etas):
-            c[p] = (c[p] - (d @ c - d[p] * c[p])) / d[p]
+        for p, idx, vals, dp in reversed(self.etas):
+            cp = c.item(p)
+            c[p] = (cp - (vals.dot(c.take(idx)) - dp * cp)) / dp
         return self._lu.solve(c, trans="T")
 
     def update(self, pos: int, w: np.ndarray) -> None:
-        self.etas.append((pos, w.copy()))
+        idx = np.flatnonzero(w != 0.0)
+        self.etas.append((pos, idx, w[idx], float(w[pos])))
 
 
 class SimplexEngine:
@@ -203,6 +223,7 @@ class SimplexEngine:
         bounds: dict | None = None,
         warm: tuple[int, ...] | None = None,
         max_iterations: int | None = None,
+        deadline: float | None = None,
     ) -> LpSolution:
         """Solve the LP relaxation (SOS sets ignored).
 
@@ -210,7 +231,10 @@ class SimplexEngine:
         overrides applied on top of the model bounds; fixing a column
         means lower == upper.  ``warm`` is the ``basis`` of an earlier
         solution of this engine; a token of the wrong shape or with a
-        singular basis falls back to the cold, all-logical basis.
+        singular basis falls back to the cold, all-logical basis.  The
+        solve returns ``ITERATION_LIMIT`` after ``max_iterations``
+        iterations or once ``time.perf_counter()`` reaches ``deadline``,
+        checked once per iteration.
         """
         n, m = self.n, self.m
         lower = self.base_lower.copy()
@@ -250,39 +274,52 @@ class SimplexEngine:
         basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
         free_var = ~np.isfinite(lower) & ~np.isfinite(upper)
+        free_cols = np.flatnonzero(free_var)
+        # Pricing direction: +1 at lower, -1 at upper, 0 when basic, fixed
+        # or free (free columns are priced by |d| below).  Only the
+        # entering and the leaving variable change it.
+        dirn = np.where(vstat == AT_LOWER, 1.0, -1.0)
+        dirn[(vstat == BASIC) | ~(upper > lower) | free_var] = 0.0
+        lb_b = lower[basis]
+        ub_b = upper[basis]
         iterations = 0
         degen_streak = 0
         bland = False
         status = None
 
         while True:
-            if iterations >= max_iterations:
+            if iterations >= max_iterations or (
+                deadline is not None and time.perf_counter() >= deadline
+            ):
                 status = ITERATION_LIMIT
                 break
 
-            lb_b = lower[basis]
-            ub_b = upper[basis]
             viol_low = basic_val < lb_b - self.feas_tol
             viol_high = basic_val > ub_b + self.feas_tol
             in_phase1 = bool(viol_low.any() or viol_high.any())
 
+            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y)
             if in_phase1:
                 grad = np.zeros(m)
                 grad[viol_low] = -1.0
                 grad[viol_high] = 1.0
-                y = factor.btran(grad)
-                d = -(self._aug_t @ y)
+                neg_d = self._aug_t @ factor.btran(grad)
             else:
-                y = factor.btran(self.cost[basis])
-                d = self.cost - self._aug_t @ y
+                neg_d = self._aug_t @ factor.btran(self.cost[basis])
+                neg_d -= self.cost
 
-            movable = (vstat != BASIC) & (upper > lower)
-            elig = movable & (
-                ((vstat == AT_LOWER) & ~free_var & (d < -self.opt_tol))
-                | ((vstat == AT_UPPER) & (d > self.opt_tol))
-                | (free_var & (np.abs(d) > self.opt_tol))
-            )
-            if not elig.any():
+            # score equals |d| on every eligible column, bit for bit, and
+            # is <= opt_tol elsewhere: the same argmax and first eligible
+            # index as masking the eligible columns.
+            score = dirn * neg_d
+            if free_cols.size:
+                free_nb = free_cols[vstat[free_cols] != BASIC]
+                score[free_nb] = np.abs(neg_d[free_nb])
+            if bland:
+                j = int(np.argmax(score > self.opt_tol))
+            else:
+                j = int(np.argmax(score))
+            if not score[j] > self.opt_tol:
                 stall = INFEASIBLE if in_phase1 else OPTIMAL
                 if factor.etas:
                     # Re-verify the stall against a fresh factorization.
@@ -292,43 +329,45 @@ class SimplexEngine:
                 status = stall
                 break
 
-            if bland:
-                j = int(np.flatnonzero(elig)[0])
-            else:
-                score = np.where(elig, np.abs(d), -1.0)
-                j = int(np.argmax(score))
-
             if free_var[j]:
-                sigma = 1.0 if d[j] < 0 else -1.0
+                sigma = 1.0 if neg_d[j] > 0 else -1.0
             else:
                 sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
             w = factor.ftran(self._column(j))
-            rate = sigma * w
+            # The ratio test runs over the nonzeros of w only: every other
+            # basic variable keeps its value.
+            idx = np.flatnonzero(w != 0.0)
+            rate = sigma * w[idx]
+            val = basic_val[idx]
+            target_down = lb_b[idx]
+            target_up = ub_b[idx]
+            if in_phase1:
+                vl = viol_low[idx]
+                vh = viol_high[idx]
+                target_down, target_up = (
+                    np.where(vh, target_up, np.where(vl, -math.inf, target_down)),
+                    np.where(vl, target_down, np.where(vh, math.inf, target_up)),
+                )
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 down = rate > _PIVOT_TOL
                 up = rate < -_PIVOT_TOL
-                target_down = np.where(
-                    viol_high, ub_b, np.where(viol_low, -math.inf, lb_b)
-                )
-                target_up = np.where(
-                    viol_low, lb_b, np.where(viol_high, math.inf, ub_b)
-                )
-                ratios = np.full(m, math.inf)
-                ratios[down] = (basic_val[down] - target_down[down]) / rate[down]
-                ratios[up] = (target_up[up] - basic_val[up]) / (-rate[up])
+                ratios = np.full(idx.size, math.inf)
+                ratios[down] = (val[down] - target_down[down]) / rate[down]
+                ratios[up] = (target_up[up] - val[up]) / (-rate[up])
             np.maximum(ratios, 0.0, out=ratios)
 
             flip_range = upper[j] - lower[j]
-            t_pivot = float(ratios.min()) if m else math.inf
+            t_pivot = float(ratios.min()) if idx.size else math.inf
             if flip_range <= t_pivot:
                 if not np.isfinite(flip_range):
                     if in_phase1:
                         raise RuntimeError("phase-1 direction unblocked; numerical failure")
                     status = UNBOUNDED
                     break
-                basic_val -= flip_range * rate
+                basic_val[idx] -= flip_range * rate
                 vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
+                dirn[j] = -dirn[j]
                 step = flip_range
             else:
                 if not np.isfinite(t_pivot):
@@ -338,15 +377,16 @@ class SimplexEngine:
                     break
                 cand = np.flatnonzero(ratios <= t_pivot + _TIE_TOL)
                 if bland:
-                    pos = int(cand[np.argmin(basis[cand])])
+                    k = int(cand[np.argmin(basis[idx[cand]])])
                 else:
                     stab = np.abs(rate[cand])
                     best = cand[stab >= stab.max() - _TIE_TOL]
-                    pos = int(best[np.argmin(basis[best])])
-                step = float(max(ratios[pos], 0.0))
+                    k = int(best[np.argmin(basis[idx[best]])])
+                pos = int(idx[k])
+                step = float(max(ratios[k], 0.0))
 
                 leaving = int(basis[pos])
-                if rate[pos] > 0:
+                if rate[k] > 0:
                     side = AT_UPPER if viol_high[pos] else AT_LOWER
                 else:
                     side = AT_LOWER if viol_low[pos] else AT_UPPER
@@ -358,11 +398,16 @@ class SimplexEngine:
                 else:
                     enter_from = upper[j]
 
-                basic_val -= step * rate
+                basic_val[idx] -= step * rate
                 basic_val[pos] = enter_from + sigma * step
                 vstat[leaving] = side
                 vstat[j] = BASIC
+                movable = upper[leaving] > lower[leaving]
+                dirn[leaving] = (1.0 if side == AT_LOWER else -1.0) if movable else 0.0
+                dirn[j] = 0.0
                 basis[pos] = j
+                lb_b[pos] = lower[j]
+                ub_b[pos] = upper[j]
                 factor.update(pos, w)
 
             if step <= _TIE_TOL:

@@ -112,3 +112,16 @@ def nonadjacent_instance():
 @pytest.fixture(scope="session")
 def suite1():
     return build_suite()
+
+
+@pytest.fixture(scope="session")
+def scale_base():
+    """Generator parameters of acceptance criterion 6a's scale instances."""
+    return GenParams(
+        businesses=10,
+        campaigns_per_business=1,
+        levels_per_campaign=(2, 5),
+        budget_tightness=0.7,
+        impression_tightness=1.5,
+        seed=61,
+    )

@@ -7,8 +7,6 @@ fixture (252 small generated instances) is shared across criteria.
 
 import time
 
-import pytest
-
 from bidopt.cli import main
 from bidopt.fileio import (
     models_structurally_equal,
@@ -16,7 +14,7 @@ from bidopt.fileio import (
     verify_solution,
     write_mps,
 )
-from bidopt.generate import GenParams, scale_suite
+from bidopt.generate import scale_suite
 from bidopt.model import build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
@@ -162,18 +160,6 @@ def test_criterion_5_heuristic_soundness(suite1, capsys):
         f"{solved} strategy solves all verified; rollback exercised and recovered"
     )
     announce(capsys, 5, "heuristic-soundness", ok, detail)
-
-
-@pytest.fixture(scope="module")
-def scale_base():
-    return GenParams(
-        businesses=10,
-        campaigns_per_business=1,
-        levels_per_campaign=(2, 5),
-        budget_tightness=0.7,
-        impression_tightness=1.5,
-        seed=61,
-    )
 
 
 def test_criterion_6a_scale_2704(scale_base, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import bidopt
-from bidopt.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
+from bidopt import simplex
+from bidopt.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_NUMERICAL, EXIT_OK, main
 from bidopt.fileio import (
     instance_from_json,
     instance_to_json,
@@ -150,6 +152,31 @@ class TestSolve:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class RaisingEngine(simplex.SimplexEngine):
+    def solve(self, *args, **kwargs):
+        raise RuntimeError("singular basis")
+
+
+class UnboundedEngine(simplex.SimplexEngine):
+    def solve(self, *args, **kwargs):
+        sol = super().solve(*args, **kwargs)
+        return dataclasses.replace(sol, status=simplex.UNBOUNDED)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize(
+        "engine, message",
+        [(RaisingEngine, "singular basis"), (UnboundedEngine, "unbounded")],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_exit_code(self, t1_path, capsys, monkeypatch, engine, message, command):
+        monkeypatch.setattr(simplex, "SimplexEngine", engine)
+        code, _, stderr = run(capsys, command, t1_path)
+        assert code == EXIT_NUMERICAL
+        assert stderr.startswith("error:") and message in stderr
+        assert "Traceback" not in stderr
 
 
 class TestEnvOverrides:

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import time
 
 import pytest
 
-from bidopt.generate import GenParams, generate_instance
+from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, SosSet, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
@@ -418,6 +419,15 @@ class TestBranchAndBound:
         model = build_model(generate_instance(params))
         report, _ = branch_and_bound(model, "none", SearchLimits(first_solution=False))
         assert report.nodes == nodes
+
+    def test_time_limit_bounds_the_root_lp(self, scale_base):
+        # the root LP alone takes seconds here; the limit must stop it
+        model = relax_to_sos2(build_model(scale_suite(scale_base, [2704])[0]))
+        engine = SimplexEngine(model)
+        t0 = time.perf_counter()
+        report, _ = branch_and_bound(model, "3", SearchLimits(time_limit=0.3), engine=engine)
+        assert time.perf_counter() - t0 < 2.0
+        assert report.status in ("limit", "feasible")
 
     def test_incumbent_always_verifies(self, rollback_instance, nonadjacent_instance):
         for inst, sos_type in ((rollback_instance, 1), (nonadjacent_instance, 2)):

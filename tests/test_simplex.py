@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from bidopt.model import LpColumn, LpModel, LpRow
+from bidopt.generate import scale_suite
+from bidopt.model import LpColumn, LpModel, LpRow, build_model
 from bidopt.simplex import (
     AT_LOWER,
     BASIC,
@@ -17,6 +19,7 @@ from bidopt.simplex import (
     LpSolution,
     SimplexEngine,
     _Factor,
+    _REFACTOR_EVERY,
 )
 
 FRAC = 900.0 / 11.0
@@ -61,6 +64,47 @@ def random_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, tuple(coeffs)))
+    return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+
+
+def random_sparse_model(rng: np.random.Generator) -> LpModel:
+    """20-80 columns and 10-40 rows of 3-8 nonzeros each.  About one
+    column in twenty is free, one in ten has no lower and one in ten no
+    upper bound.  Three models in four get a right-hand side built around
+    a point inside the bounds, so they are feasible; the rest are random."""
+    n = int(rng.integers(20, 81))
+    m = int(rng.integers(10, 41))
+    cols = []
+    anchor = np.empty(n)
+    for j in range(n):
+        lo = float(rng.uniform(-5, 1))
+        hi = lo + float(rng.uniform(0, 6))
+        kind = rng.random()
+        if kind < 0.05:
+            lo, hi = -math.inf, math.inf
+        elif kind < 0.15:
+            lo = -math.inf
+        elif kind < 0.25:
+            hi = math.inf
+        anchor[j] = min(max(float(rng.uniform(-3, 3)), lo), hi)
+        # an objective rising toward a missing bound would make most
+        # models unbounded; free columns keep a random one
+        obj = float(rng.normal(0, 3))
+        if math.isinf(hi) != math.isinf(lo):
+            obj = -abs(obj) if math.isinf(hi) else abs(obj)
+        cols.append(LpColumn(f"x{j}", obj, lo, hi))
+    anchored = rng.random() < 0.75
+    rows = []
+    for i in range(m):
+        members = rng.choice(n, size=int(rng.integers(3, 9)), replace=False)
+        coeffs = tuple((int(j), float(rng.normal(0, 2))) for j in sorted(members))
+        sense = "E" if rng.random() < 0.3 else "L"
+        if anchored:
+            act = sum(v * anchor[j] for j, v in coeffs)
+            rhs = act if sense == "E" else act + float(rng.uniform(0, 3))
+        else:
+            rhs = float(rng.normal(0, 4))
+        rows.append(LpRow(f"r{i}", sense, rhs, coeffs))
     return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
@@ -159,6 +203,10 @@ class TestStates:
         sol = SimplexEngine(t1_model).solve(max_iterations=0)
         assert sol.status == ITERATION_LIMIT
 
+    def test_deadline_passed(self, t1_model):
+        sol = SimplexEngine(t1_model).solve(deadline=time.perf_counter())
+        assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 0)
+
     def test_empty_bounds_dict(self, t1_model):
         assert SimplexEngine(t1_model).solve(bounds={}).status == OPTIMAL
 
@@ -166,29 +214,40 @@ class TestStates:
 class TestAgainstScipy:
     def test_random_instances(self):
         rng = np.random.default_rng(7)
-        optimal_seen = 0
-        for trial in range(150):
-            model = random_model(rng)
-            mine = SimplexEngine(model).solve()
-            ref = scipy_reference(model)
-            if mine.status == OPTIMAL:
-                optimal_seen += 1
-                assert ref.status == 0, f"trial {trial}: scipy disagrees on status"
-                my_obj = mine.objective
-                ref_obj = -ref.fun if model.maximize else ref.fun
-                scale = max(1.0, abs(ref_obj))
-                assert abs(my_obj - ref_obj) <= 1e-6 * scale, (
-                    f"trial {trial}: {my_obj} vs {ref_obj}"
-                )
-                self._check_feasible(model, mine.primal)
-                self._check_duality(model, mine)
-            elif mine.status == INFEASIBLE:
-                assert ref.status == 2, f"trial {trial}: scipy says {ref.status}"
-            elif mine.status == UNBOUNDED:
-                assert ref.status == 3, f"trial {trial}: scipy says {ref.status}"
-            else:
-                pytest.fail(f"trial {trial}: unexpected status {mine.status}")
-        assert optimal_seen >= 50
+        statuses = [self._agrees(random_model(rng), trial).status for trial in range(150)]
+        assert statuses.count(OPTIMAL) >= 50
+
+    def test_larger_sparse_instances_with_free_columns(self):
+        # large enough to pass the eta-file refactorization, with free and
+        # half-bounded columns in the pricing
+        rng = np.random.default_rng(11)
+        sols = [self._agrees(random_sparse_model(rng), trial) for trial in range(120)]
+        statuses = [sol.status for sol in sols]
+        assert statuses.count(OPTIMAL) >= 40
+        assert statuses.count(UNBOUNDED) >= 20
+        assert statuses.count(INFEASIBLE) >= 10
+        assert max(sol.iterations for sol in sols) > _REFACTOR_EVERY
+
+    def _agrees(self, model: LpModel, trial: int) -> LpSolution:
+        mine = SimplexEngine(model).solve()
+        ref = scipy_reference(model)
+        if mine.status == OPTIMAL:
+            assert ref.status == 0, f"trial {trial}: scipy disagrees on status"
+            my_obj = mine.objective
+            ref_obj = -ref.fun if model.maximize else ref.fun
+            scale = max(1.0, abs(ref_obj))
+            assert abs(my_obj - ref_obj) <= 1e-6 * scale, (
+                f"trial {trial}: {my_obj} vs {ref_obj}"
+            )
+            self._check_feasible(model, mine.primal)
+            self._check_duality(model, mine)
+        elif mine.status == INFEASIBLE:
+            assert ref.status == 2, f"trial {trial}: scipy says {ref.status}"
+        elif mine.status == UNBOUNDED:
+            assert ref.status == 3, f"trial {trial}: scipy says {ref.status}"
+        else:
+            pytest.fail(f"trial {trial}: unexpected status {mine.status}")
+        return mine
 
     @staticmethod
     def _check_feasible(model: LpModel, primal):
@@ -291,3 +350,41 @@ class TestSingularBasis:
         assert 0.0 < pivots.min() < 1e-12 * pivots.max()
         with pytest.raises(RuntimeError, match="singular"):
             _Factor(bmat)
+
+
+class TestFactorUpdates:
+    def test_sparse_etas_match_dense_solves(self):
+        rng = np.random.default_rng(5)
+        m = 30
+        bmat = np.eye(m) * 4.0
+        for i, j in rng.integers(0, m, size=(40, 2)):
+            bmat[i, j] += rng.normal()
+        factor = _Factor(scipy.sparse.csc_matrix(bmat))
+        eye = np.eye(m)
+        for _ in range(25):
+            col = np.zeros(m)
+            col[rng.choice(m, size=3, replace=False)] = rng.normal(0, 2, 3)
+            w = factor.ftran(col)
+            pos = int(np.argmax(np.abs(w)))
+            bmat[:, pos] = col
+            factor.update(pos, w)
+            # unit vectors leave most eta pivots at zero; ones fill them
+            for b in [*eye, np.ones(m)]:
+                np.testing.assert_allclose(
+                    factor.ftran(b), np.linalg.solve(bmat, b), rtol=0, atol=1e-10
+                )
+                np.testing.assert_allclose(
+                    factor.btran(b), np.linalg.solve(bmat.T, b), rtol=0, atol=1e-10
+                )
+        assert len(factor.etas) == 25
+
+
+class TestPinnedPivots:
+    def test_root_lp_of_a_300_campaign_model(self, scale_base):
+        # measured with dense eta vectors and dense pricing masks: a change
+        # of pivot anywhere in the 957 iterations moves one or the other
+        model = build_model(scale_suite(scale_base, [300])[0])
+        sol = SimplexEngine(model).solve()
+        assert sol.status == OPTIMAL
+        assert sol.iterations == 957
+        assert repr(sol.objective) == "48348.12677584861"
