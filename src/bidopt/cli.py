@@ -38,6 +38,7 @@ EXIT_NUMERICAL = 4
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
 _NONNEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
 _UNIT_INTERVAL = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_COUNT = (">= 0", lambda v: v >= 0)
 
 # (key, environment variable, default, admissible range)
 _TOLERANCES = (
@@ -168,6 +169,10 @@ def _limits_from(args, tol) -> search.SearchLimits:
     gap = tol["gap"]
     if args.gap is not None:
         gap = _check_range("--gap", args.gap, _NONNEGATIVE)
+    if args.time_limit is not None:
+        _check_range("--time-limit", args.time_limit, _NONNEGATIVE)
+    if args.node_limit is not None:
+        _check_range("--node-limit", args.node_limit, _COUNT)
     return search.SearchLimits(
         time_limit=args.time_limit,
         node_limit=args.node_limit,

@@ -25,7 +25,18 @@ and the ratio test and the update of the basic values run over them
 alone.  Pricing keeps one direction per variable (+1 at lower, -1 at
 upper, 0 basic or fixed), changed only where a flip or a pivot changes
 a status, so each iteration scores every column with one product.  The
+ratio test visits a handful of entries, so it runs on Python floats:
+the same IEEE operations, in the same order, as numpy's masks.  The
 pivots are the ones the plain dense formulation takes.
+
+The fixed cost of a solve matters as much at tree nodes, whose LPs
+take a few pivots each on a small basis.  The engine keeps the factor
+of the last starting basis (or the verdict that it is singular), so a
+sibling node starting from the same parent basis skips the
+factorization.  Pricing is skipped when none of its inputs changed
+since the last pricing (a bound flip changes none of them in phase 2),
+and the final solution reuses the last phase-2 pricing's duals.  Every
+reuse returns the very numbers a recomputation would.
 
 Maximization models are negated internally; reported objective, duals
 and reduced costs are all in the model's own (maximization) sense, so
@@ -120,6 +131,13 @@ class _Factor:
         idx = np.flatnonzero(w != 0.0)
         self.etas.append((pos, idx, w[idx], float(w[pos])))
 
+    def fresh(self) -> _Factor:
+        """The same LU without etas: the basis it factorized, anew."""
+        twin = object.__new__(_Factor)
+        twin._lu = self._lu
+        twin.etas = []
+        return twin
+
 
 class SimplexEngine:
     """Reusable solver context for one LpModel.
@@ -183,6 +201,11 @@ class SimplexEngine:
             self.base_lower[n + i] = 0.0
             self.base_upper[n + i] = math.inf if r.sense == "L" else 0.0
 
+        # The starting basis of the last solve, as bytes, and its factor
+        # (None when singular).  Siblings in a tree start from the same
+        # parent basis.
+        self._start: tuple[bytes, _Factor | None] = (b"", None)
+
     # -- helpers -------------------------------------------------------
 
     def _column(self, j: int) -> np.ndarray:
@@ -209,7 +232,30 @@ class SimplexEngine:
         return vstat
 
     def _factorize(self, basis: np.ndarray) -> _Factor:
-        return _Factor(self._aug[:, basis])
+        # The arrays ``self._aug[:, basis]`` holds, gathered directly.
+        aug = self._aug
+        starts = aug.indptr[basis]
+        counts = aug.indptr[basis + 1] - starts
+        indptr = np.zeros(basis.size + 1, dtype=aug.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return _Factor(
+            scipy.sparse.csc_matrix(
+                (aug.data[take], aug.indices[take], indptr), shape=(self.m, self.m)
+            )
+        )
+
+    def _start_factor(self, basis: np.ndarray) -> _Factor | None:
+        """A factor of the starting basis, or None when it is singular."""
+        key = basis.tobytes()
+        if key != self._start[0]:
+            try:
+                factor = self._factorize(basis)
+            except RuntimeError:
+                factor = None
+            self._start = (key, factor)
+        factor = self._start[1]
+        return None if factor is None else factor.fresh()
 
     def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
         xn = self._nonbasic_values(vstat, lower, upper)
@@ -265,9 +311,8 @@ class SimplexEngine:
             max_iterations = 100 * (n + m) + 10_000
 
         basis = np.flatnonzero(vstat == BASIC)
-        try:
-            factor = self._factorize(basis)
-        except RuntimeError:
+        factor = self._start_factor(basis)
+        if factor is None:
             vstat = self._cold_vstat(lower, upper)
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._factorize(basis)
@@ -286,6 +331,7 @@ class SimplexEngine:
         degen_streak = 0
         bland = False
         status = None
+        priced = None  # the factor, eta count and masks of the last pricing
 
         while True:
             if iterations >= max_iterations or (
@@ -298,15 +344,21 @@ class SimplexEngine:
             viol_high = basic_val > ub_b + self.feas_tol
             in_phase1 = bool(viol_low.any() or viol_high.any())
 
-            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y)
-            if in_phase1:
-                grad = np.zeros(m)
-                grad[viol_low] = -1.0
-                grad[viol_high] = 1.0
-                neg_d = self._aug_t @ factor.btran(grad)
-            else:
-                neg_d = self._aug_t @ factor.btran(self.cost[basis])
-                neg_d -= self.cost
+            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y).  y
+            # depends only on the factor, its etas and the masks; when none
+            # changed, as after a bound flip in phase 2, the last one holds.
+            key = (factor, len(factor.etas), viol_low.tobytes(), viol_high.tobytes())
+            if key != priced:
+                priced = key
+                if in_phase1:
+                    grad = np.zeros(m)
+                    grad[viol_low] = -1.0
+                    grad[viol_high] = 1.0
+                    neg_d = self._aug_t @ factor.btran(grad)
+                else:
+                    y = factor.btran(self.cost[basis])
+                    aty = self._aug_t @ y
+                    neg_d = aty - self.cost
 
             # score equals |d| on every eligible column, bit for bit, and
             # is <= opt_tol elsewhere: the same argmax and first eligible
@@ -335,10 +387,10 @@ class SimplexEngine:
                 sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
             w = factor.ftran(self._column(j))
             # The ratio test runs over the nonzeros of w only: every other
-            # basic variable keeps its value.
+            # basic variable keeps its value.  A handful of entries, so it
+            # runs on Python floats: the same IEEE operations as numpy's.
             idx = np.flatnonzero(w != 0.0)
             rate = sigma * w[idx]
-            val = basic_val[idx]
             target_down = lb_b[idx]
             target_up = ub_b[idx]
             if in_phase1:
@@ -348,17 +400,21 @@ class SimplexEngine:
                     np.where(vh, target_up, np.where(vl, -math.inf, target_down)),
                     np.where(vl, target_down, np.where(vh, math.inf, target_up)),
                 )
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                down = rate > _PIVOT_TOL
-                up = rate < -_PIVOT_TOL
-                ratios = np.full(idx.size, math.inf)
-                ratios[down] = (val[down] - target_down[down]) / rate[down]
-                ratios[up] = (target_up[up] - val[up]) / (-rate[up])
-            np.maximum(ratios, 0.0, out=ratios)
+            rates = rate.tolist()
+            ratios = []
+            for r, v, down, up in zip(
+                rates, basic_val[idx].tolist(), target_down.tolist(), target_up.tolist()
+            ):
+                if r > _PIVOT_TOL:
+                    t = (v - down) / r
+                elif r < -_PIVOT_TOL:
+                    t = (up - v) / -r
+                else:
+                    t = math.inf
+                ratios.append(0.0 if t < 0.0 else t)
 
             flip_range = upper[j] - lower[j]
-            t_pivot = float(ratios.min()) if idx.size else math.inf
+            t_pivot = min(ratios, default=math.inf)
             if flip_range <= t_pivot:
                 if not np.isfinite(flip_range):
                     if in_phase1:
@@ -370,23 +426,22 @@ class SimplexEngine:
                 dirn[j] = -dirn[j]
                 step = flip_range
             else:
-                if not np.isfinite(t_pivot):
+                if not math.isfinite(t_pivot):
                     if in_phase1:
                         raise RuntimeError("phase-1 direction unblocked; numerical failure")
                     status = UNBOUNDED
                     break
-                cand = np.flatnonzero(ratios <= t_pivot + _TIE_TOL)
-                if bland:
-                    k = int(cand[np.argmin(basis[idx[cand]])])
-                else:
-                    stab = np.abs(rate[cand])
-                    best = cand[stab >= stab.max() - _TIE_TOL]
-                    k = int(best[np.argmin(basis[idx[best]])])
+                tie = t_pivot + _TIE_TOL
+                cand = [k for k, t in enumerate(ratios) if t <= tie]
+                if not bland:
+                    top = max(abs(rates[k]) for k in cand) - _TIE_TOL
+                    cand = [k for k in cand if abs(rates[k]) >= top]
+                k = min(cand, key=lambda k: basis[idx[k]])
                 pos = int(idx[k])
-                step = float(max(ratios[k], 0.0))
+                step = ratios[k]
 
                 leaving = int(basis[pos])
-                if rate[k] > 0:
+                if rates[k] > 0:
                     side = AT_UPPER if viol_high[pos] else AT_LOWER
                 else:
                     side = AT_LOWER if viol_low[pos] else AT_UPPER
@@ -423,19 +478,25 @@ class SimplexEngine:
                 factor = self._factorize(basis)
                 basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
-        return self._package(status, factor, basis, vstat, basic_val, lower, upper, iterations)
+        # The last pricing's y already solves B^T y = c_B unless it was a
+        # phase-1 pricing or the basis changed after it.
+        if priced != (factor, len(factor.etas), bytes(m), bytes(m)):
+            y = factor.btran(self.cost[basis])
+            aty = self._aug_t @ y
+        return self._package(status, basis, vstat, basic_val, lower, upper, iterations, y, aty)
 
     def _package(
-        self, status, factor, basis, vstat, basic_val, lower, upper, iterations
+        self, status, basis, vstat, basic_val, lower, upper, iterations, y, aty
     ) -> LpSolution:
-        n, m = self.n, self.m
+        """``y`` solves ``B^T y = c_B`` for the final basis and ``aty`` is
+        ``A^T y``."""
+        n = self.n
         x = self._nonbasic_values(vstat, lower, upper)
         x[basis] = basic_val
         primal = x[:n]
         sense_max = 1.0 if self.model.maximize else -1.0
 
-        y = factor.btran(self.cost[basis])
-        rc_int = self.cost - self._aug_t @ y
+        rc_int = self.cost - aty
         duals = -sense_max * (self.row_scale * y)
         reduced = -sense_max * rc_int[:n]
 
@@ -443,9 +504,9 @@ class SimplexEngine:
         return LpSolution(
             status=status,
             objective=objective,
-            primal=tuple(float(v) for v in primal),
-            reduced_costs=tuple(float(v) for v in reduced),
-            duals=tuple(float(v) for v in duals),
+            primal=tuple(primal.tolist()),
+            reduced_costs=tuple(reduced.tolist()),
+            duals=tuple(duals.tolist()),
             iterations=iterations,
-            basis=tuple(int(s) for s in vstat),
+            basis=tuple(vstat.tolist()),
         )

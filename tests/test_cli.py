@@ -243,6 +243,23 @@ class TestEnvOverrides:
         assert name in done.stderr
 
 
+class TestLimitFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--time-limit", "nan"), ("--time-limit", "-1"), ("--node-limit", "-1")],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_out_of_range_is_input_error(self, t1_path, command, flag, value):
+        done = run_child(command, t1_path, "--prove", flag, value)
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert flag in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_zero_limits_are_accepted(self, t1_path, capsys):
+        code, _, _ = run(capsys, "solve", t1_path, "--time-limit", "0", "--node-limit", "0")
+        assert code == EXIT_LIMIT
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "field, value",

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from bidopt import simplex
 from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, SosSet, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
@@ -27,6 +28,11 @@ from conftest import make_nonadjacent_instance, make_rollback_instance, make_t1
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
+# One instance of the benchmark's tree workload: 451 nodes under --prove.
+TREE_PARAMS = GenParams(
+    businesses=3, campaigns_per_business=12, levels_per_campaign=4,
+    budget_tightness=0.3, seed=1,
+)
 
 
 def fake_lp(primal, reduced_costs=None, status=OPTIMAL, objective=0.0):
@@ -420,6 +426,20 @@ class TestBranchAndBound:
         report, _ = branch_and_bound(model, "none", SearchLimits(first_solution=False))
         assert report.nodes == nodes
 
+    def test_tree_under_blands_rule(self, monkeypatch):
+        # Bland's rule takes over at the first degenerate step of every
+        # node LP (2 459 iterations in all without it); a different
+        # leaving or entering choice moves the iteration count
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+        model = build_model(generate_instance(TREE_PARAMS))
+        proxy = SolveOnlyEngine(model)
+        report, _ = branch_and_bound(
+            model, "none", SearchLimits(first_solution=False), engine=proxy
+        )
+        assert report.nodes == 451
+        assert repr(report.incumbent_objective) == "4537.6166221805815"
+        assert sum(sol.iterations for _, _, sol in proxy.log) == 2576
+
     def test_time_limit_bounds_the_root_lp(self, scale_base):
         # the root LP alone takes seconds here; the limit must stop it
         model = relax_to_sos2(build_model(scale_suite(scale_base, [2704])[0]))
@@ -441,17 +461,19 @@ class TestBranchAndBound:
 
 
 class SolveOnlyEngine:
-    """Exactly the engine interface that branch_and_bound may rely on."""
+    """Exactly the engine interface that branch_and_bound may rely on.
+    ``log`` holds each call's bounds, warm token and solution."""
 
     def __init__(self, model):
         self._engine = SimplexEngine(model)
-        self.calls = 0
+        self.log = []
 
     def solve(self, bounds=None, warm=None, max_iterations=None):
-        self.calls += 1
-        return self._engine.solve(
+        sol = self._engine.solve(
             bounds=bounds, warm=warm, max_iterations=max_iterations
         )
+        self.log.append((bounds, warm, sol))
+        return sol
 
 
 # Solves in the fixing pass: the re-solve under the fixes of strategies
@@ -477,11 +499,23 @@ class TestEngineInjection:
         got, got_values = branch_and_bound(model, strategy, PROVE, engine=proxy)
         want, want_values = branch_and_bound(model, strategy, PROVE)
         fixing = FIXING_SOLVES[make_instance][strategy]
-        assert proxy.calls == 1 + fixing + max(got.nodes - 1, 0)
+        assert len(proxy.log) == 1 + fixing + max(got.nodes - 1, 0)
         assert got_values == want_values
         untimed = dict(total_seconds=0.0, first_solution_seconds=None)
         assert dataclasses.replace(got, **untimed) == dataclasses.replace(want, **untimed)
         assert (got.first_solution_seconds is None) == (want.first_solution_seconds is None)
+
+    def test_replayed_solves_match_fresh_engines(self):
+        # Siblings start from their parent's basis, and the engine reuses
+        # that basis's factor; a fresh engine factorizes it anew.  Both
+        # must give the same solution, bit for bit.
+        model = build_model(generate_instance(TREE_PARAMS))
+        proxy = SolveOnlyEngine(model)
+        branch_and_bound(model, "none", SearchLimits(first_solution=False), engine=proxy)
+        warms = [warm for _, warm, _ in proxy.log]
+        assert sum(a == b for a, b in zip(warms, warms[1:])) >= 100
+        for bounds, warm, sol in proxy.log:
+            assert SimplexEngine(model).solve(bounds=bounds, warm=warm) == sol
 
     def test_strategy3_first_solution_skips_fixing_resolve(self):
         # the hot start is the first solution: root and hot start only
@@ -489,4 +523,4 @@ class TestEngineInjection:
         proxy = SolveOnlyEngine(model)
         report, _ = branch_and_bound(model, "3", engine=proxy)
         assert (report.status, report.nodes) == ("feasible", 0)
-        assert proxy.calls == 2
+        assert len(proxy.log) == 2

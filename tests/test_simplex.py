@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
+from bidopt import simplex
 from bidopt.generate import scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, build_model
 from bidopt.simplex import (
@@ -325,7 +326,7 @@ class TestDeterminismAndWarm:
 
 
 class TestSingularBasis:
-    def test_dependent_warm_basis_falls_back_to_cold(self):
+    def test_dependent_warm_basis_falls_back_to_cold(self, monkeypatch):
         # columns (1, 1) and (2, 2) are parallel, so no basis holds both
         model = LpModel(
             columns=(LpColumn("x", 1.0, 0.0, 10.0), LpColumn("y", 1.0, 0.0, 10.0)),
@@ -339,9 +340,21 @@ class TestSingularBasis:
         with pytest.raises(RuntimeError):
             engine._factorize(np.array([0, 1]))
         cold = engine.solve()
-        warm = engine.solve(warm=(BASIC, BASIC, AT_LOWER, AT_LOWER))
+        token = (BASIC, BASIC, AT_LOWER, AT_LOWER)
+        warm = engine.solve(warm=token)
         assert warm.status == cold.status == OPTIMAL
         assert warm.objective == cold.objective == 4.0
+        # the second solve takes the singular verdict from the memo
+        factorized = []
+        factorize = engine._factorize
+
+        def recorded(basis):
+            factorized.append(basis.tolist())
+            return factorize(basis)
+
+        monkeypatch.setattr(engine, "_factorize", recorded)
+        assert engine.solve(warm=token) == warm == cold
+        assert [0, 1] not in factorized
 
     def test_factor_rejects_near_singular_basis(self):
         bmat = scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
@@ -388,3 +401,13 @@ class TestPinnedPivots:
         assert sol.status == OPTIMAL
         assert sol.iterations == 957
         assert repr(sol.objective) == "48348.12677584861"
+
+    def test_root_lp_under_blands_rule(self, scale_base, monkeypatch):
+        # Bland's rule takes over at the first degenerate step, so its
+        # smallest-index choice decides every degenerate pivot
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+        model = build_model(scale_suite(scale_base, [300])[0])
+        sol = SimplexEngine(model).solve()
+        assert sol.status == OPTIMAL
+        assert sol.iterations == 1189
+        assert repr(sol.objective) == "48348.126775848585"
