@@ -20,7 +20,10 @@ the same overrides ``SimplexEngine.solve`` and ``Node`` take:
 
 If the LP with the fixes applied does not solve to optimality (it is
 infeasible, say) the fixes are withdrawn as a group and the search
-proceeds from the unfixed root.  Branching splits the most violated
+proceeds from the unfixed root.  That LP is not solved when the root's
+primal already lies within every fixed column's bounds: the root is
+then feasible for the fixed LP and optimal for a looser one, so it is
+the fixed LP's solution as it stands.  Branching splits the most violated
 set at the weighted-average reference weight; nodes are explored
 depth-first until the first incumbent and best-bound after.
 """
@@ -408,7 +411,8 @@ def branch_and_bound(
                     incumbent_vals,
                 )
     start_sol = root
-    if fixes:
+    # A root that already meets every fix solves the fixed LP too.
+    if any(not lo <= root.primal[j] <= hi for j, (lo, hi) in fixes.items()):
         trial = _solve(engine, deadline, bounds=fixes, warm=root.basis)
         if trial.status == OPTIMAL:
             start_sol = trial

@@ -13,9 +13,14 @@ rule engaged after 50 consecutive degenerate steps and released on the
 first real step.  Rows are equilibrated by power-of-two factors, exact
 in floating point; duals are mapped back through the factors.  The
 basis is factorized with SuperLU (``scipy.sparse.linalg.splu``) and
-updated between refactorizations with product-form eta vectors.  A
-stall is only accepted as a final status right after a fresh
-factorization, which keeps terminal numerics honest.
+updated between refactorizations with product-form eta vectors.  When
+pricing stalls, two residuals decide whether the etas can be trusted:
+the rows' ``r = rhs - A x`` against ``feas_tol`` and the basic columns'
+``A_B^T y - c_B`` against ``opt_tol``.  If either is past its tolerance
+the basis is refactorized and priced again.  Otherwise the stall is
+final, and one step of iterative refinement, ``x_B += B^-1 r``
+(Wilkinson; Higham, "Accuracy and Stability of Numerical Algorithms",
+ch. 12), cleans the last bits of the primal.
 
 Iterations exploit hypersparsity (Hall & McKinnon, "Hyper-sparsity in
 the revised simplex method and how to exploit it", 2005): the entering
@@ -351,14 +356,14 @@ class SimplexEngine:
             if key != priced:
                 priced = key
                 if in_phase1:
-                    grad = np.zeros(m)
-                    grad[viol_low] = -1.0
-                    grad[viol_high] = 1.0
-                    neg_d = self._aug_t @ factor.btran(grad)
+                    c_b = np.zeros(m)
+                    c_b[viol_low] = -1.0
+                    c_b[viol_high] = 1.0
                 else:
-                    y = factor.btran(self.cost[basis])
-                    aty = self._aug_t @ y
-                    neg_d = aty - self.cost
+                    c_b = self.cost[basis]
+                y = factor.btran(c_b)
+                aty = self._aug_t @ y
+                neg_d = aty if in_phase1 else aty - self.cost
 
             # score equals |d| on every eligible column, bit for bit, and
             # is <= opt_tol elsewhere: the same argmax and first eligible
@@ -372,13 +377,24 @@ class SimplexEngine:
             else:
                 j = int(np.argmax(score))
             if not score[j] > self.opt_tol:
-                stall = INFEASIBLE if in_phase1 else OPTIMAL
-                if factor.etas:
-                    # Re-verify the stall against a fresh factorization.
+                # The stall stands when x meets the rows (A x = rhs) and y
+                # prices the basic columns at zero (B^T y = c_B).  When the
+                # etas let either drift past its tolerance, recompute the
+                # values from a fresh factorization and price again.
+                x = self._nonbasic_values(vstat, lower, upper)
+                x[basis] = basic_val
+                resid = self.rhs - self._aug @ x
+                if factor.etas and (
+                    np.max(np.abs(resid), initial=0.0) > self.feas_tol
+                    or np.max(np.abs(aty[basis] - c_b), initial=0.0) > self.opt_tol
+                ):
                     factor = self._factorize(basis)
                     basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
                     continue
-                status = stall
+                # One step of iterative refinement: an ftran, no factorization.
+                basic_val += factor.ftran(resid)
+                x[basis] = basic_val
+                status = INFEASIBLE if in_phase1 else OPTIMAL
                 break
 
             if free_var[j]:
@@ -478,21 +494,21 @@ class SimplexEngine:
                 factor = self._factorize(basis)
                 basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
+        if status not in (OPTIMAL, INFEASIBLE):
+            x = self._nonbasic_values(vstat, lower, upper)
+            x[basis] = basic_val
         # The last pricing's y already solves B^T y = c_B unless it was a
         # phase-1 pricing or the basis changed after it.
         if priced != (factor, len(factor.etas), bytes(m), bytes(m)):
             y = factor.btran(self.cost[basis])
             aty = self._aug_t @ y
-        return self._package(status, basis, vstat, basic_val, lower, upper, iterations, y, aty)
+        return self._package(status, vstat, x, iterations, y, aty)
 
-    def _package(
-        self, status, basis, vstat, basic_val, lower, upper, iterations, y, aty
-    ) -> LpSolution:
-        """``y`` solves ``B^T y = c_B`` for the final basis and ``aty`` is
-        ``A^T y``."""
+    def _package(self, status, vstat, x, iterations, y, aty) -> LpSolution:
+        """``x`` holds the final values of all n + m variables, refined
+        once when the solve stalled; ``y`` solves ``B^T y = c_B`` for the
+        final basis and ``aty`` is ``A^T y``."""
         n = self.n
-        x = self._nonbasic_values(vstat, lower, upper)
-        x[basis] = basic_val
         primal = x[:n]
         sense_max = 1.0 if self.model.maximize else -1.0
 

@@ -112,6 +112,19 @@ class TestSolve:
         assert math.isclose(doc["objective"], 900.0 / 11.0, rel_tol=1e-9)
         assert math.isclose(doc["bids"]["c1"], 0.536363636364, rel_tol=1e-9)
 
+    def test_lp_bound_is_exact_on_the_criterion_7_instance(self, tmp_path, capsys):
+        # the LP value is 1788.75404086458343 (exact rational arithmetic on
+        # the optimal basis); a primal a few ulp off prints ...584
+        inst = str(tmp_path / "inst.json")
+        run(capsys, "generate", "--businesses", "2", "--campaigns", "3",
+            "--seed", "77", "-o", inst)
+        code, stdout, _ = run(
+            capsys, "solve", inst, "--strategy", "2", "--prove", "--gap", "0",
+            "--omit-timing",
+        )
+        assert code == EXIT_OK
+        assert "LP_BOUND 1788.754040864583" in stdout.splitlines()
+
     def test_strategy3_on_sos1_rejected(self, t1_path, capsys):
         code, _, stderr = run(capsys, "solve", t1_path, "--strategy", "3")
         assert code == EXIT_INPUT

@@ -4,12 +4,14 @@ Zero budgets, zero impressions, slack-only campaigns and equal
 neighbouring levels give LPs with tied ratios, degenerate pivots and
 duplicate columns, where the simplex's tie-breaks decide the vertex.
 Whatever vertex it lands on, every incumbent must verify against the
-raw instance, and the bounds must chain: LP >= SOS2 >= SOS1, with SOS1
-equal to the brute-force oracle.  Examples are derandomized and capped,
+raw instance, every optimal LP's primal must meet the model's rows to
+1e-9, and the bounds must chain: LP >= SOS2 >= SOS1, with SOS1 equal to
+the brute-force oracle.  Examples are derandomized and capped,
 so the suite's run time stays fixed.
 """
 
 import dataclasses
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,22 @@ from bidopt.simplex import OPTIMAL, SimplexEngine
 
 PROVE = SearchLimits(first_solution=False, gap=0.0)
 FIRST = SearchLimits(first_solution=True)
+
+ROW_TOL = 1e-9
+
+
+class RowCheckedEngine(SimplexEngine):
+    """Asserts that the primal of every optimal solve meets every row."""
+
+    def solve(self, *args, **kwargs):
+        sol = super().solve(*args, **kwargs)
+        if sol.status == OPTIMAL:
+            for row in self.model.rows:
+                activity = math.fsum(v * sol.primal[j] for j, v in row.coeffs)
+                excess = activity - row.rhs
+                assert (excess if row.sense == "L" else abs(excess)) <= ROW_TOL, row.name
+        return sol
+
 
 # (SOS type, strategy, limits): the modes of the benchmark's sweep
 MODES = (
@@ -78,14 +96,16 @@ def degenerate_instances(draw):
 @given(degenerate_instances())
 def test_degenerate_instances_verify_and_chain(instance):
     model = build_model(instance)
-    lp = SimplexEngine(model).solve()
+    lp = RowCheckedEngine(model).solve()
     assert lp.status == OPTIMAL
     slack = 1e-9 * max(1.0, abs(lp.objective))
 
     proved = {}
     for sos_type, strategy, limits in MODES:
         solved = relax_to_sos2(model) if sos_type == 2 else model
-        report, values = branch_and_bound(solved, strategy, limits)
+        report, values = branch_and_bound(
+            solved, strategy, limits, engine=RowCheckedEngine(solved)
+        )
         # all-slack is always feasible, so every mode finds an incumbent
         assert values is not None, (sos_type, strategy)
         columns = {c.name: v for c, v in zip(solved.columns, values)}

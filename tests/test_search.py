@@ -437,8 +437,28 @@ class TestBranchAndBound:
             model, "none", SearchLimits(first_solution=False), engine=proxy
         )
         assert report.nodes == 451
-        assert repr(report.incumbent_objective) == "4537.6166221805815"
+        assert repr(report.incumbent_objective) == "4537.616622180575"
         assert sum(sol.iterations for _, _, sol in proxy.log) == 2576
+
+    def test_tree_factorizations_pinned(self, monkeypatch):
+        # A node LP factorizes its starting basis (unless its sibling just
+        # did) and after every 64 etas; a stall needs no fresh factor to
+        # be believed.  Confirming every stall with one took 690 here.
+        model = build_model(generate_instance(TREE_PARAMS))
+        engine = SimplexEngine(model)
+        factorized = []
+        factorize = engine._factorize
+
+        def counted(basis):
+            factorized.append(len(basis))
+            return factorize(basis)
+
+        monkeypatch.setattr(engine, "_factorize", counted)
+        report, _ = branch_and_bound(
+            model, "none", SearchLimits(first_solution=False), engine=engine
+        )
+        assert report.nodes == 451
+        assert len(factorized) == 241
 
     def test_time_limit_bounds_the_root_lp(self, scale_base):
         # the root LP alone takes seconds here; the limit must stop it
@@ -477,10 +497,10 @@ class SolveOnlyEngine:
 
 
 # Solves in the fixing pass: the re-solve under the fixes of strategies
-# 1 and 2 when they fix anything; for strategy 3 the hot start, then the
-# re-solve under its zero flags.
+# 1 and 2 when the root LP does not already meet them; for strategy 3 the
+# hot start, then the re-solve under its zero flags on the same terms.
 FIXING_SOLVES = {
-    make_t1: {"none": 0, "1": 0, "2": 1, "3": 2},
+    make_t1: {"none": 0, "1": 0, "2": 0, "3": 1},
     make_rollback_instance: {"none": 0, "1": 1, "2": 1, "3": 2},
 }
 
@@ -516,6 +536,19 @@ class TestEngineInjection:
         assert sum(a == b for a, b in zip(warms, warms[1:])) >= 100
         for bounds, warm, sol in proxy.log:
             assert SimplexEngine(model).solve(bounds=bounds, warm=warm) == sol
+
+    def test_fixes_the_root_meets_are_not_resolved(self):
+        # strategy 2 zeroes t1's slack, which the root LP already holds
+        # at zero: the root is the fixed LP's solution as it stands
+        model = build_model(make_t1())
+        proxy = SolveOnlyEngine(model)
+        report, _ = branch_and_bound(model, "2", PROVE, engine=proxy)
+        root = proxy.log[0][2]
+        fixes = strategy2_fix(model, root)
+        assert fixes
+        assert all(lo <= root.primal[j] <= hi for j, (lo, hi) in fixes.items())
+        assert all(bounds != fixes for bounds, _, _ in proxy.log[1:])
+        assert len(proxy.log) == report.nodes
 
     def test_strategy3_first_solution_skips_fixing_resolve(self):
         # the hot start is the first solution: root and hot start only

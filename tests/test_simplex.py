@@ -8,7 +8,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from bidopt import simplex
-from bidopt.generate import scale_suite
+from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, build_model
 from bidopt.simplex import (
     AT_LOWER,
@@ -365,6 +365,99 @@ class TestSingularBasis:
             _Factor(bmat)
 
 
+def _drift(solve):
+    """Wrap a ``_Factor`` solve so that, once the factor holds etas, its
+    results are 0.01% off: values updated through it drift."""
+
+    def drifted(self, b, *args, **kwargs):
+        out = solve(self, b, *args, **kwargs)
+        return out * 1.0001 if self.etas else out
+
+    return drifted
+
+
+def _drift_first_eta(update):
+    """Wrap ``_Factor.update`` so that each factor stores its first eta
+    with the values 0.1% off: every solve through the factor drifts."""
+
+    def drifted(self, pos, w):
+        update(self, pos, w)
+        if len(self.etas) == 1:
+            p, idx, vals, dp = self.etas[0]
+            self.etas[0] = (p, idx, vals * 1.001, dp)
+
+    return drifted
+
+
+def _shifted(recompute):
+    """Wrap ``_recompute_basics`` so that every basic value is 1e-4 off."""
+
+    def shifted(self, *args):
+        return recompute(self, *args) + 1e-4
+
+    return shifted
+
+
+class TestStallGuard:
+    """A stall is final when the primal meets the rows and the duals price
+    the basic columns at zero, both within tolerance.  Otherwise the basis
+    is refactorized and priced again."""
+
+    # 43 rows; its root LP takes 115 iterations without a refactorization
+    MODEL_PARAMS = GenParams(
+        businesses=3, campaigns_per_business=12, levels_per_campaign=4,
+        budget_tightness=0.3, seed=1,
+    )
+
+    @staticmethod
+    def _solve_counting(model, monkeypatch):
+        """Solve cold; return the solution and every factorized basis."""
+        engine = SimplexEngine(model)
+        factorized = []
+        factorize = engine._factorize
+
+        def recorded(basis):
+            factorized.append(basis.copy())
+            return factorize(basis)
+
+        monkeypatch.setattr(engine, "_factorize", recorded)
+        return engine.solve(), factorized
+
+    def test_clean_stall_is_final(self, monkeypatch):
+        model = build_model(generate_instance(self.MODEL_PARAMS))
+        sol, factorized = self._solve_counting(model, monkeypatch)
+        assert (sol.status, sol.iterations) == (OPTIMAL, 115)
+        # the starting basis only: the stall is not confirmed by a second
+        assert len(factorized) == 1
+
+    @pytest.mark.parametrize(
+        "owner, name, wrap",
+        [
+            (_Factor, "update", _drift_first_eta),
+            (_Factor, "ftran", _drift),
+            (_Factor, "btran", _drift),
+            (SimplexEngine, "_recompute_basics", _shifted),
+        ],
+        ids=["etas", "ftran", "btran", "basic-values"],
+    )
+    def test_drift_is_refactorized(self, monkeypatch, owner, name, wrap):
+        # a drifted eta or ftran moves the basic values and, through the
+        # etas, the duals; a drifted btran moves the duals only, and
+        # shifted basic values leave the duals exact
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+        model = build_model(generate_instance(self.MODEL_PARAMS))
+        sol, factorized = self._solve_counting(model, monkeypatch)
+        assert sol.status == OPTIMAL
+        final_basis = np.flatnonzero(np.array(sol.basis) == BASIC)
+        assert len(factorized) >= 2
+        np.testing.assert_array_equal(np.sort(factorized[-1]), final_basis)
+        ref = scipy_reference(model)
+        assert ref.status == 0
+        ref_obj = -ref.fun  # the model maximizes
+        assert abs(sol.objective - ref_obj) <= 1e-6 * max(1.0, abs(ref_obj))
+        TestAgainstScipy._check_feasible(model, sol.primal)
+
+
 class TestFactorUpdates:
     def test_sparse_etas_match_dense_solves(self):
         rng = np.random.default_rng(5)
@@ -400,7 +493,7 @@ class TestPinnedPivots:
         sol = SimplexEngine(model).solve()
         assert sol.status == OPTIMAL
         assert sol.iterations == 957
-        assert repr(sol.objective) == "48348.12677584861"
+        assert repr(sol.objective) == "48348.12677584857"
 
     def test_root_lp_under_blands_rule(self, scale_base, monkeypatch):
         # Bland's rule takes over at the first degenerate step, so its
@@ -410,4 +503,4 @@ class TestPinnedPivots:
         sol = SimplexEngine(model).solve()
         assert sol.status == OPTIMAL
         assert sol.iterations == 1189
-        assert repr(sol.objective) == "48348.126775848585"
+        assert repr(sol.objective) == "48348.12677584858"
