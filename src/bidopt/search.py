@@ -25,7 +25,11 @@ primal already lies within every fixed column's bounds: the root is
 then feasible for the fixed LP and optimal for a looser one, so it is
 the fixed LP's solution as it stands.  Branching splits the most violated
 set at the weighted-average reference weight; nodes are explored
-depth-first until the first incumbent and best-bound after.
+depth-first until the first incumbent and best-bound after.  A node LP
+that stops short of optimality before the time limit (an iteration
+limit) is solved once more from the cold basis; if that fails too, the
+node is dropped and the search ends ``feasible`` (or ``limit`` without
+an incumbent), never ``optimal``.
 """
 
 from __future__ import annotations
@@ -429,6 +433,7 @@ def branch_and_bound(
     best_first = False
     nodes_evaluated = 0
     hit_limit = False
+    dropped = False  # a node LP failed twice; the search proves nothing
 
     while frontier:
         if deadline is not None and time.perf_counter() >= deadline:
@@ -450,11 +455,18 @@ def branch_and_bound(
             lp = _solve(engine, deadline, bounds=node.bounds, warm=node.warm)
         nodes_evaluated += 1
 
+        if lp.status not in (OPTIMAL, INFEASIBLE):
+            # A node LP cut off short of the deadline gets one more try
+            # from the cold basis; failing again, the node is dropped.
+            if deadline is not None and time.perf_counter() >= deadline:
+                hit_limit = True
+                break
+            lp = _solve(engine, deadline, bounds=node.bounds)
+            if lp.status not in (OPTIMAL, INFEASIBLE):
+                dropped = True
+                continue
         if lp.status == INFEASIBLE:
             continue
-        if lp.status != OPTIMAL:
-            hit_limit = True
-            break
         if pruned(lp.objective):
             continue
 
@@ -474,7 +486,7 @@ def branch_and_bound(
         order += 2
 
     if incumbent_vals is not None:
-        if hit_limit or (limits.first_solution and frontier):
+        if hit_limit or dropped or (limits.first_solution and frontier):
             status = "feasible"
         else:
             status = OPTIMAL
@@ -482,6 +494,6 @@ def branch_and_bound(
             report(status, incumbent_obj, first_obj, first_secs, nodes_evaluated),
             incumbent_vals,
         )
-    if hit_limit:
+    if hit_limit or dropped:
         return report("limit", None, None, None, nodes_evaluated), None
     return report(INFEASIBLE, None, None, None, nodes_evaluated), None

@@ -1,4 +1,5 @@
-"""Bounded-variable primal simplex exposing duals and reduced costs.
+"""Bounded-variable simplex, primal and dual, exposing duals and reduced
+costs.
 
 The engine works on the augmented system ``A x + w = rhs`` where one
 logical variable w is appended per row: ``[0, inf)`` for a <= row and
@@ -42,6 +43,29 @@ factorization.  Pricing is skipped when none of its inputs changed
 since the last pricing (a bound flip changes none of them in phase 2),
 and the final solution reuses the last phase-2 pricing's duals.  Every
 reuse returns the very numbers a recomputation would.
+
+A warm start re-solves with the bounded dual simplex first (Lemke, "The
+dual method of solving the linear programming problem", 1954; Koberstein,
+PhD thesis, Paderborn 2005).  A child node differs from its parent only
+in tighter bounds, so the parent's optimal basis stays dual feasible:
+every movable nonbasic column's reduced cost d has the right sign within
+``opt_tol`` and every free one is within ``opt_tol`` of zero.  Each dual
+iteration takes out the basic variable with the largest bound violation
+(ties to the first position), computes its row alpha_r of B^-1 A with
+one btran and one product, and brings in the eligible column with the
+smallest |d_j / alpha_rj|, |alpha_rj| above the pivot tolerance; ties
+within 1e-10 go to the largest |alpha_rj|, then to the lowest index.  d
+is updated from alpha_r; the primal update, the etas and the
+refactorizations are the primal loop's.  The start basis's d depends on
+the basis alone, so it is kept with its factor for the siblings.  The
+dual phase hands the basis to the primal loop when it is primal
+feasible, when it was not dual feasible to begin with, after
+``BLAND_AFTER`` consecutive degenerate dual steps, or when no column can
+repair a row whose violation, recomputed from the rows as
+``rho_r (rhs - A_N x_N)``, is within ``feas_tol``; past ``feas_tol`` that
+row proves the LP infeasible.  The primal loop prices afresh, so every
+optimum passes the same residual checks and refinement.  Cold solves
+run the primal loop alone.
 
 Maximization models are negated internally; reported objective, duals
 and reduced costs are all in the model's own (maximization) sense, so
@@ -206,10 +230,11 @@ class SimplexEngine:
             self.base_lower[n + i] = 0.0
             self.base_upper[n + i] = math.inf if r.sense == "L" else 0.0
 
-        # The starting basis of the last solve, as bytes, and its factor
-        # (None when singular).  Siblings in a tree start from the same
-        # parent basis.
-        self._start: tuple[bytes, _Factor | None] = (b"", None)
+        # The starting basis of the last solve, as bytes, its factor (None
+        # when singular) and, once a warm start asked for them, its -d
+        # (None until then).  Siblings in a tree start from the same parent
+        # basis.
+        self._start: tuple[bytes, _Factor | None, np.ndarray | None] = (b"", None, None)
 
     # -- helpers -------------------------------------------------------
 
@@ -258,9 +283,18 @@ class SimplexEngine:
                 factor = self._factorize(basis)
             except RuntimeError:
                 factor = None
-            self._start = (key, factor)
+            self._start = (key, factor, None)
         factor = self._start[1]
         return None if factor is None else factor.fresh()
+
+    def _start_neg_d(self, factor, basis) -> np.ndarray:
+        """-d of the starting basis.  It depends on the basis alone, not on
+        the bounds, so it is kept with the basis's factor."""
+        key, memo_factor, neg_d = self._start
+        if neg_d is None:
+            neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+            self._start = (key, memo_factor, neg_d)
+        return neg_d
 
     def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
         xn = self._nonbasic_values(vstat, lower, upper)
@@ -282,10 +316,11 @@ class SimplexEngine:
         overrides applied on top of the model bounds; fixing a column
         means lower == upper.  ``warm`` is the ``basis`` of an earlier
         solution of this engine; a token of the wrong shape or with a
-        singular basis falls back to the cold, all-logical basis.  The
-        solve returns ``ITERATION_LIMIT`` after ``max_iterations``
-        iterations or once ``time.perf_counter()`` reaches ``deadline``,
-        checked once per iteration.
+        singular basis falls back to the cold, all-logical basis.  A warm
+        basis that is dual feasible under ``bounds`` is re-solved with
+        dual simplex steps first.  The solve returns ``ITERATION_LIMIT``
+        after ``max_iterations`` iterations or once ``time.perf_counter()``
+        reaches ``deadline``, checked once per iteration.
         """
         n, m = self.n, self.m
         lower = self.base_lower.copy()
@@ -303,6 +338,7 @@ class SimplexEngine:
             cand = np.array(warm, dtype=np.int8)
             if int(np.count_nonzero(cand == BASIC)) == m:
                 vstat = cand
+        dual_start = vstat is not None
         if vstat is None:
             vstat = self._cold_vstat(lower, upper)
         # Nonbasic statuses must still make sense under the new bounds.
@@ -318,6 +354,7 @@ class SimplexEngine:
         basis = np.flatnonzero(vstat == BASIC)
         factor = self._start_factor(basis)
         if factor is None:
+            dual_start = False
             vstat = self._cold_vstat(lower, upper)
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._factorize(basis)
@@ -333,12 +370,17 @@ class SimplexEngine:
         lb_b = lower[basis]
         ub_b = upper[basis]
         iterations = 0
+        status = None
+        if dual_start:
+            status, factor, basic_val, iterations = self._dual_phase(
+                factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
+                free_cols, max_iterations, deadline,
+            )
         degen_streak = 0
         bland = False
-        status = None
         priced = None  # the factor, eta count and masks of the last pricing
 
-        while True:
+        while status is None:
             if iterations >= max_iterations or (
                 deadline is not None and time.perf_counter() >= deadline
             ):
@@ -391,9 +433,9 @@ class SimplexEngine:
                     factor = self._factorize(basis)
                     basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
                     continue
-                # One step of iterative refinement: an ftran, no factorization.
+                # One step of iterative refinement: an ftran, no
+                # factorization.  x is rebuilt from basic_val below.
                 basic_val += factor.ftran(resid)
-                x[basis] = basic_val
                 status = INFEASIBLE if in_phase1 else OPTIMAL
                 break
 
@@ -494,15 +536,119 @@ class SimplexEngine:
                 factor = self._factorize(basis)
                 basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
-        if status not in (OPTIMAL, INFEASIBLE):
-            x = self._nonbasic_values(vstat, lower, upper)
-            x[basis] = basic_val
+        x = self._nonbasic_values(vstat, lower, upper)
+        x[basis] = basic_val
         # The last pricing's y already solves B^T y = c_B unless it was a
         # phase-1 pricing or the basis changed after it.
         if priced != (factor, len(factor.etas), bytes(m), bytes(m)):
             y = factor.btran(self.cost[basis])
             aty = self._aug_t @ y
         return self._package(status, vstat, x, iterations, y, aty)
+
+    def _dual_phase(
+        self, factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
+        free_cols, max_iterations, deadline,
+    ):
+        """Bounded dual simplex from a warm basis, while it is dual feasible.
+
+        Updates ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` in
+        place and returns ``(status, factor, basic_val, iterations)``.  A
+        status of None hands the basis to the primal loop: the basis is
+        primal feasible, or it was never dual feasible, or the dual steps
+        stalled, or a row's violation did not survive recomputation, or
+        rounding wiped out a pivot.
+        """
+        neg_d = self._start_neg_d(factor, basis)
+        free_nb = free_cols[vstat[free_cols] != BASIC]
+        if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
+            np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
+        ):
+            return None, factor, basic_val, 0
+        neg_d = neg_d.copy()
+        iterations = 0
+        degen_streak = 0
+        while True:
+            below = lb_b - basic_val
+            above = basic_val - ub_b
+            viol = np.maximum(below, above)
+            r = int(np.argmax(viol))
+            if not viol[r] > self.feas_tol:
+                return None, factor, basic_val, iterations
+            if iterations >= max_iterations or (
+                deadline is not None and time.perf_counter() >= deadline
+            ):
+                return ITERATION_LIMIT, factor, basic_val, iterations
+
+            # Row r leaves for the bound it violates.  With s = +1 (below
+            # its lower bound) d moves by +t s alpha_r, so the eligible
+            # columns are those whose d moves toward the wrong sign.
+            s = 1.0 if below[r] > 0.0 else -1.0
+            unit = np.zeros(self.m)
+            unit[r] = 1.0
+            rho = factor.btran(unit)
+            alpha = self._aug_t @ rho
+            eligible = dirn * (s * alpha) < -_PIVOT_TOL
+            if free_cols.size:
+                free_nb = free_cols[vstat[free_cols] != BASIC]
+                eligible[free_nb] = np.abs(alpha[free_nb]) > _PIVOT_TOL
+            cand = np.flatnonzero(eligible)
+            if not cand.size:
+                # No column can repair row r: it is infeasible unless its
+                # violation, recomputed from the rows, is within tolerance.
+                xn = self._nonbasic_values(vstat, lower, upper)
+                xn[basis] = 0.0
+                x_r = float(rho @ (self.rhs - self._aug @ xn))
+                if max(lb_b[r] - x_r, x_r - ub_b[r]) > self.feas_tol:
+                    return INFEASIBLE, factor, basic_val, iterations
+                return None, factor, basic_val, iterations
+
+            # Smallest |d_j / alpha_rj|; ties to the largest |alpha_rj|,
+            # then to the lowest index.
+            a_c = alpha[cand]
+            ratios = np.abs(neg_d[cand] / a_c)
+            mags = np.abs(a_c)
+            tie = ratios <= ratios.min() + _TIE_TOL
+            k = int(np.argmax(tie & (mags >= mags[tie].max() - _TIE_TOL)))
+            q = int(cand[k])
+            t = float(ratios[k])
+
+            w = factor.ftran(self._column(q))
+            if not abs(w[r]) > _PIVOT_TOL:
+                # w_r is alpha_rq again, from the column side; rounding
+                # that wipes it out goes to the primal loop.
+                return None, factor, basic_val, iterations
+            leaving = int(basis[r])
+            if vstat[q] == AT_UPPER:
+                enter_from = upper[q]
+            else:
+                enter_from = lower[q] if np.isfinite(lower[q]) else 0.0
+            step = (basic_val[r] - (lb_b[r] if s > 0 else ub_b[r])) / w[r]
+            idx = np.flatnonzero(w)
+            basic_val[idx] -= step * w[idx]
+            basic_val[r] = enter_from + step
+            neg_d -= (t * s) * alpha
+            neg_d[q] = 0.0
+
+            vstat[leaving] = AT_LOWER if s > 0 else AT_UPPER
+            movable = upper[leaving] > lower[leaving]
+            dirn[leaving] = s if movable else 0.0
+            vstat[q] = BASIC
+            dirn[q] = 0.0
+            basis[r] = q
+            lb_b[r] = lower[q]
+            ub_b[r] = upper[q]
+            factor.update(r, w)
+            iterations += 1
+
+            if len(factor.etas) >= _REFACTOR_EVERY:
+                factor = self._factorize(basis)
+                basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
+                neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+            # Dual degenerate steps leave the dual objective where it was;
+            # a run of them goes to the primal loop and its anti-cycling.
+            degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
+            if degen_streak >= BLAND_AFTER:
+                return None, factor, basic_val, iterations
 
     def _package(self, status, vstat, x, iterations, y, aty) -> LpSolution:
         """``x`` holds the final values of all n + m variables, refined

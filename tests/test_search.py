@@ -427,10 +427,22 @@ class TestBranchAndBound:
         assert report.nodes == nodes
 
     def test_tree_under_blands_rule(self, monkeypatch):
-        # Bland's rule takes over at the first degenerate step of every
-        # node LP (2 459 iterations in all without it); a different
-        # leaving or entering choice moves the iteration count
+        # A node LP's dual steps hand over to the primal loop at their
+        # first degenerate step, and Bland's rule takes over there at the
+        # first degenerate step too; a different leaving or entering
+        # choice in either moves the iteration count
         monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+        assert self._tree_iterations() == 916
+
+    def test_tree_iterations_pinned(self):
+        # Node LPs re-solve with dual steps from the parent's basis; the
+        # primal simplex alone took 2 459 iterations here
+        assert self._tree_iterations() == 869
+
+    @staticmethod
+    def _tree_iterations() -> int:
+        """LP iterations of the TREE_PARAMS search under --prove, checking
+        its node count and objective on the way."""
         model = build_model(generate_instance(TREE_PARAMS))
         proxy = SolveOnlyEngine(model)
         report, _ = branch_and_bound(
@@ -438,7 +450,7 @@ class TestBranchAndBound:
         )
         assert report.nodes == 451
         assert repr(report.incumbent_objective) == "4537.616622180575"
-        assert sum(sol.iterations for _, _, sol in proxy.log) == 2576
+        return sum(sol.iterations for _, _, sol in proxy.log)
 
     def test_tree_factorizations_pinned(self, monkeypatch):
         # A node LP factorizes its starting basis (unless its sibling just
@@ -496,6 +508,28 @@ class SolveOnlyEngine:
         return sol
 
 
+class CutOffEngine(SolveOnlyEngine):
+    """Returns ``ITERATION_LIMIT`` for the warm solve at call ``call``
+    (the root is call 0); with ``twice``, also for the cold re-solve of
+    the same bounds that follows it."""
+
+    def __init__(self, model, call, twice=False):
+        super().__init__(model)
+        self.call = call
+        self.twice = twice
+        self.cut = None  # the bounds of the cut-off node
+
+    def solve(self, bounds=None, warm=None, max_iterations=None):
+        sol = super().solve(bounds, warm, max_iterations)
+        if len(self.log) - 1 == self.call or (
+            self.twice and warm is None and self.cut is not None and bounds == self.cut
+        ):
+            self.cut = bounds
+            sol = dataclasses.replace(sol, status=simplex.ITERATION_LIMIT)
+            self.log[-1] = (bounds, warm, sol)
+        return sol
+
+
 # Solves in the fixing pass: the re-solve under the fixes of strategies
 # 1 and 2 when the root LP does not already meet them; for strategy 3 the
 # hot start, then the re-solve under its zero flags on the same terms.
@@ -549,6 +583,34 @@ class TestEngineInjection:
         assert all(lo <= root.primal[j] <= hi for j, (lo, hi) in fixes.items())
         assert all(bounds != fixes for bounds, _, _ in proxy.log[1:])
         assert len(proxy.log) == report.nodes
+
+    def test_cut_off_node_is_solved_again_from_the_cold_basis(self, t1_model):
+        # call 1 is the left child, whose LP gives the optimum 50
+        proxy = CutOffEngine(t1_model, call=1)
+        report, values = branch_and_bound(t1_model, "none", PROVE, engine=proxy)
+        want, want_values = branch_and_bound(t1_model, "none", PROVE)
+        assert (report.status, report.nodes) == (want.status, want.nodes) == ("optimal", 3)
+        assert report.incumbent_objective == want.incumbent_objective == 50.0
+        assert values == want_values
+        (cut_bounds, cut_warm, _), (bounds, warm, sol) = proxy.log[1:3]
+        assert cut_warm is not None
+        assert (bounds, warm, sol.status) == (cut_bounds, None, OPTIMAL)
+
+    @pytest.mark.parametrize(
+        "call, status, objective",
+        [(1, "limit", None), (2, "feasible", 50.0)],
+        ids=["only-incumbent-dropped", "open-node-dropped"],
+    )
+    def test_node_failing_twice_is_dropped(self, t1_model, call, status, objective):
+        # dropping the left child leaves the infeasible right one; dropping
+        # the right child keeps the optimum, which is then not proved
+        proxy = CutOffEngine(t1_model, call=call, twice=True)
+        report, _ = branch_and_bound(t1_model, "none", PROVE, engine=proxy)
+        assert (report.status, report.incumbent_objective) == (status, objective)
+        assert report.nodes == 3
+        assert len(proxy.log) == 4
+        bounds, warm, sol = proxy.log[call + 1]
+        assert (bounds, warm, sol.status) == (proxy.cut, None, simplex.ITERATION_LIMIT)
 
     def test_strategy3_first_solution_skips_fixing_resolve(self):
         # the hot start is the first solution: root and hot start only

@@ -1,5 +1,6 @@
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, build_model
 from bidopt.simplex import (
     AT_LOWER,
+    AT_UPPER,
     BASIC,
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -107,6 +109,18 @@ def random_sparse_model(rng: np.random.Generator) -> LpModel:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, coeffs))
     return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+
+
+def random_bid_model(rng: np.random.Generator) -> LpModel:
+    """A generated bidding model of 2-18 campaigns: SOS-shaped columns
+    whose LPs are degenerate, primal and dual."""
+    return build_model(generate_instance(GenParams(
+        businesses=int(rng.integers(1, 4)),
+        campaigns_per_business=int(rng.integers(2, 7)),
+        levels_per_campaign=int(rng.integers(2, 6)),
+        budget_tightness=float(rng.choice([0.3, 0.7, 1.5])),
+        seed=int(rng.integers(0, 10**6)),
+    )))
 
 
 def scipy_reference(model: LpModel, bounds: dict | None = None):
@@ -504,3 +518,226 @@ class TestPinnedPivots:
         assert sol.status == OPTIMAL
         assert sol.iterations == 1189
         assert repr(sol.objective) == "48348.12677584858"
+
+
+def tighten(rng: np.random.Generator, model: LpModel, primal) -> dict:
+    """New bounds for 1-3 random columns, each excluding the parent's
+    value from below or above, or fixing the column anywhere in its
+    range.  Many such children are infeasible."""
+    n = len(model.columns)
+    bounds = {}
+    for j in rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False):
+        col = model.columns[int(j)]
+        lo = col.lower if math.isfinite(col.lower) else primal[j] - 5.0
+        hi = col.upper if math.isfinite(col.upper) else primal[j] + 5.0
+        v = min(max(primal[j], lo), hi)
+        kind = rng.random()
+        if kind < 0.4:
+            bounds[int(j)] = (col.lower, float(rng.uniform(lo, v)))
+        elif kind < 0.8:
+            bounds[int(j)] = (float(rng.uniform(v, hi)), col.upper)
+        else:
+            a = float(rng.uniform(lo, hi))
+            bounds[int(j)] = (a, a)
+    return bounds
+
+
+def dual_infeasibility(engine: SimplexEngine, token) -> float:
+    """How far the basis ``token`` is from dual feasible under the model's
+    own bounds, from a dense solve: 0 when every reduced cost has the
+    right sign."""
+    vstat = np.array(token)
+    aug = engine._aug.toarray()
+    basis = np.flatnonzero(vstat == BASIC)
+    y = np.linalg.solve(aug[:, basis].T, engine.cost[basis])
+    d = engine.cost - aug.T @ y
+    lower, upper = engine.base_lower, engine.base_upper
+    movable = (vstat != BASIC) & (upper > lower)
+    free = movable & ~np.isfinite(lower) & ~np.isfinite(upper)
+    wrong = np.zeros_like(d)
+    wrong[movable & (vstat == AT_LOWER)] = -d[movable & (vstat == AT_LOWER)]
+    wrong[movable & (vstat == AT_UPPER)] = d[movable & (vstat == AT_UPPER)]
+    wrong[free] = np.abs(d[free])
+    return float(wrong.max(initial=0.0))
+
+
+class TestDualSimplex:
+    """A warm start whose basis is dual feasible under the new bounds
+    re-solves with dual simplex steps; any other hands over to the primal
+    simplex.  Every answer must agree with scipy's HiGHS, under the
+    default anti-cycling threshold and under one that hands over at the
+    first degenerate step."""
+
+    @pytest.fixture(params=[50, 1], ids=["bland-after-50", "bland-after-1"])
+    def bland_after(self, request, monkeypatch):
+        monkeypatch.setattr(simplex, "BLAND_AFTER", request.param)
+        return request.param
+
+    @pytest.fixture
+    def dual_log(self, monkeypatch):
+        """(status, iterations) of every dual phase."""
+        log = []
+        dual_phase = SimplexEngine._dual_phase
+
+        def recorded(self, *args):
+            out = dual_phase(self, *args)
+            log.append((out[0], out[3]))
+            return out
+
+        monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
+        return log
+
+    @staticmethod
+    def _children(make_model, seed: int, models: int):
+        """(model, engine, parent, child bounds): three children of every
+        model whose LP solves to optimality."""
+        rng = np.random.default_rng(seed)
+        for _ in range(models):
+            model = make_model(rng)
+            engine = SimplexEngine(model)
+            parent = engine.solve()
+            if parent.status != OPTIMAL:
+                continue
+            for _ in range(3):
+                yield model, engine, parent, tighten(rng, model, parent.primal)
+
+    @pytest.mark.parametrize(
+        "make_model, seed, models",
+        [
+            (random_model, 31, 120),
+            (random_sparse_model, 37, 60),
+            (random_bid_model, 47, 40),
+        ],
+        ids=["random", "sparse", "bidding"],
+    )
+    def test_warm_children_agree_with_scipy(
+        self, bland_after, dual_log, make_model, seed, models
+    ):
+        statuses = []
+        for model, engine, parent, bounds in self._children(make_model, seed, models):
+            dual_log.clear()
+            child = engine.solve(bounds=bounds, warm=parent.basis)
+            assert len(dual_log) == 1
+            statuses.append((child.status, dual_log[0]))
+            ref = scipy_reference(model, bounds)
+            if child.status == OPTIMAL:
+                assert ref.status == 0, bounds
+                ref_obj = -ref.fun if model.maximize else ref.fun
+                scale = max(1.0, abs(ref_obj))
+                assert abs(child.objective - ref_obj) <= 1e-6 * scale, bounds
+            else:
+                assert (child.status, ref.status) == (INFEASIBLE, 2), bounds
+        dual_steps = [dual for _, dual in statuses if dual[1] > 0]
+        assert len(dual_steps) >= 30
+        assert max(iters for _, iters in dual_steps) >= 3
+        assert sum(status == OPTIMAL for status, _ in statuses) >= 30
+        assert sum(dual[0] == INFEASIBLE for _, dual in statuses) >= 10
+
+    @pytest.mark.parametrize("make_model", [random_model, random_sparse_model])
+    def test_dual_infeasible_token_takes_the_primal_path(
+        self, bland_after, dual_log, make_model
+    ):
+        # a solve cut off after k iterations leaves a basis that is
+        # rarely dual feasible
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(80):
+            model = make_model(rng)
+            engine = SimplexEngine(model)
+            cold = engine.solve()
+            cut = engine.solve(max_iterations=int(rng.integers(1, 6)))
+            if cut.status != ITERATION_LIMIT or dual_infeasibility(engine, cut.basis) < 1e-6:
+                continue
+            dual_log.clear()
+            warm = engine.solve(warm=cut.basis)
+            assert dual_log == [(None, 0)]
+            assert warm.status == cold.status
+            if cold.status == OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= 1e-7 * max(
+                    1.0, abs(cold.objective)
+                )
+            checked += 1
+        assert checked >= 15
+
+    def test_ratio_ties_go_to_the_largest_pivot_then_the_lowest_index(self, dual_log):
+        # x1 - x2 - 2 x3 - 2 x4 <= 4 at zero cost: raising x1 to 6 leaves
+        # the row 2 short, and x2, x3 and x4 tie at ratio 0
+        model = LpModel(
+            columns=tuple(LpColumn(f"x{j}", 0.0, 0.0, 10.0) for j in range(1, 5)),
+            rows=(LpRow("r", "L", 4.0, ((0, 1.0), (1, -1.0), (2, -2.0), (3, -2.0))),),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        parent = engine.solve()
+        sol = engine.solve(bounds={0: (6.0, 10.0)}, warm=parent.basis)
+        assert dual_log == [(None, 1)]
+        assert (sol.status, sol.primal) == (OPTIMAL, (6.0, 0.0, 1.0, 0.0))
+
+    def test_violation_is_recomputed_before_infeasible(self, dual_log, monkeypatch):
+        # x = 1 with x in [0, 1]: basic values shifted 1e-4 up show x past
+        # its upper bound, and no column can repair the row, but the row
+        # itself puts x at 1.  The dual phase hands over instead of
+        # calling the LP infeasible.
+        model = LpModel(
+            columns=(LpColumn("x", 1.0, 0.0, 1.0),),
+            rows=(LpRow("r", "E", 1.0, ((0, 1.0),)),),
+            sos_sets=(),
+        )
+        monkeypatch.setattr(
+            SimplexEngine, "_recompute_basics", _shifted(SimplexEngine._recompute_basics)
+        )
+        SimplexEngine(model).solve(warm=(BASIC, AT_LOWER))
+        assert dual_log == [(None, 0)]
+
+    @staticmethod
+    def _long_child(dual_log):
+        """A sparse child whose dual phase takes at least three steps and
+        ends primal feasible."""
+        for model, engine, parent, bounds in TestDualSimplex._children(
+            random_sparse_model, 41, 60
+        ):
+            dual_log.clear()
+            engine.solve(bounds=bounds, warm=parent.basis)
+            status, iters = dual_log[0]
+            if status is None and iters >= 3:
+                return engine, parent, bounds
+        pytest.fail("no child takes three dual steps")
+
+    def test_iteration_limit_inside_the_dual_phase(self, dual_log):
+        engine, parent, bounds = self._long_child(dual_log)
+        dual_log.clear()
+        sol = engine.solve(bounds=bounds, warm=parent.basis, max_iterations=1)
+        assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 1)
+        assert dual_log == [(ITERATION_LIMIT, 1)]
+
+    def test_refactorization_inside_the_dual_phase(self, dual_log, monkeypatch):
+        engine, parent, bounds = self._long_child(dual_log)
+        want = engine.solve(bounds=bounds, warm=parent.basis)
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+        factorized = []
+        factorize = engine._factorize
+
+        def counted(basis):
+            factorized.append(basis.copy())
+            return factorize(basis)
+
+        monkeypatch.setattr(engine, "_factorize", counted)
+        dual_log.clear()
+        got = engine.solve(bounds=bounds, warm=parent.basis)
+        assert dual_log[0][0] is None
+        # the start basis comes from the memo; every dual step refactorizes
+        assert len(factorized) >= dual_log[0][1] >= 3
+        assert got.status == want.status == OPTIMAL
+        assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+
+    def test_deadline_inside_the_dual_phase(self, dual_log, monkeypatch):
+        engine, parent, bounds = self._long_child(dual_log)
+        # a clock that reads 0, 1, 2, ...: the third check is past 1.5
+        ticks = iter(range(1_000))
+        monkeypatch.setattr(
+            simplex, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        dual_log.clear()
+        sol = engine.solve(bounds=bounds, warm=parent.basis, deadline=1.5)
+        assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 2)
+        assert dual_log == [(ITERATION_LIMIT, 2)]
