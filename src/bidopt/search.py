@@ -64,7 +64,7 @@ class Node:
     bounds: Bounds
     lp_bound: float
     creation_order: int
-    warm: tuple[int, ...] | None = None
+    warm: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -274,11 +274,10 @@ def sos_branch(
     )
 
 
-def interpolate_bid(sos: SosSet, solution, zero_tol: float = ZERO_TOL) -> float | None:
+def interpolate_bid(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> float | None:
     """Bid implied by an SOS2-satisfied set: the single nonzero member's
     bid, or the value-weighted mix of an adjacent pair's bids.  None for
     a slack-only set or missing bid metadata."""
-    primal = solution.primal if isinstance(solution, LpSolution) else solution
     nz = _nonzero_positions(sos, primal, zero_tol)
     if not nz:
         return None

@@ -1,5 +1,5 @@
-"""Bounded-variable simplex, primal and dual, exposing duals and reduced
-costs.
+"""Bounded-variable simplex, primal and dual, with warm starts from an
+opaque basis token.
 
 The engine works on the augmented system ``A x + w = rhs`` where one
 logical variable w is appended per row: ``[0, inf)`` for a <= row and
@@ -12,7 +12,7 @@ no artificial columns.
 Pivot rule: largest reduced cost (Dantzig), with Bland's smallest-index
 rule engaged after 50 consecutive degenerate steps and released on the
 first real step.  Rows are equilibrated by power-of-two factors, exact
-in floating point; duals are mapped back through the factors.  The
+in floating point; columns' reduced costs need no mapping back.  The
 basis is factorized with SuperLU (``scipy.sparse.linalg.splu``) and
 updated between refactorizations with product-form eta vectors.  When
 pricing stalls, two residuals decide whether the etas can be trusted:
@@ -41,8 +41,8 @@ of the last starting basis (or the verdict that it is singular), so a
 sibling node starting from the same parent basis skips the
 factorization.  Pricing is skipped when none of its inputs changed
 since the last pricing (a bound flip changes none of them in phase 2),
-and the final solution reuses the last phase-2 pricing's duals.  Every
-reuse returns the very numbers a recomputation would.
+and an optimal solution's reduced costs are its final stall's phase-2
+pricing.  Every reuse returns the very numbers a recomputation would.
 
 A warm start re-solves with the bounded dual simplex first (Lemke, "The
 dual method of solving the linear programming problem", 1954; Koberstein,
@@ -67,8 +67,8 @@ row proves the LP infeasible.  The primal loop prices afresh, so every
 optimum passes the same residual checks and refinement.  Cold solves
 run the primal loop alone.
 
-Maximization models are negated internally; reported objective, duals
-and reduced costs are all in the model's own (maximization) sense, so
+Maximization models are negated internally; the reported objective and
+reduced costs are in the model's own (maximization) sense, so
 at optimality a column sitting at its lower bound has reduced cost
 <= +opt_tol and one at its upper bound has reduced cost >= -opt_tol.
 """
@@ -105,18 +105,17 @@ _REFACTOR_EVERY = 64
 class LpSolution:
     """Result of one solve.
 
-    ``basis`` is the per-variable status vector (structural columns then
-    one logical per row); it is the warm-start token accepted by
-    ``SimplexEngine.solve`` and carries no other meaning for callers.
+    ``basis`` is an opaque ``bytes`` token: the warm start accepted by
+    ``SimplexEngine.solve``, with no other meaning for callers.
+    ``reduced_costs`` are given for ``OPTIMAL`` solves only, else None.
     """
 
     status: str
     objective: float
     primal: tuple[float, ...]
-    reduced_costs: tuple[float, ...]
-    duals: tuple[float, ...]
+    reduced_costs: tuple[float, ...] | None
     iterations: int
-    basis: tuple[int, ...] | None = None
+    basis: bytes | None = None
 
 
 class _Factor:
@@ -197,7 +196,6 @@ class SimplexEngine:
             biggest = max((abs(v) for _, v in row.coeffs), default=0.0)
             if biggest > 0.0:
                 scale[i] = 2.0 ** (-round(math.log2(biggest)))
-        self.row_scale = scale
 
         rows_idx: list[int] = []
         cols_idx: list[int] = []
@@ -230,10 +228,11 @@ class SimplexEngine:
             self.base_lower[n + i] = 0.0
             self.base_upper[n + i] = math.inf if r.sense == "L" else 0.0
 
-        # The starting basis of the last solve, as bytes, its factor (None
-        # when singular) and, once a warm start asked for them, its -d
-        # (None until then).  Siblings in a tree start from the same parent
-        # basis.
+        # The basic columns of the last solve's start, as bytes, their
+        # factor (None when singular) and, once a warm start asked for
+        # them, their -d (None until then).  Siblings in a tree start from
+        # the same parent basis; keyed on the columns alone, the memo also
+        # serves a start whose nonbasic statuses differ.
         self._start: tuple[bytes, _Factor | None, np.ndarray | None] = (b"", None, None)
 
     # -- helpers -------------------------------------------------------
@@ -306,7 +305,7 @@ class SimplexEngine:
     def solve(
         self,
         bounds: dict | None = None,
-        warm: tuple[int, ...] | None = None,
+        warm: bytes | None = None,
         max_iterations: int | None = None,
         deadline: float | None = None,
     ) -> LpSolution:
@@ -315,7 +314,7 @@ class SimplexEngine:
         ``bounds`` maps column positions or names to (lower, upper)
         overrides applied on top of the model bounds; fixing a column
         means lower == upper.  ``warm`` is the ``basis`` of an earlier
-        solution of this engine; a token of the wrong shape or with a
+        solution of this engine; a token of the wrong length or with a
         singular basis falls back to the cold, all-logical basis.  A warm
         basis that is dual feasible under ``bounds`` is re-solved with
         dual simplex steps first.  The solve returns ``ITERATION_LIMIT``
@@ -335,7 +334,7 @@ class SimplexEngine:
 
         vstat: np.ndarray | None = None
         if warm is not None and len(warm) == n + m:
-            cand = np.array(warm, dtype=np.int8)
+            cand = np.frombuffer(warm, np.int8).copy()
             if int(np.count_nonzero(cand == BASIC)) == m:
                 vstat = cand
         dual_start = vstat is not None
@@ -403,8 +402,7 @@ class SimplexEngine:
                     c_b[viol_high] = 1.0
                 else:
                     c_b = self.cost[basis]
-                y = factor.btran(c_b)
-                aty = self._aug_t @ y
+                aty = self._aug_t @ factor.btran(c_b)
                 neg_d = aty if in_phase1 else aty - self.cost
 
             # score equals |d| on every eligible column, bit for bit, and
@@ -436,6 +434,10 @@ class SimplexEngine:
                 # One step of iterative refinement: an ftran, no
                 # factorization.  x is rebuilt from basic_val below.
                 basic_val += factor.ftran(resid)
+                if in_phase1 and not (
+                    (basic_val < lb_b - self.feas_tol) | (basic_val > ub_b + self.feas_tol)
+                ).any():
+                    continue  # the refinement removed the violation: phase 2
                 status = INFEASIBLE if in_phase1 else OPTIMAL
                 break
 
@@ -538,12 +540,20 @@ class SimplexEngine:
 
         x = self._nonbasic_values(vstat, lower, upper)
         x[basis] = basic_val
-        # The last pricing's y already solves B^T y = c_B unless it was a
-        # phase-1 pricing or the basis changed after it.
-        if priced != (factor, len(factor.etas), bytes(m), bytes(m)):
-            y = factor.btran(self.cost[basis])
-            aty = self._aug_t @ y
-        return self._package(status, vstat, x, iterations, y, aty)
+        primal = x[:n]
+        reduced = None
+        if status == OPTIMAL:
+            # The stall's pricing, a phase-2 one on the final basis.
+            sense_max = 1.0 if self.model.maximize else -1.0
+            reduced = tuple((-sense_max * (self.cost - aty)[:n]).tolist())
+        return LpSolution(
+            status=status,
+            objective=float(self._obj @ primal) if status != INFEASIBLE else math.nan,
+            primal=tuple(primal.tolist()),
+            reduced_costs=reduced,
+            iterations=iterations,
+            basis=vstat.tobytes(),
+        )
 
     def _dual_phase(
         self, factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
@@ -649,26 +659,3 @@ class SimplexEngine:
             degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
             if degen_streak >= BLAND_AFTER:
                 return None, factor, basic_val, iterations
-
-    def _package(self, status, vstat, x, iterations, y, aty) -> LpSolution:
-        """``x`` holds the final values of all n + m variables, refined
-        once when the solve stalled; ``y`` solves ``B^T y = c_B`` for the
-        final basis and ``aty`` is ``A^T y``."""
-        n = self.n
-        primal = x[:n]
-        sense_max = 1.0 if self.model.maximize else -1.0
-
-        rc_int = self.cost - aty
-        duals = -sense_max * (self.row_scale * y)
-        reduced = -sense_max * rc_int[:n]
-
-        objective = float(self._obj @ primal) if status != INFEASIBLE else math.nan
-        return LpSolution(
-            status=status,
-            objective=objective,
-            primal=tuple(primal.tolist()),
-            reduced_costs=tuple(reduced.tolist()),
-            duals=tuple(duals.tolist()),
-            iterations=iterations,
-            basis=tuple(vstat.tolist()),
-        )

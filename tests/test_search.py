@@ -42,7 +42,6 @@ def fake_lp(primal, reduced_costs=None, status=OPTIMAL, objective=0.0):
         objective=objective,
         primal=tuple(primal),
         reduced_costs=tuple(reduced_costs or [0.0] * n),
-        duals=(),
         iterations=0,
     )
 
@@ -294,7 +293,7 @@ class TestInterpolateBid:
     def test_accepts_lp_solution_object(self, t1_model):
         s = relax_to_sos2(t1_model).sos_sets[0]
         lp = SimplexEngine(t1_model).solve()
-        bid = interpolate_bid(s, lp)
+        bid = interpolate_bid(s, lp.primal)
         assert math.isclose(bid, 0.5363636363636364, rel_tol=1e-9)
 
 

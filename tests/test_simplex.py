@@ -123,6 +123,26 @@ def random_bid_model(rng: np.random.Generator) -> LpModel:
     )))
 
 
+def dense_lp(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
+    """The model as a dense ``[A I]`` with one logical per row, and its
+    objective padded with zeros, in the model's own units and sense."""
+    n, m = len(model.columns), len(model.rows)
+    aug = np.hstack([np.zeros((m, n)), np.eye(m)])
+    for i, row in enumerate(model.rows):
+        for j, v in row.coeffs:
+            aug[i, j] += v
+    cost = np.zeros(n + m)
+    cost[:n] = [col.objective for col in model.columns]
+    return aug, cost
+
+
+def dense_duals(aug: np.ndarray, cost: np.ndarray, token: bytes) -> np.ndarray:
+    """y solving ``B^T y = c_B`` for the basis of ``token``, from a dense
+    solve."""
+    basis = np.flatnonzero(np.frombuffer(token, np.int8) == BASIC)
+    return np.linalg.solve(aug[:, basis].T, cost[basis])
+
+
 def scipy_reference(model: LpModel, bounds: dict | None = None):
     n = len(model.columns)
     c = np.array([col.objective for col in model.columns])
@@ -172,7 +192,12 @@ class TestT1Exact:
         assert math.isclose(sol.reduced_costs[0], -200.0 / 11.0, rel_tol=1e-10)
         assert abs(sol.reduced_costs[1]) <= 1e-9
         assert abs(sol.reduced_costs[2]) <= 1e-9
-        duals = dict(zip((r.name for r in t1_model.rows), sol.duals))
+        aug, cost = dense_lp(t1_model)
+        y = dense_duals(aug, cost, sol.basis)
+        np.testing.assert_allclose(
+            sol.reduced_costs, cost[:3] - aug[:, :3].T @ y, rtol=0, atol=1e-9
+        )
+        duals = dict(zip((r.name for r in t1_model.rows), y))
         # strong duality: dual objective equals primal objective
         dual_obj = duals["CVX_c1"] * 1.0 + duals["BUD_k1"] * 100.0 + duals["IMP"] * 1000.0
         assert math.isclose(dual_obj, sol.objective, rel_tol=1e-10)
@@ -280,14 +305,20 @@ class TestAgainstScipy:
 
     @staticmethod
     def _check_duality(model: LpModel, sol: LpSolution):
-        dual_obj = sum(y * r.rhs for y, r in zip(sol.duals, model.rows))
+        aug, cost = dense_lp(model)
+        y = dense_duals(aug, cost, sol.basis)
+        n = len(model.columns)
+        scale = max(1.0, abs(sol.objective))
+        np.testing.assert_allclose(
+            sol.reduced_costs, cost[:n] - aug[:, :n].T @ y, rtol=0, atol=1e-6 * scale
+        )
+        dual_obj = sum(y_i * r.rhs for y_i, r in zip(y, model.rows))
         for j, col in enumerate(model.columns):
             rc = sol.reduced_costs[j]
             if rc > 0 and not math.isinf(col.upper):
                 dual_obj += rc * col.upper
             elif rc < 0 and not math.isinf(col.lower):
                 dual_obj += rc * col.lower
-        scale = max(1.0, abs(sol.objective))
         assert abs(dual_obj - sol.objective) <= 1e-6 * scale
 
 
@@ -354,7 +385,7 @@ class TestSingularBasis:
         with pytest.raises(RuntimeError):
             engine._factorize(np.array([0, 1]))
         cold = engine.solve()
-        token = (BASIC, BASIC, AT_LOWER, AT_LOWER)
+        token = bytes((BASIC, BASIC, AT_LOWER, AT_LOWER))
         warm = engine.solve(warm=token)
         assert warm.status == cold.status == OPTIMAL
         assert warm.objective == cold.objective == 4.0
@@ -462,7 +493,7 @@ class TestStallGuard:
         model = build_model(generate_instance(self.MODEL_PARAMS))
         sol, factorized = self._solve_counting(model, monkeypatch)
         assert sol.status == OPTIMAL
-        final_basis = np.flatnonzero(np.array(sol.basis) == BASIC)
+        final_basis = np.flatnonzero(np.frombuffer(sol.basis, np.int8) == BASIC)
         assert len(factorized) >= 2
         np.testing.assert_array_equal(np.sort(factorized[-1]), final_basis)
         ref = scipy_reference(model)
@@ -546,11 +577,9 @@ def dual_infeasibility(engine: SimplexEngine, token) -> float:
     """How far the basis ``token`` is from dual feasible under the model's
     own bounds, from a dense solve: 0 when every reduced cost has the
     right sign."""
-    vstat = np.array(token)
+    vstat = np.frombuffer(token, np.int8)
     aug = engine._aug.toarray()
-    basis = np.flatnonzero(vstat == BASIC)
-    y = np.linalg.solve(aug[:, basis].T, engine.cost[basis])
-    d = engine.cost - aug.T @ y
+    d = engine.cost - aug.T @ dense_duals(aug, engine.cost, token)
     lower, upper = engine.base_lower, engine.base_upper
     movable = (vstat != BASIC) & (upper > lower)
     free = movable & ~np.isfinite(lower) & ~np.isfinite(upper)
@@ -686,8 +715,22 @@ class TestDualSimplex:
         monkeypatch.setattr(
             SimplexEngine, "_recompute_basics", _shifted(SimplexEngine._recompute_basics)
         )
-        SimplexEngine(model).solve(warm=(BASIC, AT_LOWER))
+        SimplexEngine(model).solve(warm=bytes((BASIC, AT_LOWER)))
         assert dual_log == [(None, 0)]
+
+    def test_phase1_stall_is_refined_before_infeasible(self, monkeypatch):
+        # basic values shifted 1e-4 can leave a phase-1 stall whose only
+        # violations the refinement step removes: it goes on in phase 2
+        monkeypatch.setattr(
+            SimplexEngine, "_recompute_basics", _shifted(SimplexEngine._recompute_basics)
+        )
+        optima = 0
+        for model, engine, parent, bounds in self._children(random_model, 31, 120):
+            child = engine.solve(bounds=bounds, warm=parent.basis)
+            if scipy_reference(model, bounds).status == 0:
+                assert child.status != INFEASIBLE, bounds
+                optima += 1
+        assert optima >= 100
 
     @staticmethod
     def _long_child(dual_log):
