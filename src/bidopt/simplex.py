@@ -12,10 +12,20 @@ no artificial columns.
 Pivot rule: largest reduced cost (Dantzig), with Bland's smallest-index
 rule engaged after 50 consecutive degenerate steps and released on the
 first real step.  Rows are equilibrated by power-of-two factors, exact
-in floating point; columns' reduced costs need no mapping back.  The
-basis is factorized with SuperLU (``scipy.sparse.linalg.splu``) and
-updated between refactorizations with product-form eta vectors.  When
-pricing stalls, two residuals decide whether the etas can be trusted:
+in floating point; columns' reduced costs need no mapping back.
+
+The basis is factorized through generalized upper bounding (Dantzig &
+Van Slyke, "Generalized upper bounding techniques", JCSS 1967).  Rows
+whose supports are pairwise disjoint, found once per engine, are GUB
+rows; on the models ``build_model`` makes they are the convexity rows,
+except that a business with one campaign gives its budget row (which
+skips the do-nothing level) in place of that campaign's.
+Each GUB row gets one key basic column, and only the Schur complement
+on the other (linking) rows takes a dense LU: 7x7 for a 43-row tree
+model.  A model without two disjoint rows has no GUB rows, and the LU
+covers the whole basis.  Between refactorizations the factor is updated
+with product-form eta vectors.  When pricing stalls, two residuals
+decide whether the etas can be trusted:
 the rows' ``r = rhs - A x`` against ``feas_tol`` and the basic columns'
 ``A_B^T y - c_B`` against ``opt_tol``.  If either is past its tolerance
 the basis is refactorized and priced again.  Otherwise the stall is
@@ -78,10 +88,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .model import LpModel
 
@@ -118,27 +130,194 @@ class LpSolution:
     basis: bytes | None = None
 
 
+class _Blocks(NamedTuple):
+    """The augmented matrix split once per engine for ``_Factor``.
+
+    GUB rows (generalized upper bounding; Dantzig & Van Slyke, JCSS
+    1967) have pairwise disjoint nonzero supports, so every column has at
+    most one nonzero entry among them; the other rows are linking rows.
+    """
+
+    gub_rows: np.ndarray  # the row of each GUB slot, ascending
+    perm: np.ndarray  # the GUB rows, then the linking rows, ascending
+    unperm: np.ndarray  # the inverse permutation of perm
+    slot: np.ndarray  # per column: the GUB slot of its GUB entry, or -1
+    gval: np.ndarray  # per column: that entry, 0.0 where there is none
+    # per column: its nonzero entries in linking rows, numbered 0..l-1
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _disjoint_rows(rows: np.ndarray, cols: np.ndarray, m: int, ncols: int) -> np.ndarray:
+    """A mask of the GUB rows for the entries at (``rows``, ``cols``),
+    given column by column.
+
+    The rows are taken greedily, smallest first with ties to the lower
+    index, each one whose support misses every row taken before it.  A
+    round takes each open row that comes first in every one of its
+    columns among the rows not yet refused, then refuses every open row
+    that meets a taken one.  The first open row always comes first in
+    its columns, so each round takes at least one row; on the models
+    ``build_model`` makes, the first round decides every row.
+    """
+    rank = np.empty(m, np.intp)
+    rank[np.bincount(rows, minlength=m).argsort(kind="stable")] = np.arange(m)
+    rank = rank[rows]
+    head = np.ones(cols.size, bool)
+    np.not_equal(cols[1:], cols[:-1], out=head[1:])
+    group = head.cumsum() - 1
+    starts = head.nonzero()[0]
+    state = np.zeros(m, np.int8)  # 0 open, 1 taken, 2 refused
+    while not state.all():
+        live = state[rows] != 2
+        lead = np.minimum.reduceat(np.where(live, rank, m), starts)[group]
+        open_rows = state == 0
+        open_rows[rows[live & (lead != rank)]] = False
+        state[open_rows] = 1
+        taken = np.zeros(ncols, bool)
+        taken[cols[state[rows] == 1]] = True
+        meets = np.zeros(m, bool)
+        meets[rows[taken[cols]]] = True
+        state[(state == 0) & meets] = 2
+    return state == 1
+
+
+def _gub_blocks(aug: scipy.sparse.csc_matrix) -> _Blocks:
+    """Find the GUB rows of ``aug`` and split its columns by row kind.
+
+    Stored zeros are not entries.  A lone GUB row would save one row of
+    the LU at the price of a pivot chosen without looking at the other
+    rows, so a model without two disjoint rows gets none."""
+    m, ncols = aug.shape
+    nz = aug.data != 0.0
+    rows = aug.indices[nz]
+    cols = np.arange(ncols).repeat(np.diff(aug.indptr))[nz]
+    data = aug.data[nz]
+    is_gub = _disjoint_rows(rows, cols, m, ncols)
+    if np.count_nonzero(is_gub) < 2:
+        is_gub[:] = False
+    gub_rows = is_gub.nonzero()[0]
+    link_rows = (~is_gub).nonzero()[0]
+    perm = np.concatenate((gub_rows, link_rows))
+    unperm = np.empty(m, np.intp)
+    unperm[perm] = np.arange(m)
+    number = unperm - np.where(is_gub, 0, gub_rows.size)  # slot or linking row
+    in_gub = is_gub[rows]
+    slot = np.full(ncols, -1, np.intp)
+    slot[cols[in_gub]] = number[rows[in_gub]]
+    gval = np.zeros(ncols)
+    gval[cols[in_gub]] = data[in_gub]
+    link = ~in_gub
+    indptr = np.zeros(ncols + 1, np.intp)
+    np.cumsum(np.bincount(cols[link], minlength=ncols), out=indptr[1:])
+    return _Blocks(
+        gub_rows, perm, unperm, slot, gval, indptr, number[rows[link]], data[link]
+    )
+
+
 class _Factor:
-    """Sparse LU factorization of the basis plus product-form eta updates.
+    """The basis factorized through its GUB structure, plus product-form
+    eta updates.
+
+    Every basic column has at most one entry in the GUB rows.  Each GUB
+    row gets a key: the basic column with the largest |entry| in that
+    row, ties to the lowest basis position.  With the keys and the GUB
+    rows first, the basis is ``[[D, E], [F, H]]``, D the diagonal of the
+    key entries and each column of E holding one entry at most.  Only
+    the Schur complement ``W = H - F D^-1 E``, linking rows by linking
+    rows, takes an LU, with LAPACK's ``getrf``; ``G = F D^-1`` is kept
+    dense.  A model without GUB rows has W equal to the whole basis.
 
     Each eta keeps only the nonzeros of its column, so applying it costs
     work in proportion to them rather than to the basis size.
 
-    Raises RuntimeError on a singular or near-singular basis: SuperLU
-    rejects exact singularity itself, and a smallest pivot at or below
-    1e-12 times the largest (or 1) is rejected here.
+    Raises RuntimeError on a singular or near-singular basis: a GUB row
+    with no basic column, or a pivot of D or W at or below 1e-12 times
+    the largest (or 1).
     """
 
-    def __init__(self, bmat: scipy.sparse.csc_matrix):
-        self._lu = scipy.sparse.linalg.splu(bmat.tocsc())
-        diag = np.abs(self._lu.U.diagonal())
-        if diag.size and diag.min() <= 1e-12 * max(1.0, diag.max()):
+    def __init__(self, blocks: _Blocks, basis: np.ndarray):
+        m = basis.size
+        g = blocks.gub_rows.size
+        slot = blocks.slot[basis]
+        gval = blocks.gval[basis]
+        ranked = np.lexsort((-np.abs(gval), slot))
+        ranked_slot = slot[ranked]
+        lead = ranked_slot >= 0
+        lead[1:] &= ranked_slot[1:] != ranked_slot[:-1]
+        key = ranked[lead]
+        if key.size != g:
             raise RuntimeError("singular basis")
+        d = gval[key]
+        is_key = np.zeros(m, bool)
+        is_key[key] = True
+        nonkey = (~is_key).nonzero()[0]
+        order = np.concatenate((key, nonkey))
+        unorder = np.empty(m, np.intp)
+        unorder[order] = np.arange(m)
+        # the basis's linking rows, dense and transposed: one row per column
+        starts = blocks.indptr[basis]
+        counts = blocks.indptr[basis + 1] - starts
+        ends = counts.cumsum()
+        take = (starts - ends + counts).repeat(counts) + np.arange(counts.sum())
+        link_t = np.zeros((m, m - g))
+        link_t[np.arange(m).repeat(counts), blocks.indices[take]] = blocks.data[take]
+        dinv = 1.0 / d
+        gmat = (link_t[key] * dinv[:, None]).T  # G = F D^-1
+        w = link_t[nonkey].T  # H, in Fortran order
+        e_cols = (slot[nonkey] >= 0).nonzero()[0]
+        e_slot = slot[nonkey[e_cols]]
+        e_val = gval[nonkey[e_cols]]
+        w[:, e_cols] -= gmat[:, e_slot] * e_val
+        lu = piv = None
+        pivots = d
+        if m > g:
+            lu, piv, _ = _getrf(w, overwrite_a=True)
+            pivots = np.concatenate((d, lu.diagonal()))
+        pivots = np.abs(pivots)
+        if pivots.size and pivots.min() <= 1e-12 * max(1.0, pivots.max()):
+            raise RuntimeError("singular basis")
+        self._blocks = blocks
+        self._order = order
+        self._unorder = unorder
+        self._dinv = dinv
+        self._gmat = gmat
+        self._e = (e_cols, e_slot, e_val, e_val * dinv[e_slot])
+        self._lu = (lu, piv)
         # (pivot position, nonzero positions, their values, pivot value)
         self.etas: list[tuple[int, np.ndarray, np.ndarray, float]] = []
 
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """x with B x = b, x in basis positions."""
+        e_cols, e_slot, _, e_scaled = self._e
+        g = self._dinv.size
+        x = b[self._blocks.perm]
+        x_k = x[:g]
+        x[g:] -= self._gmat.dot(x_k)
+        lu, piv = self._lu
+        if lu is not None:
+            x[g:] = _getrs(lu, piv, x[g:])[0]
+        x_k *= self._dinv
+        x_k -= np.bincount(e_slot, e_scaled * x[g:][e_cols], minlength=g)
+        return x[self._unorder]
+
+    def _solve_t(self, c: np.ndarray) -> np.ndarray:
+        """y with B^T y = c, c in basis positions."""
+        e_cols, e_slot, e_val, _ = self._e
+        g = self._dinv.size
+        y = c[self._order]
+        y_g = y[:g]
+        y_g *= self._dinv
+        y[g:][e_cols] -= e_val * y_g[e_slot]
+        lu, piv = self._lu
+        if lu is not None:
+            y[g:] = _getrs(lu, piv, y[g:], trans=1)[0]
+        y_g -= y[g:].dot(self._gmat)
+        return y[self._blocks.unperm]
+
     def ftran(self, b: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(b)
+        x = self._solve(b)
         for p, idx, vals, dp in self.etas:
             xp = x.item(p)
             if xp == 0.0:
@@ -149,21 +328,22 @@ class _Factor:
         return x
 
     def btran(self, c: np.ndarray) -> np.ndarray:
-        c = c.copy()
-        for p, idx, vals, dp in reversed(self.etas):
-            cp = c.item(p)
-            c[p] = (cp - (vals.dot(c.take(idx)) - dp * cp)) / dp
-        return self._lu.solve(c, trans="T")
+        if self.etas:
+            c = c.copy()
+            for p, idx, vals, dp in reversed(self.etas):
+                cp = c.item(p)
+                c[p] = (cp - (vals.dot(c.take(idx)) - dp * cp)) / dp
+        return self._solve_t(c)
 
-    def update(self, pos: int, w: np.ndarray) -> None:
-        idx = np.flatnonzero(w != 0.0)
+    def update(self, pos: int, w: np.ndarray, idx: np.ndarray) -> None:
+        """Append the eta of column ``w`` entering at ``pos``; ``idx`` holds
+        the positions of the nonzeros of ``w``."""
         self.etas.append((pos, idx, w[idx], float(w[pos])))
 
     def fresh(self) -> _Factor:
-        """The same LU without etas: the basis it factorized, anew."""
+        """The same factorization without etas: the basis it factorized, anew."""
         twin = object.__new__(_Factor)
-        twin._lu = self._lu
-        twin.etas = []
+        twin.__dict__.update(self.__dict__, etas=[])
         return twin
 
 
@@ -191,42 +371,51 @@ class SimplexEngine:
         self.n = n
         self.m = m
 
-        scale = np.ones(m)
-        for i, row in enumerate(model.rows):
-            biggest = max((abs(v) for _, v in row.coeffs), default=0.0)
-            if biggest > 0.0:
-                scale[i] = 2.0 ** (-round(math.log2(biggest)))
-
-        rows_idx: list[int] = []
-        cols_idx: list[int] = []
-        data: list[float] = []
-        for i, row in enumerate(model.rows):
-            for j, v in row.coeffs:
-                rows_idx.append(i)
-                cols_idx.append(j)
-                data.append(v * scale[i])
-        amat = scipy.sparse.coo_matrix(
-            (data, (rows_idx, cols_idx)), shape=(m, n)
-        ).tocsc()
-        self._aug = scipy.sparse.hstack(
-            [amat, scipy.sparse.identity(m, format="csc")], format="csc"
+        sizes = np.fromiter((len(r.coeffs) for r in model.rows), np.intp, m)
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(r.coeffs for r in model.rows)),
+            float,
+            2 * int(sizes.sum()),
         )
-        self._aug_t = self._aug.T.tocsr()
-        self.rhs = np.array([r.rhs for r in model.rows]) * scale
+        cols = pairs[0::2].astype(np.intp)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("row coefficient for a column that does not exist")
+        rows = np.repeat(np.arange(m), sizes)
+        biggest = np.zeros(m)
+        np.maximum.at(biggest, rows, np.abs(pairs[1::2]))
+        scale = np.array(
+            [2.0 ** (-round(math.log2(v))) if v > 0.0 else 1.0 for v in biggest.tolist()]
+        )
+        vals = pairs[1::2] * scale[rows]
+
+        # [A I] in CSC, rows ascending in each column, repeats summed
+        order = np.lexsort((rows, cols))
+        cols, rows, vals = cols[order], rows[order], vals[order]
+        repeat = (cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1])
+        if repeat.any():
+            first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+            cols, rows, vals = cols[first], rows[first], np.add.reduceat(vals, first)
+        indptr = np.empty(n + m + 1, np.intp)
+        indptr[0] = 0
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1 : n + 1])
+        indptr[n + 1 :] = indptr[n] + np.arange(1, m + 1)
+        indices = np.concatenate((rows, np.arange(m)))
+        data = np.concatenate((vals, np.ones(m)))
+        self._aug = scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, n + m))
+        self._aug_t = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + m, m))
+        self._blocks = _gub_blocks(self._aug)
+        self.rhs = np.fromiter((r.rhs for r in model.rows), float, m) * scale
 
         sense_max = 1.0 if model.maximize else -1.0
+        self._obj = np.fromiter((c.objective for c in model.columns), float, n)
         self.cost = np.zeros(n + m)
-        self.cost[:n] = [-sense_max * c.objective for c in model.columns]
-        self._obj = np.array([c.objective for c in model.columns])
+        self.cost[:n] = -sense_max * self._obj
 
-        self.base_lower = np.empty(n + m)
-        self.base_upper = np.empty(n + m)
-        for j, c in enumerate(model.columns):
-            self.base_lower[j] = c.lower
-            self.base_upper[j] = c.upper
-        for i, r in enumerate(model.rows):
-            self.base_lower[n + i] = 0.0
-            self.base_upper[n + i] = math.inf if r.sense == "L" else 0.0
+        self.base_lower = np.zeros(n + m)
+        self.base_upper = np.zeros(n + m)
+        self.base_lower[:n] = [c.lower for c in model.columns]
+        self.base_upper[:n] = [c.upper for c in model.columns]
+        self.base_upper[n:] = [math.inf if r.sense == "L" else 0.0 for r in model.rows]
 
         # The basic columns of the last solve's start, as bytes, their
         # factor (None when singular) and, once a warm start asked for
@@ -261,18 +450,7 @@ class SimplexEngine:
         return vstat
 
     def _factorize(self, basis: np.ndarray) -> _Factor:
-        # The arrays ``self._aug[:, basis]`` holds, gathered directly.
-        aug = self._aug
-        starts = aug.indptr[basis]
-        counts = aug.indptr[basis + 1] - starts
-        indptr = np.zeros(basis.size + 1, dtype=aug.indptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        return _Factor(
-            scipy.sparse.csc_matrix(
-                (aug.data[take], aug.indices[take], indptr), shape=(self.m, self.m)
-            )
-        )
+        return _Factor(self._blocks, basis)
 
     def _start_factor(self, basis: np.ndarray) -> _Factor | None:
         """A factor of the starting basis, or None when it is singular."""
@@ -378,6 +556,7 @@ class SimplexEngine:
         degen_streak = 0
         bland = False
         priced = None  # the factor, eta count and masks of the last pricing
+        stall_x = None  # the final stall's nonbasic values
 
         while status is None:
             if iterations >= max_iterations or (
@@ -432,13 +611,14 @@ class SimplexEngine:
                     basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
                     continue
                 # One step of iterative refinement: an ftran, no
-                # factorization.  x is rebuilt from basic_val below.
+                # factorization.  x takes the refined basic values below.
                 basic_val += factor.ftran(resid)
                 if in_phase1 and not (
                     (basic_val < lb_b - self.feas_tol) | (basic_val > ub_b + self.feas_tol)
                 ).any():
                     continue  # the refinement removed the violation: phase 2
                 status = INFEASIBLE if in_phase1 else OPTIMAL
+                stall_x = x
                 break
 
             if free_var[j]:
@@ -523,7 +703,7 @@ class SimplexEngine:
                 basis[pos] = j
                 lb_b[pos] = lower[j]
                 ub_b[pos] = upper[j]
-                factor.update(pos, w)
+                factor.update(pos, w, idx)
 
             if step <= _TIE_TOL:
                 degen_streak += 1
@@ -538,7 +718,7 @@ class SimplexEngine:
                 factor = self._factorize(basis)
                 basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
-        x = self._nonbasic_values(vstat, lower, upper)
+        x = self._nonbasic_values(vstat, lower, upper) if stall_x is None else stall_x
         x[basis] = basic_val
         primal = x[:n]
         reduced = None
@@ -647,7 +827,7 @@ class SimplexEngine:
             basis[r] = q
             lb_b[r] = lower[q]
             ub_b[r] = upper[q]
-            factor.update(r, w)
+            factor.update(r, w, idx)
             iterations += 1
 
             if len(factor.etas) >= _REFACTOR_EVERY:

@@ -23,6 +23,7 @@ from bidopt.simplex import (
     SimplexEngine,
     _Factor,
     _REFACTOR_EVERY,
+    _gub_blocks,
 )
 
 FRAC = 900.0 / 11.0
@@ -219,6 +220,35 @@ class TestT1Exact:
             SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 0.0)})
 
 
+class TestEngineSetup:
+    def test_repeated_coefficients_are_summed(self, t1_model):
+        # a row may list a column twice (an MPS file can): the entries add up
+        split = tuple(
+            LpRow(r.name, r.sense, r.rhs, tuple(
+                e for j, v in r.coeffs for e in ((j, 0.25 * v), (j, 0.75 * v))
+            ))
+            for r in t1_model.rows
+        )
+        model = LpModel(columns=t1_model.columns, rows=split, sos_sets=())
+        engine = SimplexEngine(model)
+        # the same entries, up to each row's power-of-two scale
+        n = len(t1_model.columns)
+        want = dense_lp(t1_model)[0][:, :n]
+        got = engine._aug.toarray()[:, :n]
+        assert engine._aug.nnz == SimplexEngine(t1_model)._aug.nnz
+        row_scale = np.abs(got).max(axis=1) / np.abs(want).max(axis=1)
+        np.testing.assert_allclose(got, want * row_scale[:, None], rtol=1e-15, atol=0)
+        sol = engine.solve()
+        assert sol.status == OPTIMAL
+        assert math.isclose(sol.objective, FRAC, rel_tol=1e-12)
+
+    def test_coefficient_of_a_missing_column_raises(self, t1_model):
+        row = LpRow("r", "L", 1.0, ((len(t1_model.columns), 1.0),))
+        model = LpModel(columns=t1_model.columns, rows=(row,), sos_sets=())
+        with pytest.raises(ValueError, match="column"):
+            SimplexEngine(model)
+
+
 class TestStates:
     def test_unbounded(self):
         model = LpModel(
@@ -407,7 +437,7 @@ class TestSingularBasis:
         pivots = np.abs(lu.U.diagonal())
         assert 0.0 < pivots.min() < 1e-12 * pivots.max()
         with pytest.raises(RuntimeError, match="singular"):
-            _Factor(bmat)
+            _Factor(_gub_blocks(bmat), np.arange(2))
 
 
 def _drift(solve):
@@ -425,8 +455,8 @@ def _drift_first_eta(update):
     """Wrap ``_Factor.update`` so that each factor stores its first eta
     with the values 0.1% off: every solve through the factor drifts."""
 
-    def drifted(self, pos, w):
-        update(self, pos, w)
+    def drifted(self, pos, w, idx):
+        update(self, pos, w, idx)
         if len(self.etas) == 1:
             p, idx, vals, dp = self.etas[0]
             self.etas[0] = (p, idx, vals * 1.001, dp)
@@ -510,7 +540,7 @@ class TestFactorUpdates:
         bmat = np.eye(m) * 4.0
         for i, j in rng.integers(0, m, size=(40, 2)):
             bmat[i, j] += rng.normal()
-        factor = _Factor(scipy.sparse.csc_matrix(bmat))
+        factor = _Factor(_gub_blocks(scipy.sparse.csc_matrix(bmat)), np.arange(m))
         eye = np.eye(m)
         for _ in range(25):
             col = np.zeros(m)
@@ -518,7 +548,7 @@ class TestFactorUpdates:
             w = factor.ftran(col)
             pos = int(np.argmax(np.abs(w)))
             bmat[:, pos] = col
-            factor.update(pos, w)
+            factor.update(pos, w, np.flatnonzero(w))
             # unit vectors leave most eta pivots at zero; ones fill them
             for b in [*eye, np.ones(m)]:
                 np.testing.assert_allclose(
@@ -530,14 +560,176 @@ class TestFactorUpdates:
         assert len(factor.etas) == 25
 
 
+def greedy_disjoint_rows(aug: scipy.sparse.csc_matrix) -> list[int]:
+    """The GUB rows by the plain loop: rows smallest first, ties to the
+    lower index, each kept when it misses every row kept before; fewer
+    than two kept rows count as none."""
+    dense = aug.toarray() != 0.0
+    kept, covered = [], np.zeros(dense.shape[1], bool)
+    for i in sorted(range(dense.shape[0]), key=lambda i: (dense[i].sum(), i)):
+        if not (covered & dense[i]).any():
+            kept.append(i)
+            covered |= dense[i]
+    return sorted(kept) if len(kept) >= 2 else []
+
+
+def assert_solves_match(engine: SimplexEngine, basis: np.ndarray, rng) -> None:
+    """ftran and btran of ``engine``'s factor of ``basis`` against dense
+    solves, on unit vectors and random ones."""
+    bmat = engine._aug[:, basis].toarray()
+    factor = engine._factorize(basis)
+    m = basis.size
+    for b in [*np.eye(m)[rng.choice(m, size=min(m, 5), replace=False)], rng.normal(size=m)]:
+        scale = max(1.0, float(np.abs(b).max()))
+        np.testing.assert_allclose(
+            factor.ftran(b), np.linalg.solve(bmat, b), rtol=0, atol=1e-9 * scale
+        )
+        np.testing.assert_allclose(
+            factor.btran(b), np.linalg.solve(bmat.T, b), rtol=0, atol=1e-9 * scale
+        )
+
+
+class TestGubFactor:
+    """The basis factor through its GUB rows: one key column per
+    convexity row and a dense LU of the linking rows' Schur complement."""
+
+    @staticmethod
+    def _basis(token: bytes) -> np.ndarray:
+        return np.flatnonzero(np.frombuffer(token, np.int8) == BASIC)
+
+    def test_convexity_rows_are_the_gub_rows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            model = random_bid_model(rng)
+            engine = SimplexEngine(model)
+            names = [model.rows[i].name for i in engine._blocks.gub_rows]
+            assert names == [r.name for r in model.rows if r.name.startswith("CVX_")]
+            assert engine._blocks.gub_rows.tolist() == greedy_disjoint_rows(engine._aug)
+
+    def test_solves_on_generated_bases(self):
+        # cold, root-optimal and warm children's bases
+        rng = np.random.default_rng(5)
+        bases = 0
+        for _ in range(12):
+            model = random_bid_model(rng)
+            engine = SimplexEngine(model)
+            assert_solves_match(engine, np.arange(engine.n, engine.n + engine.m), rng)
+            root = engine.solve()
+            assert root.status == OPTIMAL
+            assert_solves_match(engine, self._basis(root.basis), rng)
+            for _ in range(3):
+                child = engine.solve(
+                    bounds=tighten(rng, model, root.primal), warm=root.basis
+                )
+                assert_solves_match(engine, self._basis(child.basis), rng)
+                bases += 1
+        assert bases == 36
+
+    def test_solves_when_every_row_overlaps(self):
+        # a column shared by every row leaves no two rows disjoint: W is
+        # the whole basis
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(40):
+            model = random_sparse_model(rng)
+            rows = tuple(
+                LpRow(r.name, r.sense, r.rhs, tuple(sorted({0: 1.0, **dict(r.coeffs)}.items())))
+                for r in model.rows
+            )
+            model = LpModel(columns=model.columns, rows=rows, sos_sets=())
+            engine = SimplexEngine(model)
+            assert engine._blocks.gub_rows.size == 0
+            sol = engine.solve()
+            if sol.status == OPTIMAL:
+                assert_solves_match(engine, self._basis(sol.basis), rng)
+                checked += 1
+        assert checked >= 10
+
+    def test_greedy_rows_match_the_plain_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 20))
+            amat = scipy.sparse.random(m, n, density=float(rng.uniform(0.02, 0.4)), rng=rng)
+            amat.data[rng.random(amat.data.size) < 0.2] = 0.0  # stored zeros
+            aug = scipy.sparse.hstack(
+                [amat, scipy.sparse.identity(m)], format="csc"
+            )
+            assert _gub_blocks(aug).gub_rows.tolist() == greedy_disjoint_rows(aug)
+
+    def test_stored_zero_is_not_a_key(self):
+        # a: x0 (+ 0 x1) = 1 and b: x1 + x2 = 1 are disjoint once the
+        # stored zero is dropped; c links all three columns
+        model = LpModel(
+            columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(3)),
+            rows=(
+                LpRow("a", "E", 1.0, ((0, 1.0), (1, 0.0))),
+                LpRow("b", "E", 1.0, ((1, 1.0), (2, 1.0))),
+                LpRow("c", "L", 2.5, ((0, 1.0), (1, 2.0), (2, 1.0))),
+            ),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        assert engine._aug[0, 1] == 0.0 and engine._aug.nnz == 10  # stored
+        assert engine._blocks.gub_rows.tolist() == [0, 1]
+        assert engine._blocks.slot[:3].tolist() == [0, 1, 1]
+        # x1's stored zero cannot stand in for a's missing key
+        with pytest.raises(RuntimeError, match="singular"):
+            engine._factorize(np.array([1, 4, 5]))
+        assert_solves_match(engine, np.array([1, 0, 5]), np.random.default_rng(0))
+        sol = engine.solve()
+        assert (sol.status, sol.objective) == (OPTIMAL, 2.0)
+
+    def test_key_is_the_largest_entry_then_the_lowest_position(self):
+        # a: x0 + 4 x1 = 1 (scaled to 0.25 and 1), b: x2 + x3 = 1, and c
+        # links all four columns
+        model = LpModel(
+            columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(4)),
+            rows=(
+                LpRow("a", "E", 1.0, ((0, 1.0), (1, 4.0))),
+                LpRow("b", "E", 1.0, ((2, 1.0), (3, 1.0))),
+                LpRow("c", "L", 3.0, ((0, 1.0), (1, 1.0), (2, 1.0), (3, 2.0))),
+            ),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        assert engine._blocks.gub_rows.tolist() == [0, 1]
+        factor = engine._factorize(np.array([0, 3, 1]))
+        # a's key is x1 (position 2), b's is x3 (its only basic column)
+        assert factor._order[:2].tolist() == [2, 1]
+        factor = engine._factorize(np.array([3, 1, 2]))
+        # x3 and x2 tie in b: the lower position, 0, wins
+        assert factor._order[:2].tolist() == [1, 0]
+        assert_solves_match(engine, np.array([3, 1, 2]), np.random.default_rng(1))
+
+    def test_basis_without_a_convexity_column_falls_back_to_cold(self):
+        model = build_model(generate_instance(TestStallGuard.MODEL_PARAMS))
+        engine = SimplexEngine(model)
+        root = engine.solve()
+        vstat = np.frombuffer(root.basis, np.int8).copy()
+        cvx = model.rows[0]
+        members = [j for j, _ in cvx.coeffs] + [engine.n]
+        dropped = [j for j in members if vstat[j] == BASIC]
+        vstat[dropped] = AT_LOWER
+        spare = [
+            j for j in range(engine.n, engine.n + engine.m)
+            if vstat[j] != BASIC and j not in members
+        ]
+        vstat[spare[: len(dropped)]] = BASIC
+        assert np.count_nonzero(vstat == BASIC) == engine.m
+        with pytest.raises(RuntimeError, match="singular"):
+            engine._factorize(self._basis(vstat.tobytes()))
+        cold = engine.solve()
+        assert engine.solve(warm=vstat.tobytes()) == cold
+
+
 class TestPinnedPivots:
     def test_root_lp_of_a_300_campaign_model(self, scale_base):
         # measured with dense eta vectors and dense pricing masks: a change
-        # of pivot anywhere in the 957 iterations moves one or the other
+        # of pivot anywhere in the 956 iterations moves one or the other
         model = build_model(scale_suite(scale_base, [300])[0])
         sol = SimplexEngine(model).solve()
         assert sol.status == OPTIMAL
-        assert sol.iterations == 957
+        assert sol.iterations == 956
         assert repr(sol.objective) == "48348.12677584857"
 
     def test_root_lp_under_blands_rule(self, scale_base, monkeypatch):
