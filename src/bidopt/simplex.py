@@ -47,12 +47,14 @@ pivots are the ones the plain dense formulation takes.
 
 The fixed cost of a solve matters as much at tree nodes, whose LPs
 take a few pivots each on a small basis.  The engine keeps the factor
-of the last starting basis (or the verdict that it is singular), so a
-sibling node starting from the same parent basis skips the
-factorization.  Pricing is skipped when none of its inputs changed
-since the last pricing (a bound flip changes none of them in phase 2),
-and an optimal solution's reduced costs are its final stall's phase-2
-pricing.  Every reuse returns the very numbers a recomputation would.
+of the last nonsingular starting basis, and apart from it the verdict on
+the last singular one, so a sibling node starting from the same parent
+basis skips the factorization.  Pricing is skipped when none of its
+inputs changed since the last pricing (a bound flip changes none of them
+in phase 2), and an optimal solution's reduced costs are its final
+stall's phase-2 pricing.  Each of these reuses returns the very numbers
+a recomputation would; the d a dual phase hands over (below) is updated
+instead.
 
 A warm start re-solves with the bounded dual simplex first (Lemke, "The
 dual method of solving the linear programming problem", 1954; Koberstein,
@@ -73,9 +75,33 @@ feasible, when it was not dual feasible to begin with, after
 ``BLAND_AFTER`` consecutive degenerate dual steps, or when no column can
 repair a row whose violation, recomputed from the rows as
 ``rho_r (rhs - A_N x_N)``, is within ``feas_tol``; past ``feas_tol`` that
-row proves the LP infeasible.  The primal loop prices afresh, so every
-optimum passes the same residual checks and refinement.  Cold solves
-run the primal loop alone.
+row proves the LP infeasible.  The primal loop takes the handed-over d as
+its phase-2 pricing, so a dual phase that ends primal feasible goes
+straight to the stall checks, and every optimum passes the same residual
+checks and refinement.  Each dual step also compares its pivot as the
+row gives it, alpha_rq, with the column's w_r; when the two differ by
+more than 1e-9 relative (rounding alone leaves about 1e-14), the factor
+has drifted, and the primal loop prices afresh instead.
+
+A cold solve starts from a crash basis (Bixby, "Implementing the simplex
+method: the initial basis", ORSA J. Computing 1992) built from the GUB
+rows.  With the linking rows' duals u at 0, the LP splits into one
+multiple-choice problem per GUB row (Sinha & Zoltners, "The
+multiple-choice knapsack problem", Oper. Res. 1979), whose best column
+is the one with the lowest cost per unit of its GUB entry.  So each GUB
+row whose logical is fixed at [0, 0] (an equality row) takes that
+column, among the movable ones with a positive entry, ties to the lowest
+index, as its basic column, and its logical leaves at its bound; every
+other row keeps its logical basic.  On a model ``build_model`` makes
+whose GUB rows are all its convexity rows, this basis is dual feasible,
+so the cold root LP runs dual steps; the primal loop from the
+all-logical basis spent most of its pivots finding each campaign's
+level.  The crash uses the solve's own bounds, and it goes through the
+dual phase like a warm start, which runs only if the basis passes its
+dual-feasibility check.  A singular crash falls back to the all-logical
+basis and the primal loop alone, and a model with fewer than two GUB
+rows has no crash: its cold start is the all-logical basis, with no dual
+phase.
 
 Maximization models are negated internally; the reported objective and
 reduced costs are in the model's own (maximization) sense, so
@@ -110,6 +136,7 @@ BLAND_AFTER = 50
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-10
+_AGREE_TOL = 1e-9  # relative; rounding alone leaves about 1e-14
 _REFACTOR_EVERY = 64
 
 
@@ -120,6 +147,10 @@ class LpSolution:
     ``basis`` is an opaque ``bytes`` token: the warm start accepted by
     ``SimplexEngine.solve``, with no other meaning for callers.
     ``reduced_costs`` are given for ``OPTIMAL`` solves only, else None.
+    They are the final basis's last pricing: the primal loop's own, or,
+    when the dual phase ended primal feasible with its pivots' row and
+    column entries in agreement and the primal loop took no step, the
+    dual phase's d, updated from each pivot row.
     """
 
     status: str
@@ -417,12 +448,15 @@ class SimplexEngine:
         self.base_upper[:n] = [c.upper for c in model.columns]
         self.base_upper[n:] = [math.inf if r.sense == "L" else 0.0 for r in model.rows]
 
-        # The basic columns of the last solve's start, as bytes, their
-        # factor (None when singular) and, once a warm start asked for
-        # them, their -d (None until then).  Siblings in a tree start from
-        # the same parent basis; keyed on the columns alone, the memo also
-        # serves a start whose nonbasic statuses differ.
+        # The basic columns of the last nonsingular start, as bytes, their
+        # factor and, once a dual phase asked for them, their -d (None
+        # until then).  Siblings in a tree start from the same parent
+        # basis; keyed on the columns alone, the memo also serves a start
+        # whose nonbasic statuses differ.  The columns of the last singular
+        # start are kept apart, so that their verdict does not evict the
+        # factor of the start that replaced them.
         self._start: tuple[bytes, _Factor | None, np.ndarray | None] = (b"", None, None)
+        self._singular = b""
 
     # -- helpers -------------------------------------------------------
 
@@ -449,20 +483,42 @@ class SimplexEngine:
         vstat[self.n:] = BASIC
         return vstat
 
+    def _crash_vstat(self, lower, upper) -> np.ndarray:
+        """The all-logical basis, except that each GUB row whose logical is
+        fixed at [0, 0] takes as its basic column the movable column with
+        a positive entry in it and the lowest cost per unit of that entry,
+        ties to the lowest index; the row's logical leaves at its bound."""
+        vstat = self._cold_vstat(lower, upper)
+        blocks = self._blocks
+        logical = self.n + blocks.gub_rows
+        fixed = (lower[logical] == 0.0) & (upper[logical] == 0.0)
+        cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
+        cand = cand[fixed[blocks.slot[cand]]]
+        slot = blocks.slot[cand]
+        order = np.lexsort((self.cost[cand] / blocks.gval[cand], slot))  # stable
+        cand, slot = cand[order], slot[order]
+        first = np.ones(cand.size, bool)
+        np.not_equal(slot[1:], slot[:-1], out=first[1:])
+        vstat[cand[first]] = BASIC
+        vstat[logical[slot[first]]] = AT_LOWER
+        return vstat
+
     def _factorize(self, basis: np.ndarray) -> _Factor:
         return _Factor(self._blocks, basis)
 
     def _start_factor(self, basis: np.ndarray) -> _Factor | None:
         """A factor of the starting basis, or None when it is singular."""
         key = basis.tobytes()
+        if key == self._singular:
+            return None
         if key != self._start[0]:
             try:
                 factor = self._factorize(basis)
             except RuntimeError:
-                factor = None
+                self._singular = key
+                return None
             self._start = (key, factor, None)
-        factor = self._start[1]
-        return None if factor is None else factor.fresh()
+        return self._start[1].fresh()
 
     def _start_neg_d(self, factor, basis) -> np.ndarray:
         """-d of the starting basis.  It depends on the basis alone, not on
@@ -493,9 +549,11 @@ class SimplexEngine:
         overrides applied on top of the model bounds; fixing a column
         means lower == upper.  ``warm`` is the ``basis`` of an earlier
         solution of this engine; a token of the wrong length or with a
-        singular basis falls back to the cold, all-logical basis.  A warm
-        basis that is dual feasible under ``bounds`` is re-solved with
-        dual simplex steps first.  The solve returns ``ITERATION_LIMIT``
+        singular basis falls back to the cold start: the crash basis
+        under ``bounds``, or, when that is singular, the all-logical
+        basis.  A warm or crash basis that is dual feasible under
+        ``bounds`` is re-solved with dual simplex steps first.  The solve
+        returns ``ITERATION_LIMIT``
         after ``max_iterations`` iterations or once ``time.perf_counter()``
         reaches ``deadline``, checked once per iteration.
         """
@@ -510,32 +568,33 @@ class SimplexEngine:
                 lower[j] = lo
                 upper[j] = hi
 
-        vstat: np.ndarray | None = None
+        factor = None
         if warm is not None and len(warm) == n + m:
-            cand = np.frombuffer(warm, np.int8).copy()
-            if int(np.count_nonzero(cand == BASIC)) == m:
-                vstat = cand
-        dual_start = vstat is not None
-        if vstat is None:
-            vstat = self._cold_vstat(lower, upper)
-        # Nonbasic statuses must still make sense under the new bounds.
-        nb = vstat != BASIC
-        snap_lo = nb & (vstat == AT_UPPER) & ~np.isfinite(upper)
-        vstat[snap_lo] = AT_LOWER
-        snap_up = nb & (vstat == AT_LOWER) & ~np.isfinite(lower) & np.isfinite(upper)
-        vstat[snap_up] = AT_UPPER
-
-        if max_iterations is None:
-            max_iterations = 100 * (n + m) + 10_000
-
-        basis = np.flatnonzero(vstat == BASIC)
-        factor = self._start_factor(basis)
+            vstat = np.frombuffer(warm, np.int8).copy()
+            if int(np.count_nonzero(vstat == BASIC)) == m:
+                # Nonbasic statuses must still make sense under the new bounds.
+                nb = vstat != BASIC
+                snap_lo = nb & (vstat == AT_UPPER) & ~np.isfinite(upper)
+                vstat[snap_lo] = AT_LOWER
+                snap_up = nb & (vstat == AT_LOWER) & ~np.isfinite(lower) & np.isfinite(upper)
+                vstat[snap_up] = AT_UPPER
+                basis = np.flatnonzero(vstat == BASIC)
+                factor = self._start_factor(basis)
+        dual_start = True
+        if factor is None:
+            vstat = self._crash_vstat(lower, upper)
+            basis = np.flatnonzero(vstat == BASIC)
+            factor = self._start_factor(basis)
+            dual_start = self._blocks.gub_rows.size > 0
         if factor is None:
             dual_start = False
             vstat = self._cold_vstat(lower, upper)
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._factorize(basis)
         basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
+
+        if max_iterations is None:
+            max_iterations = 100 * (n + m) + 10_000
 
         free_var = ~np.isfinite(lower) & ~np.isfinite(upper)
         free_cols = np.flatnonzero(free_var)
@@ -548,14 +607,18 @@ class SimplexEngine:
         ub_b = upper[basis]
         iterations = 0
         status = None
+        priced = None  # the factor, eta count and masks of the last pricing
         if dual_start:
-            status, factor, basic_val, iterations = self._dual_phase(
+            status, factor, basic_val, iterations, neg_d = self._dual_phase(
                 factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
                 free_cols, max_iterations, deadline,
             )
+            if neg_d is not None:
+                # The phase-2 pricing of the basis the dual phase hands
+                # over: the primal loop takes it as its own in phase 2.
+                priced = (factor, len(factor.etas), bytes(m), bytes(m))
         degen_streak = 0
         bland = False
-        priced = None  # the factor, eta count and masks of the last pricing
         stall_x = None  # the final stall's nonbasic values
 
         while status is None:
@@ -569,7 +632,8 @@ class SimplexEngine:
             viol_high = basic_val > ub_b + self.feas_tol
             in_phase1 = bool(viol_low.any() or viol_high.any())
 
-            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y).  y
+            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y), where
+            # phase 1's c is c_b on the basic columns and 0 elsewhere.  y
             # depends only on the factor, its etas and the masks; when none
             # changed, as after a bound flip in phase 2, the last one holds.
             key = (factor, len(factor.etas), viol_low.tobytes(), viol_high.tobytes())
@@ -579,10 +643,10 @@ class SimplexEngine:
                     c_b = np.zeros(m)
                     c_b[viol_low] = -1.0
                     c_b[viol_high] = 1.0
+                    neg_d = self._aug_t @ factor.btran(c_b)
+                    neg_d[basis] -= c_b
                 else:
-                    c_b = self.cost[basis]
-                aty = self._aug_t @ factor.btran(c_b)
-                neg_d = aty if in_phase1 else aty - self.cost
+                    neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
 
             # score equals |d| on every eligible column, bit for bit, and
             # is <= opt_tol elsewhere: the same argmax and first eligible
@@ -596,7 +660,7 @@ class SimplexEngine:
             else:
                 j = int(np.argmax(score))
             if not score[j] > self.opt_tol:
-                # The stall stands when x meets the rows (A x = rhs) and y
+                # The stall stands when x meets the rows (A x = rhs) and d
                 # prices the basic columns at zero (B^T y = c_B).  When the
                 # etas let either drift past its tolerance, recompute the
                 # values from a fresh factorization and price again.
@@ -605,7 +669,7 @@ class SimplexEngine:
                 resid = self.rhs - self._aug @ x
                 if factor.etas and (
                     np.max(np.abs(resid), initial=0.0) > self.feas_tol
-                    or np.max(np.abs(aty[basis] - c_b), initial=0.0) > self.opt_tol
+                    or np.max(np.abs(neg_d[basis]), initial=0.0) > self.opt_tol
                 ):
                     factor = self._factorize(basis)
                     basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
@@ -725,7 +789,7 @@ class SimplexEngine:
         if status == OPTIMAL:
             # The stall's pricing, a phase-2 one on the final basis.
             sense_max = 1.0 if self.model.maximize else -1.0
-            reduced = tuple((-sense_max * (self.cost - aty)[:n]).tolist())
+            reduced = tuple((sense_max * neg_d[:n]).tolist())
         return LpSolution(
             status=status,
             objective=float(self._obj @ primal) if status != INFEASIBLE else math.nan,
@@ -739,22 +803,29 @@ class SimplexEngine:
         self, factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
         free_cols, max_iterations, deadline,
     ):
-        """Bounded dual simplex from a warm basis, while it is dual feasible.
+        """Bounded dual simplex from the start basis, while it is dual
+        feasible.
 
         Updates ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` in
-        place and returns ``(status, factor, basic_val, iterations)``.  A
-        status of None hands the basis to the primal loop: the basis is
-        primal feasible, or it was never dual feasible, or the dual steps
-        stalled, or a row's violation did not survive recomputation, or
-        rounding wiped out a pivot.
+        place and returns ``(status, factor, basic_val, iterations,
+        neg_d)``.  ``neg_d`` is the -d of the final basis, the start's
+        updated from each pivot row, or None when a pivot's entry from the
+        row (btran) and from the column (ftran) disagreed since it was
+        last computed afresh: then the factor has drifted, and the d is
+        not to be believed.  A status of None hands the basis to the
+        primal loop: the basis is primal feasible, or it was never dual
+        feasible, or the dual steps stalled, or a row's violation did not
+        survive recomputation, or rounding wiped out a pivot.
         """
         neg_d = self._start_neg_d(factor, basis)
         free_nb = free_cols[vstat[free_cols] != BASIC]
         if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
             np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
         ):
-            return None, factor, basic_val, 0
+            return None, factor, basic_val, 0, neg_d
         neg_d = neg_d.copy()
+        agreed = True
+        status = None
         iterations = 0
         degen_streak = 0
         while True:
@@ -763,11 +834,12 @@ class SimplexEngine:
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if not viol[r] > self.feas_tol:
-                return None, factor, basic_val, iterations
+                break
             if iterations >= max_iterations or (
                 deadline is not None and time.perf_counter() >= deadline
             ):
-                return ITERATION_LIMIT, factor, basic_val, iterations
+                status = ITERATION_LIMIT
+                break
 
             # Row r leaves for the bound it violates.  With s = +1 (below
             # its lower bound) d moves by +t s alpha_r, so the eligible
@@ -789,8 +861,8 @@ class SimplexEngine:
                 xn[basis] = 0.0
                 x_r = float(rho @ (self.rhs - self._aug @ xn))
                 if max(lb_b[r] - x_r, x_r - ub_b[r]) > self.feas_tol:
-                    return INFEASIBLE, factor, basic_val, iterations
-                return None, factor, basic_val, iterations
+                    status = INFEASIBLE
+                break
 
             # Smallest |d_j / alpha_rj|; ties to the largest |alpha_rj|,
             # then to the lowest index.
@@ -803,16 +875,16 @@ class SimplexEngine:
             t = float(ratios[k])
 
             w = factor.ftran(self._column(q))
-            if not abs(w[r]) > _PIVOT_TOL:
-                # w_r is alpha_rq again, from the column side; rounding
-                # that wipes it out goes to the primal loop.
-                return None, factor, basic_val, iterations
+            w_r = w.item(r)  # alpha_rq again, from the column side
+            if not abs(w_r) > _PIVOT_TOL:
+                break  # rounding wiped the pivot out: the primal loop goes on
+            agreed = agreed and abs(w_r - a_c.item(k)) <= _AGREE_TOL * abs(w_r)
             leaving = int(basis[r])
             if vstat[q] == AT_UPPER:
                 enter_from = upper[q]
             else:
                 enter_from = lower[q] if np.isfinite(lower[q]) else 0.0
-            step = (basic_val[r] - (lb_b[r] if s > 0 else ub_b[r])) / w[r]
+            step = (basic_val[r] - (lb_b[r] if s > 0 else ub_b[r])) / w_r
             idx = np.flatnonzero(w)
             basic_val[idx] -= step * w[idx]
             basic_val[r] = enter_from + step
@@ -834,8 +906,10 @@ class SimplexEngine:
                 factor = self._factorize(basis)
                 basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
                 neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+                agreed = True
             # Dual degenerate steps leave the dual objective where it was;
             # a run of them goes to the primal loop and its anti-cycling.
             degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
             if degen_streak >= BLAND_AFTER:
-                return None, factor, basic_val, iterations
+                break
+        return status, factor, basic_val, iterations, neg_d if agreed else None

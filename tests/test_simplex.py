@@ -281,6 +281,21 @@ class TestStates:
         assert SimplexEngine(t1_model).solve(bounds={}).status == OPTIMAL
 
 
+@pytest.fixture
+def dual_log(monkeypatch):
+    """(status, iterations) of every dual phase."""
+    log = []
+    dual_phase = SimplexEngine._dual_phase
+
+    def recorded(self, *args):
+        out = dual_phase(self, *args)
+        log.append((out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
+    return log
+
+
 class TestAgainstScipy:
     def test_random_instances(self):
         rng = np.random.default_rng(7)
@@ -297,6 +312,14 @@ class TestAgainstScipy:
         assert statuses.count(UNBOUNDED) >= 20
         assert statuses.count(INFEASIBLE) >= 10
         assert max(sol.iterations for sol in sols) > _REFACTOR_EVERY
+
+    def test_bidding_models_from_the_crash(self, dual_log):
+        # cold roots whose dual steps start from the crash basis: their
+        # reduced costs are the dual phase's updated ones
+        rng = np.random.default_rng(17)
+        sols = [self._agrees(random_bid_model(rng), trial) for trial in range(60)]
+        assert all(sol.status == OPTIMAL for sol in sols)
+        assert sum(iters > 0 for _, iters in dual_log) >= 40
 
     def _agrees(self, model: LpModel, trial: int) -> LpSolution:
         mine = SimplexEngine(model).solve()
@@ -478,7 +501,8 @@ class TestStallGuard:
     the basic columns at zero, both within tolerance.  Otherwise the basis
     is refactorized and priced again."""
 
-    # 43 rows; its root LP takes 115 iterations without a refactorization
+    # 43 rows; its root LP takes 89 dual steps from the crash basis, with
+    # one refactorization after the 64th
     MODEL_PARAMS = GenParams(
         businesses=3, campaigns_per_business=12, levels_per_campaign=4,
         budget_tightness=0.3, seed=1,
@@ -501,9 +525,12 @@ class TestStallGuard:
     def test_clean_stall_is_final(self, monkeypatch):
         model = build_model(generate_instance(self.MODEL_PARAMS))
         sol, factorized = self._solve_counting(model, monkeypatch)
-        assert (sol.status, sol.iterations) == (OPTIMAL, 115)
-        # the starting basis only: the stall is not confirmed by a second
-        assert len(factorized) == 1
+        assert (sol.status, sol.iterations) == (OPTIMAL, 89)
+        # the starting basis and the one after 64 etas: the stall is not
+        # confirmed by a third
+        assert len(factorized) == 2
+        final_basis = np.flatnonzero(np.frombuffer(sol.basis, np.int8) == BASIC)
+        assert not np.array_equal(np.sort(factorized[-1]), final_basis)
 
     @pytest.mark.parametrize(
         "owner, name, wrap",
@@ -724,22 +751,24 @@ class TestGubFactor:
 
 class TestPinnedPivots:
     def test_root_lp_of_a_300_campaign_model(self, scale_base):
-        # measured with dense eta vectors and dense pricing masks: a change
-        # of pivot anywhere in the 956 iterations moves one or the other
+        # dual steps from the crash basis: a change of pivot anywhere in
+        # the 288 iterations moves one or the other (the primal loop from
+        # the all-logical basis took 956)
         model = build_model(scale_suite(scale_base, [300])[0])
         sol = SimplexEngine(model).solve()
         assert sol.status == OPTIMAL
-        assert sol.iterations == 956
-        assert repr(sol.objective) == "48348.12677584857"
+        assert sol.iterations == 288
+        assert repr(sol.objective) == "48348.12677584858"
 
     def test_root_lp_under_blands_rule(self, scale_base, monkeypatch):
-        # Bland's rule takes over at the first degenerate step, so its
-        # smallest-index choice decides every degenerate pivot
+        # a degenerate dual step would hand over to the primal loop at
+        # once, and Bland's rule would take over there; the crash's dual
+        # steps take none (the primal loop alone took 1 189)
         monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
         model = build_model(scale_suite(scale_base, [300])[0])
         sol = SimplexEngine(model).solve()
         assert sol.status == OPTIMAL
-        assert sol.iterations == 1189
+        assert sol.iterations == 288
         assert repr(sol.objective) == "48348.12677584858"
 
 
@@ -793,20 +822,6 @@ class TestDualSimplex:
     def bland_after(self, request, monkeypatch):
         monkeypatch.setattr(simplex, "BLAND_AFTER", request.param)
         return request.param
-
-    @pytest.fixture
-    def dual_log(self, monkeypatch):
-        """(status, iterations) of every dual phase."""
-        log = []
-        dual_phase = SimplexEngine._dual_phase
-
-        def recorded(self, *args):
-            out = dual_phase(self, *args)
-            log.append((out[0], out[3]))
-            return out
-
-        monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
-        return log
 
     @staticmethod
     def _children(make_model, seed: int, models: int):
@@ -976,3 +991,147 @@ class TestDualSimplex:
         sol = engine.solve(bounds=bounds, warm=parent.basis, deadline=1.5)
         assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 2)
         assert dual_log == [(ITERATION_LIMIT, 2)]
+
+
+class TestCrash:
+    """A cold solve starts from the crash basis: in each GUB row whose
+    logical is fixed at zero, the movable column with the lowest cost per
+    unit of its positive entry is basic; every other row keeps its
+    logical.  With the linking rows' duals at zero that basis is dual
+    feasible when every column lies in such a row, and the dual phase
+    runs from it."""
+
+    def test_lowest_cost_per_unit_then_the_lowest_index(self):
+        # maximize; a: x0 + 2 x1 + x2 = 1 (scaled by 1/2) where x1 and x2
+        # tie at 6 per unit; b: x3 + x4 - x5 = 1 where x4 is fixed and x5
+        # has a negative entry; c: x6 <= 1 is disjoint but not an equality;
+        # d links every column
+        objs = (2.0, 6.0, 3.0, 1.0, 5.0, -100.0, 1.0)
+        bounds = [(0.0, 1.0)] * 7
+        bounds[4] = (0.0, 0.0)
+        model = LpModel(
+            columns=tuple(
+                LpColumn(f"x{j}", obj, lo, hi)
+                for j, (obj, (lo, hi)) in enumerate(zip(objs, bounds))
+            ),
+            rows=(
+                LpRow("a", "E", 1.0, ((0, 1.0), (1, 2.0), (2, 1.0))),
+                LpRow("b", "E", 1.0, ((3, 1.0), (4, 1.0), (5, -1.0))),
+                LpRow("c", "L", 1.0, ((6, 1.0),)),
+                LpRow("d", "L", 1.5, tuple((j, 1.0) for j in range(7))),
+            ),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        assert engine._blocks.gub_rows.tolist() == [0, 1, 2]
+        vstat = engine._crash_vstat(engine.base_lower, engine.base_upper)
+        assert np.flatnonzero(vstat == BASIC).tolist() == [1, 3, 9, 10]
+        assert vstat[7:9].tolist() == [AT_LOWER, AT_LOWER]
+        # with x3 fixed at zero too, b has no candidate and keeps its logical
+        vstat = engine._crash_vstat(
+            engine.base_lower, np.where(np.arange(11) == 3, 0.0, engine.base_upper)
+        )
+        assert np.flatnonzero(vstat == BASIC).tolist() == [1, 8, 9, 10]
+        sol = engine.solve()
+        ref = scipy_reference(model)
+        assert sol.status == OPTIMAL and ref.status == 0
+        assert abs(sol.objective + ref.fun) <= 1e-9
+
+    def test_bidding_models_start_dual_feasible(self, dual_log):
+        rng = np.random.default_rng(19)
+        stepped = 0
+        for _ in range(30):
+            model = random_bid_model(rng)
+            engine = SimplexEngine(model)
+            crash = engine._crash_vstat(engine.base_lower, engine.base_upper)
+            campaigns = sum(row.name.startswith("CVX_") for row in model.rows)
+            assert np.count_nonzero(crash[: engine.n] == BASIC) == campaigns
+            assert dual_infeasibility(engine, crash.tobytes()) <= engine.opt_tol
+            dual_log.clear()
+            sol = engine.solve()
+            assert sol.status == OPTIMAL
+            assert len(dual_log) == 1 and dual_log[0][0] is None
+            stepped += dual_log[0][1] > 0
+        assert stepped >= 15
+
+    @pytest.mark.parametrize("drifted", [False, True])
+    def test_row_and_column_pivots_must_agree(self, monkeypatch, drifted):
+        # a btran 0.01% off once the factor holds etas gives every pivot
+        # row an alpha_rq that the ftran's w_r does not repeat: the dual
+        # phase hands over no d, and the primal loop prices afresh
+        if drifted:
+            monkeypatch.setattr(_Factor, "btran", _drift(_Factor.btran))
+        handed = []
+        dual_phase = SimplexEngine._dual_phase
+
+        def recorded(self, *args):
+            out = dual_phase(self, *args)
+            handed.append(out[4])
+            return out
+
+        monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
+        model = build_model(generate_instance(TestStallGuard.MODEL_PARAMS))
+        sol = SimplexEngine(model).solve()
+        assert sol.status == OPTIMAL
+        assert len(handed) == 1 and (handed[0] is None) == drifted
+
+    def test_without_two_gub_rows_no_dual_phase(self, dual_log):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(150):
+            model = random_model(rng)
+            engine = SimplexEngine(model)
+            if engine._blocks.gub_rows.size:
+                continue
+            lower, upper = engine.base_lower, engine.base_upper
+            np.testing.assert_array_equal(
+                engine._crash_vstat(lower, upper), engine._cold_vstat(lower, upper)
+            )
+            engine.solve()
+            checked += 1
+        assert checked >= 50
+        assert dual_log == []
+
+    def test_singular_crash_falls_back_to_the_all_logical_basis(
+        self, dual_log, monkeypatch
+    ):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            model = random_bid_model(rng)
+            engine = SimplexEngine(model)
+            factorized = []
+            factorize = engine._factorize
+
+            def first_fails(basis):
+                factorized.append(basis.copy())
+                if len(factorized) == 1:
+                    raise RuntimeError("singular basis")
+                return factorize(basis)
+
+            monkeypatch.setattr(engine, "_factorize", first_fails)
+            dual_log.clear()
+            sol = engine.solve()
+            crash = engine._crash_vstat(engine.base_lower, engine.base_upper)
+            np.testing.assert_array_equal(factorized[0], np.flatnonzero(crash == BASIC))
+            np.testing.assert_array_equal(
+                factorized[1], np.arange(engine.n, engine.n + engine.m)
+            )
+            assert dual_log == []
+            ref = scipy_reference(model)
+            assert sol.status == OPTIMAL and ref.status == 0
+            assert abs(sol.objective + ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
+            TestAgainstScipy._check_feasible(model, sol.primal)
+
+    def test_lagrangian_bound_at_zero_covers_the_root(self, suite1, scale_base):
+        # L(0), each campaign's best return summed, relaxes every row but
+        # the convexity rows: it bounds the root LP from above
+        for inst in [*suite1, scale_suite(scale_base, [300])[0]]:
+            model = build_model(inst)
+            root = SimplexEngine(model).solve()
+            assert root.status == OPTIMAL
+            best = sum(
+                max(model.columns[j].objective for j, _ in row.coeffs)
+                for row in model.rows
+                if row.name.startswith("CVX_")
+            )
+            assert best >= root.objective - 1e-9 * max(1.0, abs(best))
