@@ -103,6 +103,25 @@ basis and the primal loop alone, and a model with fewer than two GUB
 rows has no crash: its cold start is the all-logical basis, with no dual
 phase.
 
+A model with many GUB rows per linking row (at least ``_GUB_PER_LINK``;
+the acceptance scale models have over a hundred, the tree and suite
+models fewer than six) first estimates u, and the crash takes each GUB
+row's best column with the linking rows priced at u.  The estimate
+minimizes the Lagrangian dual function L(u) of the linking rows, whose
+every evaluation picks each GUB row's best column at u in one pass over
+the columns, by cutting planes (Kelley, "The cutting-plane method for
+solving convex programs", J. SIAM 1960) kept in a box around the best u
+so far, the box doubling on each step that lowers L enough (Marsten,
+Hogan & Blankenship, "The boxstep method for large-scale optimization",
+Oper. Res. 1975; du Merle, Villeneuve, Desrosiers & Hansen, "Stabilized
+column generation", Discrete Math. 1999).  Each round's master LP, one
+row per cut, is solved by a nested engine warm from the last round's
+basis.  The linking logicals stay basic, so y_L = 0 and the crash is in
+general not dual feasible: the primal loop solves from it.  An estimate
+that fails (L not finite, a master that does not end optimal, or no
+convergence within ``_ESTIMATE_ROUNDS`` rounds, as when the linking rows
+cannot be met) leaves the crash at u = 0.
+
 Maximization models are negated internally; the reported objective and
 reduced costs are in the model's own (maximization) sense, so
 at optimality a column sitting at its lower bound has reduced cost
@@ -121,7 +140,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
-from .model import LpModel
+from .model import LpColumn, LpModel, LpRow
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -139,6 +158,12 @@ _TIE_TOL = 1e-10
 _AGREE_TOL = 1e-9  # relative; rounding alone leaves about 1e-14
 _REFACTOR_EVERY = 64
 
+# A cold start estimates the linking rows' duals first when the model has
+# at least this many GUB rows per linking row; see the module docstring.
+_GUB_PER_LINK = 32
+_ESTIMATE_GAP = 1e-3  # relative
+_ESTIMATE_ROUNDS = 200
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -151,6 +176,8 @@ class LpSolution:
     when the dual phase ended primal feasible with its pivots' row and
     column entries in agreement and the primal loop took no step, the
     dual phase's d, updated from each pivot row.
+    ``iterations`` counts this LP's own pivots and bound flips; the
+    pivots of a cold start's Lagrangian estimate are not among them.
     """
 
     status: str
@@ -483,11 +510,12 @@ class SimplexEngine:
         vstat[self.n:] = BASIC
         return vstat
 
-    def _crash_vstat(self, lower, upper) -> np.ndarray:
+    def _crash_vstat(self, lower, upper, u=None) -> np.ndarray:
         """The all-logical basis, except that each GUB row whose logical is
         fixed at [0, 0] takes as its basic column the movable column with
         a positive entry in it and the lowest cost per unit of that entry,
-        ties to the lowest index; the row's logical leaves at its bound."""
+        ties to the lowest index; the row's logical leaves at its bound.
+        With linking-row multipliers ``u``, the costs are ``cost + A_L^T u``."""
         vstat = self._cold_vstat(lower, upper)
         blocks = self._blocks
         logical = self.n + blocks.gub_rows
@@ -495,13 +523,137 @@ class SimplexEngine:
         cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
         cand = cand[fixed[blocks.slot[cand]]]
         slot = blocks.slot[cand]
-        order = np.lexsort((self.cost[cand] / blocks.gval[cand], slot))  # stable
+        price = self.cost if u is None else self._priced(u)
+        order = np.lexsort((price[cand] / blocks.gval[cand], slot))  # stable
         cand, slot = cand[order], slot[order]
         first = np.ones(cand.size, bool)
         np.not_equal(slot[1:], slot[:-1], out=first[1:])
         vstat[cand[first]] = BASIC
         vstat[logical[slot[first]]] = AT_LOWER
         return vstat
+
+    def _priced(self, u: np.ndarray) -> np.ndarray:
+        """``cost + A_L^T u``: the costs with the linking rows priced at u."""
+        y = np.zeros(self.m)
+        y[self._blocks.perm[self._blocks.gub_rows.size:]] = u
+        return self.cost + self._aug_t @ y
+
+    def _lagrangian(self, lower, upper):
+        """The Lagrangian dual function of the linking rows under the bounds
+        ``lower`` and ``upper``, as ``evaluate(u) -> (L(u), subgradient)``.
+
+        In the maximization sense (profits c = -cost), with multipliers u
+        on the linking rows, ``L(u) = u^T b_L + max (c - A_L^T u)^T x``
+        over the GUB rows and the column bounds.  Each GUB row g gives
+        ``rhs_g`` to its best movable column with a positive entry, the
+        one with the highest ``(c_j - u^T a_j) / gval_j`` (ties to the
+        lowest index; a <= row's logical, at profit 0, is among them), and
+        every column outside the GUB rows sits at the bound its profit
+        favours.  Fixed columns in GUB rows are skipped, as in the crash,
+        and so are the GUB columns' upper bounds.  When every lower bound is
+        0 and every GUB entry and right-hand side is nonnegative, L(u) is at
+        least ``max c^T x`` for every u >= 0.  The subgradient is
+        ``b_L - A_L x(u)``.  L is +inf when a column outside the GUB rows
+        has an infinite bound on its favoured side.
+        """
+        blocks = self._blocks
+        link = blocks.perm[blocks.gub_rows.size:]
+        b_link = self.rhs[link]
+        cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
+        cand = cand[np.argsort(blocks.slot[cand], kind="stable")]
+        slot = blocks.slot[cand]
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        sizes = np.diff(starts, append=cand.size)
+        fill = self.rhs[blocks.gub_rows[slot]] / blocks.gval[cand]
+        out = np.flatnonzero(blocks.slot < 0)
+        out_lo, out_up = lower[out], upper[out]
+        out_zero = np.clip(0.0, out_lo, out_up)
+
+        def evaluate(u):
+            price = self._priced(u)
+            x = np.zeros(self.n + self.m)
+            p = price[out]
+            x[out] = np.where(p < 0.0, out_up, np.where(p > 0.0, out_lo, out_zero))
+            unit = price[cand] / blocks.gval[cand]
+            hit = np.flatnonzero(unit == np.minimum.reduceat(unit, starts).repeat(sizes))
+            best = hit[np.searchsorted(hit, starts)]
+            x[cand[best]] = fill[best]
+            value = float(u @ b_link - price @ x)
+            return value, b_link - (self._aug @ x)[link]
+
+        return evaluate
+
+    def _estimate_duals(self, lower, upper, deadline) -> np.ndarray | None:
+        """Multipliers u of the linking rows that nearly minimize L(u), or
+        None when the estimate fails.
+
+        A box-step cutting-plane method: each round minimizes the model
+        ``max_k L(u_k) + g_k^T (u - u_k)`` of the cuts so far inside a box
+        around the centre, evaluates L at the minimizer and adds its cut.
+        The minimizer becomes the centre, and the box doubles, when L
+        there falls by at least a tenth of the model's predicted fall (the
+        gap).  The estimate ends with the centre once the gap is within
+        ``_ESTIMATE_GAP`` of L at the centre and no box bound is active at
+        the minimizer: only then is the model's minimum in the box its
+        minimum over all u.  It fails when L is not finite, a master solve
+        does not end ``OPTIMAL`` or raises, or ``_ESTIMATE_ROUNDS`` rounds
+        pass: an unbounded dual, from linking rows the GUB rows cannot
+        meet, moves the centre without end.
+
+        The master is an LP in the step v = u - centre and the model's
+        excess t over L at the centre: minimize t subject to one row
+        ``g_k^T v - t <= L(centre) - L(u_k) - g_k^T (centre - u_k)`` per cut,
+        with v in the box and u >= 0 on rows whose logical is unbounded.
+        It is solved by a nested engine, warm from the last master's
+        optimal basis plus the new row's logical: that basis stays dual
+        feasible, and the new cut cuts off its minimizer, so the dual
+        phase re-solves it.
+        """
+        evaluate = self._lagrangian(lower, upper)
+        link = self._blocks.perm[self._blocks.gub_rows.size:]
+        l = link.size
+        u_min = np.where(np.isinf(upper[self.n + link]), 0.0, -math.inf)
+        u = centre = np.zeros(l)
+        value, grad = evaluate(u)
+        top = value
+        grads, intercepts, rows = [], [], []
+        box = 1.0
+        token = None
+        for _ in range(_ESTIMATE_ROUNDS):
+            if not math.isfinite(value):
+                return None
+            # the cut t >= L(u) + g^T (. - u) of the last evaluation
+            grads.append(grad)
+            intercepts.append(value - grad @ u)
+            rows.append(tuple(enumerate(grad.tolist())) + ((l, -1.0),))
+            excess = top - np.array(intercepts) - np.array(grads) @ centre
+            low = np.maximum(u_min - centre, -box)
+            columns = [LpColumn(f"v{i}", 0.0, lo, box) for i, lo in enumerate(low.tolist())]
+            columns.append(LpColumn("t", 1.0, -math.inf, math.inf))
+            cuts = [
+                LpRow(f"cut{k}", "L", e, r) for k, (e, r) in enumerate(zip(excess.tolist(), rows))
+            ]
+            master = LpModel(tuple(columns), tuple(cuts), (), maximize=False)
+            try:
+                engine = SimplexEngine(master, self.feas_tol, self.opt_tol)
+                sol = engine.solve(warm=token, deadline=deadline)
+            except RuntimeError:
+                return None
+            if sol.status != OPTIMAL:
+                return None
+            token = sol.basis + bytes([BASIC])
+            step = np.array(sol.primal[:l])
+            gap = -sol.objective
+            if gap <= _ESTIMATE_GAP * max(1.0, abs(top)):
+                if not np.any(np.abs(step) >= box * (1.0 - 1e-9)):
+                    return centre
+                box *= 2.0  # the model may fall further outside the box
+            u = centre + step
+            value, grad = evaluate(u)
+            if value <= top - 0.1 * gap:
+                centre, top = u, value
+                box *= 2.0
+        return None
 
     def _factorize(self, basis: np.ndarray) -> _Factor:
         return _Factor(self._blocks, basis)
@@ -552,10 +704,15 @@ class SimplexEngine:
         singular basis falls back to the cold start: the crash basis
         under ``bounds``, or, when that is singular, the all-logical
         basis.  A warm or crash basis that is dual feasible under
-        ``bounds`` is re-solved with dual simplex steps first.  The solve
-        returns ``ITERATION_LIMIT``
-        after ``max_iterations`` iterations or once ``time.perf_counter()``
-        reaches ``deadline``, checked once per iteration.
+        ``bounds`` is re-solved with dual simplex steps first.  On a model
+        with at least ``_GUB_PER_LINK`` GUB rows per linking row the crash
+        takes the Lagrangian estimate of the linking rows' duals under
+        ``bounds``, or u = 0 when the estimate fails.  The solve returns
+        ``ITERATION_LIMIT`` after ``max_iterations`` iterations or once
+        ``time.perf_counter()`` reaches ``deadline``, checked once per
+        iteration.  The estimate's master solves check the deadline too;
+        their pivots count toward neither ``max_iterations`` nor the
+        solution's ``iterations``.
         """
         n, m = self.n, self.m
         lower = self.base_lower.copy()
@@ -582,7 +739,11 @@ class SimplexEngine:
                 factor = self._start_factor(basis)
         dual_start = True
         if factor is None:
-            vstat = self._crash_vstat(lower, upper)
+            links = m - self._blocks.gub_rows.size
+            u = None
+            if 0 < links and m - links >= _GUB_PER_LINK * links:
+                u = self._estimate_duals(lower, upper, deadline)
+            vstat = self._crash_vstat(lower, upper, u)
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._start_factor(basis)
             dual_start = self._blocks.gub_rows.size > 0

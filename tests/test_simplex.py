@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import types
@@ -1135,3 +1136,143 @@ class TestCrash:
                 if row.name.startswith("CVX_")
             )
             assert best >= root.objective - 1e-9 * max(1.0, abs(best))
+
+
+def gated_model(seed: int) -> LpModel:
+    """200 campaigns over 2 businesses: 200 convexity rows and 5 linking
+    rows, enough GUB rows per linking row for the Lagrangian estimate."""
+    base = GenParams(
+        businesses=2, campaigns_per_business=1, levels_per_campaign=(2, 5),
+        budget_tightness=0.7, impression_tightness=1.5, seed=seed,
+    )
+    return build_model(scale_suite(base, [200])[0])
+
+
+def unmeetable_link_model(sense: str) -> LpModel:
+    """40 convexity rows of 3 columns and one linking row that no choice
+    of levels meets: the Lagrangian dual is unbounded below."""
+    rng = np.random.default_rng(31)
+    cols, rows = [], []
+    for g in range(40):
+        cols.extend(LpColumn(f"x{g}_{j}", float(rng.uniform(0, 10)), 0.0, 1.0) for j in range(3))
+        rows.append(LpRow(f"g{g}", "E", 1.0, tuple((3 * g + j, 1.0) for j in range(3))))
+    weights = rng.uniform(1.0, 2.0, len(cols)).tolist()
+    rhs = -1.0 if sense == "L" else 200.0  # every activity is in [40, 80]
+    rows.append(LpRow("link", sense, rhs, tuple(enumerate(weights))))
+    return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """The return value of every Lagrangian estimate."""
+    log = []
+    estimate = SimplexEngine._estimate_duals
+
+    def recorded(self, *args):
+        out = estimate(self, *args)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(SimplexEngine, "_estimate_duals", recorded)
+    return log
+
+
+class TestLagrangianEstimate:
+    """A cold solve of a model with at least ``_GUB_PER_LINK`` GUB rows
+    per linking row crashes from a box-step cutting-plane estimate of the
+    linking rows' duals u; every other model keeps the u = 0 crash."""
+
+    def test_bound_covers_the_root_at_random_multipliers(self, suite1, scale_base):
+        # L(u) relaxes the linking rows: at every u >= 0 it bounds the root
+        # LP from above, computed apart from the simplex
+        rng = np.random.default_rng(37)
+        for inst in [*suite1, scale_suite(scale_base, [300])[0]]:
+            engine = SimplexEngine(build_model(inst))
+            root = engine.solve()
+            assert root.status == OPTIMAL
+            evaluate = engine._lagrangian(engine.base_lower, engine.base_upper)
+            links = engine.m - engine._blocks.gub_rows.size
+            tol = 1e-9 * max(1.0, abs(root.objective))
+            for scale in (0.0, 1.0, 100.0, 1e4):
+                u = scale * rng.uniform(0.0, 2.0, links) * (rng.random(links) < 0.7)
+                value, _ = evaluate(u)
+                assert value >= root.objective - tol
+
+    def test_estimate_reaches_the_root_bound(self, scale_base, estimates):
+        # the acceptance 6a model: the estimate stops with L within its gap
+        # of the root objective, which a stop on a box-bound gap misses
+        model = build_model(scale_suite(scale_base, [2704])[0])
+        engine = SimplexEngine(model)
+        root = engine.solve()
+        assert root.status == OPTIMAL
+        assert len(estimates) == 1 and estimates[0] is not None
+        value, _ = engine._lagrangian(engine.base_lower, engine.base_upper)(estimates[0])
+        assert root.objective <= value <= root.objective + simplex._ESTIMATE_GAP * abs(value)
+        assert root.iterations < 500  # 2 485 from the u = 0 crash
+
+    def test_gated_models_agree_with_scipy(self, estimates):
+        for seed in range(5):
+            model = gated_model(seed)
+            sol = SimplexEngine(model).solve()
+            ref = scipy_reference(model)
+            assert sol.status == OPTIMAL and ref.status == 0
+            assert abs(sol.objective + ref.fun) <= 1e-9 * abs(ref.fun)
+            TestAgainstScipy._check_feasible(model, sol.primal)
+            TestAgainstScipy._check_duality(model, sol)
+        assert len(estimates) == 5 and all(u is not None for u in estimates)
+
+    def test_the_rule_keeps_the_tree_suite_and_t1_models_out(
+        self, suite1, scale_base, t1_model, estimates
+    ):
+        for seed in range(7):  # the benchmark's tree workload
+            params = GenParams(
+                businesses=3, campaigns_per_business=12, levels_per_campaign=4,
+                budget_tightness=0.3, seed=seed,
+            )
+            assert SimplexEngine(build_model(generate_instance(params))).solve().status == OPTIMAL
+        for inst in suite1:
+            SimplexEngine(build_model(inst)).solve()
+        SimplexEngine(t1_model).solve()
+        SimplexEngine(build_model(scale_suite(scale_base, [300])[0])).solve()
+        assert estimates == []
+        SimplexEngine(gated_model(0)).solve()
+        assert len(estimates) == 1
+
+    @pytest.mark.parametrize("sense", ["L", "E"])
+    def test_unmeetable_linking_rows_fall_back_to_u_zero(self, sense, estimates):
+        model = unmeetable_link_model(sense)
+        t0 = time.perf_counter()
+        sol = SimplexEngine(model).solve()
+        assert time.perf_counter() - t0 < 10.0
+        assert estimates == [None]
+        assert sol.status == INFEASIBLE
+        assert scipy_reference(model).status == 2
+
+    @pytest.mark.parametrize("failure", ["limit", "raise"])
+    def test_master_failure_falls_back_to_u_zero(self, monkeypatch, estimates, failure):
+        model = gated_model(1)
+        baseline = SimplexEngine(model)
+        monkeypatch.setattr(baseline, "_estimate_duals", lambda *args: None)
+        expected = baseline.solve()
+        solve = SimplexEngine.solve
+        masters = []
+
+        def failing(self, *args, **kwargs):
+            if self.model is model:
+                return solve(self, *args, **kwargs)
+            masters.append(self)
+            if len(masters) < 3:
+                return solve(self, *args, **kwargs)
+            if failure == "raise":
+                raise RuntimeError("singular basis")
+            return dataclasses.replace(solve(self, *args, **kwargs), status=ITERATION_LIMIT)
+
+        monkeypatch.setattr(SimplexEngine, "solve", failing)
+        assert SimplexEngine(model).solve() == expected
+        assert len(masters) == 3 and estimates == [None]
+
+    def test_deadline_stops_the_estimate(self, scale_base, estimates):
+        model = build_model(scale_suite(scale_base, [2704])[0])
+        sol = SimplexEngine(model).solve(deadline=time.perf_counter())
+        assert sol.status == ITERATION_LIMIT and sol.iterations == 0
+        assert estimates == [None]
