@@ -67,11 +67,14 @@ iteration takes out the basic variable with the largest bound violation
 one btran and one product, and brings in the eligible column with the
 smallest |d_j / alpha_rj|, |alpha_rj| above the pivot tolerance; ties
 within 1e-10 go to the largest |alpha_rj|, then to the lowest index.  d
-is updated from alpha_r; the primal update, the etas and the
-refactorizations are the primal loop's.  The start basis's d depends on
-the basis alone, so it is kept with its factor for the siblings.  The
-dual phase hands the basis to the primal loop when it is primal
-feasible, when it was not dual feasible to begin with, after
+is updated from alpha_r.  Both loops pivot through one routine: it moves
+the basic values by a signed step theta along the entering column w,
+gives the entering column its nonbasic value plus theta, updates the
+statuses, pricing directions and basic bounds, appends the eta, and
+refactorizes after ``_REFACTOR_EVERY`` etas.  The start basis's d
+depends on the basis alone, so it is kept with its factor for the
+siblings.  The dual phase hands the basis to the primal loop when it is
+primal feasible, when it was not dual feasible to begin with, after
 ``BLAND_AFTER`` consecutive degenerate dual steps, or when no column can
 repair a row whose violation, recomputed from the rows as
 ``rho_r (rhs - A_N x_N)``, is within ``feas_tol``; past ``feas_tol`` that
@@ -89,24 +92,24 @@ rows.  With the linking rows' duals u at 0, the LP splits into one
 multiple-choice problem per GUB row (Sinha & Zoltners, "The
 multiple-choice knapsack problem", Oper. Res. 1979), whose best column
 is the one with the lowest cost per unit of its GUB entry.  So each GUB
-row whose logical is fixed at [0, 0] (an equality row) takes that
-column, among the movable ones with a positive entry, ties to the lowest
-index, as its basic column, and its logical leaves at its bound; every
-other row keeps its logical basic.  On a model ``build_model`` makes
-whose GUB rows are all its convexity rows, this basis is dual feasible,
-so the cold root LP runs dual steps; the primal loop from the
-all-logical basis spent most of its pivots finding each campaign's
-level.  The crash uses the solve's own bounds, and it goes through the
-dual phase like a warm start, which runs only if the basis passes its
-dual-feasibility check.  A singular crash falls back to the all-logical
-basis and the primal loop alone, and a model with fewer than two GUB
-rows has no crash: its cold start is the all-logical basis, with no dual
-phase.
+row whose logical is fixed at [0, 0] (an equality row) takes as its basic
+column the Lagrangian's best column at u (u = 0 when no estimate runs;
+see below): among the movable columns with a positive entry, the lowest
+priced per unit, ties to the lowest index.  The row's logical leaves at
+its bound, and every other row keeps its logical basic.  On a model
+``build_model`` makes whose GUB rows are all its convexity rows, the
+u = 0 basis is dual feasible, so the cold root LP runs dual steps; the
+primal loop from the all-logical basis spent most of its pivots finding
+each campaign's level.  The crash uses the solve's own bounds, and it
+goes through the dual phase like a warm start, which runs only if the
+basis passes its dual-feasibility check.  A singular crash falls back to
+the all-logical basis and the primal loop alone, and a model with fewer
+than two GUB rows has no crash: its cold start is the all-logical basis,
+with no dual phase.
 
 A model with many GUB rows per linking row (at least ``_GUB_PER_LINK``;
 the acceptance scale models have over a hundred, the tree and suite
-models fewer than six) first estimates u, and the crash takes each GUB
-row's best column with the linking rows priced at u.  The estimate
+models fewer than six) first estimates u for the crash.  The estimate
 minimizes the Lagrangian dual function L(u) of the linking rows, whose
 every evaluation picks each GUB row's best column at u in one pass over
 the columns, by cutting planes (Kelley, "The cutting-plane method for
@@ -405,6 +408,76 @@ class _Factor:
         return twin
 
 
+class _DualEnd(NamedTuple):
+    """How ``SimplexEngine._dual_phase`` ended."""
+
+    status: str | None
+    iterations: int
+    neg_d: np.ndarray | None
+
+
+class _SolveState:
+    """What the dual phase and the primal loop of one solve share.
+    ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` change in place;
+    each refactorization replaces ``factor`` and ``basic_val``."""
+
+    def __init__(self, engine, lower, upper, vstat, basis, factor, max_iterations, deadline):
+        self.engine = engine
+        self.lower, self.upper = lower, upper
+        self.vstat, self.basis = vstat, basis
+        self.iterations = 0
+        self.max_iterations, self.deadline = max_iterations, deadline
+        self.free_var = ~np.isfinite(lower) & ~np.isfinite(upper)
+        self.free_cols = np.flatnonzero(self.free_var)
+        # Pricing direction: +1 at lower, -1 at upper, 0 when basic, fixed
+        # or free (free columns are priced by |d|).  Only the entering and
+        # the leaving variable change it.
+        self.dirn = np.where(vstat == AT_LOWER, 1.0, -1.0)
+        self.dirn[(vstat == BASIC) | ~(upper > lower) | self.free_var] = 0.0
+        self.lb_b, self.ub_b = lower[basis], upper[basis]
+        self.refactor(factor)
+
+    def refactor(self, factor: _Factor | None = None) -> None:
+        """Take ``factor``, else a fresh factorization, and recompute the basic values."""
+        self.factor = self.engine._factorize(self.basis) if factor is None else factor
+        self.basic_val = self.engine._recompute_basics(
+            self.factor, self.basis, self.vstat, self.lower, self.upper
+        )
+
+    def limit_reached(self) -> bool:
+        """Whether the iteration limit or the deadline is reached."""
+        return self.iterations >= self.max_iterations or (
+            self.deadline is not None and time.perf_counter() >= self.deadline
+        )
+
+    def pivot(self, j: int, pos: int, theta: float, w, idx, side: int) -> bool:
+        """Column j enters at basis position ``pos``, and the column there
+        leaves for its bound ``side``.  ``w = B^-1 a_j`` has its nonzeros at
+        ``idx``; the basic values move by ``-theta w``, and j takes its
+        nonbasic value plus theta.  True when the basis was refactorized."""
+        lower, upper, vstat, dirn = self.lower, self.upper, self.vstat, self.dirn
+        if vstat[j] == AT_UPPER:
+            enter_from = upper[j]
+        else:
+            enter_from = lower[j] if np.isfinite(lower[j]) else 0.0
+        leaving = int(self.basis[pos])
+        self.basic_val[idx] -= theta * w[idx]
+        self.basic_val[pos] = enter_from + theta
+        vstat[leaving] = side
+        vstat[j] = BASIC
+        movable = upper[leaving] > lower[leaving]
+        dirn[leaving] = (1.0 if side == AT_LOWER else -1.0) if movable else 0.0
+        dirn[j] = 0.0
+        self.basis[pos] = j
+        self.lb_b[pos] = lower[j]
+        self.ub_b[pos] = upper[j]
+        self.factor.update(pos, w, idx)
+        if len(self.factor.etas) < _REFACTOR_EVERY:
+            return False
+        self.refactor()
+        return True
+
+
 class SimplexEngine:
     """Reusable solver context for one LpModel.
 
@@ -494,14 +567,9 @@ class SimplexEngine:
         return col
 
     def _nonbasic_values(self, vstat, lower, upper) -> np.ndarray:
-        x = np.zeros(self.n + self.m)
-        at_lo = vstat == AT_LOWER
-        at_up = vstat == AT_UPPER
-        lo_vals = np.where(np.isfinite(lower), lower, 0.0)
-        up_vals = np.where(np.isfinite(upper), upper, 0.0)
-        x[at_lo] = lo_vals[at_lo]
-        x[at_up] = up_vals[at_up]
-        return x
+        """Each nonbasic column at its bound (0 where that is infinite), each basic one at 0."""
+        x = np.where(vstat == AT_LOWER, lower, np.where(vstat == AT_UPPER, upper, 0.0))
+        return np.where(np.isfinite(x), x, 0.0)
 
     def _cold_vstat(self, lower, upper) -> np.ndarray:
         """The all-logical basis."""
@@ -510,26 +578,36 @@ class SimplexEngine:
         vstat[self.n:] = BASIC
         return vstat
 
+    def _best_columns(self, lower, upper):
+        """``best(p)``: each GUB row's best column at prices p, in slot order.
+        Of the row's movable columns with a positive entry it has the lowest
+        ``p_j / gval_j``, ties to the lowest index; rows without one have none."""
+        blocks = self._blocks
+        cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
+        cand = cand[np.argsort(blocks.slot[cand], kind="stable")]
+        starts = np.flatnonzero(np.diff(blocks.slot[cand], prepend=-1))
+        sizes = np.diff(starts, append=cand.size)
+        gval = blocks.gval[cand]
+
+        def best(price):
+            unit = price[cand] / gval
+            hit = np.flatnonzero(unit == np.minimum.reduceat(unit, starts).repeat(sizes))
+            return cand[hit[np.searchsorted(hit, starts)]]
+
+        return best
+
     def _crash_vstat(self, lower, upper, u=None) -> np.ndarray:
         """The all-logical basis, except that each GUB row whose logical is
-        fixed at [0, 0] takes as its basic column the movable column with
-        a positive entry in it and the lowest cost per unit of that entry,
-        ties to the lowest index; the row's logical leaves at its bound.
-        With linking-row multipliers ``u``, the costs are ``cost + A_L^T u``."""
+        fixed at [0, 0] takes its best column (``_best_columns``) as its
+        basic column, and the row's logical leaves at its bound.  The
+        prices are the costs, or, with linking-row multipliers ``u``,
+        ``cost + A_L^T u``: the Lagrangian's choice at u."""
         vstat = self._cold_vstat(lower, upper)
-        blocks = self._blocks
-        logical = self.n + blocks.gub_rows
+        best = self._best_columns(lower, upper)(self.cost if u is None else self._priced(u))
+        logical = self.n + self._blocks.gub_rows[self._blocks.slot[best]]
         fixed = (lower[logical] == 0.0) & (upper[logical] == 0.0)
-        cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
-        cand = cand[fixed[blocks.slot[cand]]]
-        slot = blocks.slot[cand]
-        price = self.cost if u is None else self._priced(u)
-        order = np.lexsort((price[cand] / blocks.gval[cand], slot))  # stable
-        cand, slot = cand[order], slot[order]
-        first = np.ones(cand.size, bool)
-        np.not_equal(slot[1:], slot[:-1], out=first[1:])
-        vstat[cand[first]] = BASIC
-        vstat[logical[slot[first]]] = AT_LOWER
+        vstat[best[fixed]] = BASIC
+        vstat[logical[fixed]] = AT_LOWER
         return vstat
 
     def _priced(self, u: np.ndarray) -> np.ndarray:
@@ -545,26 +623,20 @@ class SimplexEngine:
         In the maximization sense (profits c = -cost), with multipliers u
         on the linking rows, ``L(u) = u^T b_L + max (c - A_L^T u)^T x``
         over the GUB rows and the column bounds.  Each GUB row g gives
-        ``rhs_g`` to its best movable column with a positive entry, the
-        one with the highest ``(c_j - u^T a_j) / gval_j`` (ties to the
-        lowest index; a <= row's logical, at profit 0, is among them), and
-        every column outside the GUB rows sits at the bound its profit
-        favours.  Fixed columns in GUB rows are skipped, as in the crash,
-        and so are the GUB columns' upper bounds.  When every lower bound is
-        0 and every GUB entry and right-hand side is nonnegative, L(u) is at
-        least ``max c^T x`` for every u >= 0.  The subgradient is
-        ``b_L - A_L x(u)``.  L is +inf when a column outside the GUB rows
-        has an infinite bound on its favoured side.
+        ``rhs_g`` to its best column at the prices ``cost + A_L^T u``
+        (``_best_columns``; a <= row's logical, at profit 0, is among the
+        candidates), and every column outside the GUB rows sits at the
+        bound its profit favours.  Fixed columns in GUB rows are skipped,
+        as in the crash, and so are the GUB columns' upper bounds.  When
+        every lower bound is 0 and every GUB entry and right-hand side is
+        nonnegative, L(u) is at least ``max c^T x`` for every u >= 0.  The
+        subgradient is ``b_L - A_L x(u)``.  L is +inf when a column outside
+        the GUB rows has an infinite bound on its favoured side.
         """
         blocks = self._blocks
         link = blocks.perm[blocks.gub_rows.size:]
         b_link = self.rhs[link]
-        cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
-        cand = cand[np.argsort(blocks.slot[cand], kind="stable")]
-        slot = blocks.slot[cand]
-        starts = np.flatnonzero(np.diff(slot, prepend=-1))
-        sizes = np.diff(starts, append=cand.size)
-        fill = self.rhs[blocks.gub_rows[slot]] / blocks.gval[cand]
+        best = self._best_columns(lower, upper)
         out = np.flatnonzero(blocks.slot < 0)
         out_lo, out_up = lower[out], upper[out]
         out_zero = np.clip(0.0, out_lo, out_up)
@@ -574,10 +646,8 @@ class SimplexEngine:
             x = np.zeros(self.n + self.m)
             p = price[out]
             x[out] = np.where(p < 0.0, out_up, np.where(p > 0.0, out_lo, out_zero))
-            unit = price[cand] / blocks.gval[cand]
-            hit = np.flatnonzero(unit == np.minimum.reduceat(unit, starts).repeat(sizes))
-            best = hit[np.searchsorted(hit, starts)]
-            x[cand[best]] = fill[best]
+            cols = best(price)
+            x[cols] = self.rhs[blocks.gub_rows[blocks.slot[cols]]] / blocks.gval[cols]
             value = float(u @ b_link - price @ x)
             return value, b_link - (self._aug @ x)[link]
 
@@ -672,19 +742,21 @@ class SimplexEngine:
             self._start = (key, factor, None)
         return self._start[1].fresh()
 
+    def _neg_d(self, factor, basis) -> np.ndarray:
+        """The phase-2 -d of a basis, as ``A^T y - c``: exactly ``-(c - A^T y)``."""
+        return self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+
     def _start_neg_d(self, factor, basis) -> np.ndarray:
         """-d of the starting basis.  It depends on the basis alone, not on
         the bounds, so it is kept with the basis's factor."""
         key, memo_factor, neg_d = self._start
         if neg_d is None:
-            neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+            neg_d = self._neg_d(factor, basis)
             self._start = (key, memo_factor, neg_d)
         return neg_d
 
     def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
-        xn = self._nonbasic_values(vstat, lower, upper)
-        xn[basis] = 0.0
-        return factor.ftran(self.rhs - self._aug @ xn)
+        return factor.ftran(self.rhs - self._aug @ self._nonbasic_values(vstat, lower, upper))
 
     # -- main ----------------------------------------------------------
 
@@ -700,8 +772,9 @@ class SimplexEngine:
         ``bounds`` maps column positions or names to (lower, upper)
         overrides applied on top of the model bounds; fixing a column
         means lower == upper.  ``warm`` is the ``basis`` of an earlier
-        solution of this engine; a token of the wrong length or with a
-        singular basis falls back to the cold start: the crash basis
+        solution of this engine; a token of the wrong length, with a
+        basic count other than the number of rows, or with a singular
+        basis falls back to the cold start: the crash basis
         under ``bounds``, or, when that is singular, the all-logical
         basis.  A warm or crash basis that is dual feasible under
         ``bounds`` is re-solved with dual simplex steps first.  On a model
@@ -747,47 +820,32 @@ class SimplexEngine:
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._start_factor(basis)
             dual_start = self._blocks.gub_rows.size > 0
-        if factor is None:
+        if factor is None:  # _SolveState factorizes the all-logical basis
             dual_start = False
             vstat = self._cold_vstat(lower, upper)
             basis = np.flatnonzero(vstat == BASIC)
-            factor = self._factorize(basis)
-        basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
 
         if max_iterations is None:
             max_iterations = 100 * (n + m) + 10_000
-
-        free_var = ~np.isfinite(lower) & ~np.isfinite(upper)
-        free_cols = np.flatnonzero(free_var)
-        # Pricing direction: +1 at lower, -1 at upper, 0 when basic, fixed
-        # or free (free columns are priced by |d| below).  Only the
-        # entering and the leaving variable change it.
-        dirn = np.where(vstat == AT_LOWER, 1.0, -1.0)
-        dirn[(vstat == BASIC) | ~(upper > lower) | free_var] = 0.0
-        lb_b = lower[basis]
-        ub_b = upper[basis]
-        iterations = 0
+        st = _SolveState(self, lower, upper, vstat, basis, factor, max_iterations, deadline)
+        dirn, lb_b, ub_b, free_var = st.dirn, st.lb_b, st.ub_b, st.free_var
         status = None
         priced = None  # the factor, eta count and masks of the last pricing
         if dual_start:
-            status, factor, basic_val, iterations, neg_d = self._dual_phase(
-                factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
-                free_cols, max_iterations, deadline,
-            )
+            status, _, neg_d = self._dual_phase(st)
             if neg_d is not None:
                 # The phase-2 pricing of the basis the dual phase hands
                 # over: the primal loop takes it as its own in phase 2.
-                priced = (factor, len(factor.etas), bytes(m), bytes(m))
+                priced = (st.factor, len(st.factor.etas), bytes(m), bytes(m))
         degen_streak = 0
         bland = False
         stall_x = None  # the final stall's nonbasic values
 
         while status is None:
-            if iterations >= max_iterations or (
-                deadline is not None and time.perf_counter() >= deadline
-            ):
+            if st.limit_reached():
                 status = ITERATION_LIMIT
                 break
+            factor, basic_val = st.factor, st.basic_val
 
             viol_low = basic_val < lb_b - self.feas_tol
             viol_high = basic_val > ub_b + self.feas_tol
@@ -807,19 +865,16 @@ class SimplexEngine:
                     neg_d = self._aug_t @ factor.btran(c_b)
                     neg_d[basis] -= c_b
                 else:
-                    neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+                    neg_d = self._neg_d(factor, basis)
 
             # score equals |d| on every eligible column, bit for bit, and
             # is <= opt_tol elsewhere: the same argmax and first eligible
             # index as masking the eligible columns.
             score = dirn * neg_d
-            if free_cols.size:
-                free_nb = free_cols[vstat[free_cols] != BASIC]
+            if st.free_cols.size:
+                free_nb = st.free_cols[vstat[st.free_cols] != BASIC]
                 score[free_nb] = np.abs(neg_d[free_nb])
-            if bland:
-                j = int(np.argmax(score > self.opt_tol))
-            else:
-                j = int(np.argmax(score))
+            j = int(np.argmax(score > self.opt_tol if bland else score))
             if not score[j] > self.opt_tol:
                 # The stall stands when x meets the rows (A x = rhs) and d
                 # prices the basic columns at zero (B^T y = c_B).  When the
@@ -832,8 +887,7 @@ class SimplexEngine:
                     np.max(np.abs(resid), initial=0.0) > self.feas_tol
                     or np.max(np.abs(neg_d[basis]), initial=0.0) > self.opt_tol
                 ):
-                    factor = self._factorize(basis)
-                    basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
+                    st.refactor()
                     continue
                 # One step of iterative refinement: an ftran, no
                 # factorization.  x takes the refined basic values below.
@@ -846,10 +900,8 @@ class SimplexEngine:
                 stall_x = x
                 break
 
-            if free_var[j]:
-                sigma = 1.0 if neg_d[j] > 0 else -1.0
-            else:
-                sigma = 1.0 if vstat[j] == AT_LOWER else -1.0
+            # +1 up from a lower bound, -1 down from an upper one
+            sigma = (1.0 if neg_d[j] > 0 else -1.0) if free_var[j] else dirn[j]
             w = factor.ftran(self._column(j))
             # The ratio test runs over the nonzeros of w only: every other
             # basic variable keeps its value.  A handful of entries, so it
@@ -880,22 +932,18 @@ class SimplexEngine:
 
             flip_range = upper[j] - lower[j]
             t_pivot = min(ratios, default=math.inf)
-            if flip_range <= t_pivot:
-                if not np.isfinite(flip_range):
-                    if in_phase1:
-                        raise RuntimeError("phase-1 direction unblocked; numerical failure")
-                    status = UNBOUNDED
-                    break
+            flip = flip_range <= t_pivot
+            if not math.isfinite(flip_range if flip else t_pivot):
+                if in_phase1:
+                    raise RuntimeError("phase-1 direction unblocked; numerical failure")
+                status = UNBOUNDED
+                break
+            if flip:
                 basic_val[idx] -= flip_range * rate
                 vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
                 dirn[j] = -dirn[j]
                 step = flip_range
             else:
-                if not math.isfinite(t_pivot):
-                    if in_phase1:
-                        raise RuntimeError("phase-1 direction unblocked; numerical failure")
-                    status = UNBOUNDED
-                    break
                 tie = t_pivot + _TIE_TOL
                 cand = [k for k, t in enumerate(ratios) if t <= tie]
                 if not bland:
@@ -904,47 +952,18 @@ class SimplexEngine:
                 k = min(cand, key=lambda k: basis[idx[k]])
                 pos = int(idx[k])
                 step = ratios[k]
-
-                leaving = int(basis[pos])
                 if rates[k] > 0:
                     side = AT_UPPER if viol_high[pos] else AT_LOWER
                 else:
                     side = AT_LOWER if viol_low[pos] else AT_UPPER
+                st.pivot(j, pos, sigma * step, w, idx, side)
 
-                if free_var[j]:
-                    enter_from = 0.0
-                elif vstat[j] == AT_LOWER:
-                    enter_from = lower[j] if np.isfinite(lower[j]) else 0.0
-                else:
-                    enter_from = upper[j]
-
-                basic_val[idx] -= step * rate
-                basic_val[pos] = enter_from + sigma * step
-                vstat[leaving] = side
-                vstat[j] = BASIC
-                movable = upper[leaving] > lower[leaving]
-                dirn[leaving] = (1.0 if side == AT_LOWER else -1.0) if movable else 0.0
-                dirn[j] = 0.0
-                basis[pos] = j
-                lb_b[pos] = lower[j]
-                ub_b[pos] = upper[j]
-                factor.update(pos, w, idx)
-
-            if step <= _TIE_TOL:
-                degen_streak += 1
-                if degen_streak >= BLAND_AFTER:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
-
-            iterations += 1
-            if len(factor.etas) >= _REFACTOR_EVERY:
-                factor = self._factorize(basis)
-                basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
+            degen_streak = degen_streak + 1 if step <= _TIE_TOL else 0
+            bland = degen_streak >= BLAND_AFTER
+            st.iterations += 1
 
         x = self._nonbasic_values(vstat, lower, upper) if stall_x is None else stall_x
-        x[basis] = basic_val
+        x[basis] = st.basic_val
         primal = x[:n]
         reduced = None
         if status == OPTIMAL:
@@ -956,49 +975,45 @@ class SimplexEngine:
             objective=float(self._obj @ primal) if status != INFEASIBLE else math.nan,
             primal=tuple(primal.tolist()),
             reduced_costs=reduced,
-            iterations=iterations,
+            iterations=st.iterations,
             basis=vstat.tobytes(),
         )
 
-    def _dual_phase(
-        self, factor, basis, vstat, dirn, basic_val, lb_b, ub_b, lower, upper,
-        free_cols, max_iterations, deadline,
-    ):
+    def _dual_phase(self, st: _SolveState) -> _DualEnd:
         """Bounded dual simplex from the start basis, while it is dual
         feasible.
 
-        Updates ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` in
-        place and returns ``(status, factor, basic_val, iterations,
-        neg_d)``.  ``neg_d`` is the -d of the final basis, the start's
-        updated from each pivot row, or None when a pivot's entry from the
-        row (btran) and from the column (ftran) disagreed since it was
-        last computed afresh: then the factor has drifted, and the d is
-        not to be believed.  A status of None hands the basis to the
-        primal loop: the basis is primal feasible, or it was never dual
-        feasible, or the dual steps stalled, or a row's violation did not
-        survive recomputation, or rounding wiped out a pivot.
+        Pivots ``st`` in place.  The result's ``neg_d`` is the -d of the
+        final basis, the start's updated from each pivot row, or None when
+        a pivot's entry from the row (btran) and from the column (ftran)
+        disagreed since it was last computed afresh: then the factor has
+        drifted, and the d is not to be believed.  A status of None hands
+        the basis to the primal loop: the basis is primal feasible, or it
+        was never dual feasible, or the dual steps stalled, or a row's
+        violation did not survive recomputation, or rounding wiped out a
+        pivot.
         """
-        neg_d = self._start_neg_d(factor, basis)
+        basis, vstat, dirn, lb_b, ub_b = st.basis, st.vstat, st.dirn, st.lb_b, st.ub_b
+        free_cols = st.free_cols
+        neg_d = self._start_neg_d(st.factor, basis)
         free_nb = free_cols[vstat[free_cols] != BASIC]
         if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
             np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
         ):
-            return None, factor, basic_val, 0, neg_d
+            return _DualEnd(None, 0, neg_d)
         neg_d = neg_d.copy()
         agreed = True
         status = None
-        iterations = 0
         degen_streak = 0
         while True:
+            factor, basic_val = st.factor, st.basic_val
             below = lb_b - basic_val
             above = basic_val - ub_b
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if not viol[r] > self.feas_tol:
                 break
-            if iterations >= max_iterations or (
-                deadline is not None and time.perf_counter() >= deadline
-            ):
+            if st.limit_reached():
                 status = ITERATION_LIMIT
                 break
 
@@ -1018,8 +1033,7 @@ class SimplexEngine:
             if not cand.size:
                 # No column can repair row r: it is infeasible unless its
                 # violation, recomputed from the rows, is within tolerance.
-                xn = self._nonbasic_values(vstat, lower, upper)
-                xn[basis] = 0.0
+                xn = self._nonbasic_values(vstat, st.lower, st.upper)
                 x_r = float(rho @ (self.rhs - self._aug @ xn))
                 if max(lb_b[r] - x_r, x_r - ub_b[r]) > self.feas_tol:
                     status = INFEASIBLE
@@ -1040,37 +1054,16 @@ class SimplexEngine:
             if not abs(w_r) > _PIVOT_TOL:
                 break  # rounding wiped the pivot out: the primal loop goes on
             agreed = agreed and abs(w_r - a_c.item(k)) <= _AGREE_TOL * abs(w_r)
-            leaving = int(basis[r])
-            if vstat[q] == AT_UPPER:
-                enter_from = upper[q]
-            else:
-                enter_from = lower[q] if np.isfinite(lower[q]) else 0.0
-            step = (basic_val[r] - (lb_b[r] if s > 0 else ub_b[r])) / w_r
-            idx = np.flatnonzero(w)
-            basic_val[idx] -= step * w[idx]
-            basic_val[r] = enter_from + step
+            theta = (basic_val[r] - (lb_b[r] if s > 0 else ub_b[r])) / w_r
             neg_d -= (t * s) * alpha
             neg_d[q] = 0.0
-
-            vstat[leaving] = AT_LOWER if s > 0 else AT_UPPER
-            movable = upper[leaving] > lower[leaving]
-            dirn[leaving] = s if movable else 0.0
-            vstat[q] = BASIC
-            dirn[q] = 0.0
-            basis[r] = q
-            lb_b[r] = lower[q]
-            ub_b[r] = upper[q]
-            factor.update(r, w, idx)
-            iterations += 1
-
-            if len(factor.etas) >= _REFACTOR_EVERY:
-                factor = self._factorize(basis)
-                basic_val = self._recompute_basics(factor, basis, vstat, lower, upper)
-                neg_d = self._aug_t @ factor.btran(self.cost[basis]) - self.cost
+            st.iterations += 1
+            if st.pivot(q, r, theta, w, np.flatnonzero(w), AT_LOWER if s > 0 else AT_UPPER):
+                neg_d = self._neg_d(st.factor, basis)
                 agreed = True
             # Dual degenerate steps leave the dual objective where it was;
             # a run of them goes to the primal loop and its anti-cycling.
             degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
             if degen_streak >= BLAND_AFTER:
                 break
-        return status, factor, basic_val, iterations, neg_d if agreed else None
+        return _DualEnd(status, st.iterations, neg_d if agreed else None)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 import time
 
 import pytest
@@ -442,7 +444,8 @@ class TestBranchAndBound:
     @staticmethod
     def _tree_iterations() -> int:
         """LP iterations of the TREE_PARAMS search under --prove, checking
-        its node count and objective on the way."""
+        its node count, its objective and every node LP bit for bit on the
+        way."""
         model = build_model(generate_instance(TREE_PARAMS))
         proxy = SolveOnlyEngine(model)
         report, _ = branch_and_bound(
@@ -450,6 +453,18 @@ class TestBranchAndBound:
         )
         assert report.nodes == 451
         assert repr(report.incumbent_objective) == "4537.616622180575"
+        digest = hashlib.sha256()
+        for _, _, sol in proxy.log:
+            digest.update(sol.status.encode())
+            digest.update(struct.pack("<d", sol.objective))
+            digest.update(struct.pack(f"<{len(sol.primal)}d", *sol.primal))
+            if sol.reduced_costs is not None:
+                digest.update(struct.pack(f"<{len(sol.reduced_costs)}d", *sol.reduced_costs))
+            digest.update(struct.pack("<q", sol.iterations))
+            digest.update(sol.basis)
+        assert digest.hexdigest() == (
+            "f2521599c6c81f77a4570ddc9bc19f19f2f8a2b35a91b02eade5545adb3d56bf"
+        )
         return sum(sol.iterations for _, _, sol in proxy.log)
 
     def test_tree_factorizations_pinned(self, monkeypatch):

@@ -290,7 +290,7 @@ def dual_log(monkeypatch):
 
     def recorded(self, *args):
         out = dual_phase(self, *args)
-        log.append((out[0], out[3]))
+        log.append((out.status, out.iterations))
         return out
 
     monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
@@ -1067,7 +1067,7 @@ class TestCrash:
 
         def recorded(self, *args):
             out = dual_phase(self, *args)
-            handed.append(out[4])
+            handed.append(out.neg_d)
             return out
 
         monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
@@ -1208,7 +1208,8 @@ class TestLagrangianEstimate:
         assert len(estimates) == 1 and estimates[0] is not None
         value, _ = engine._lagrangian(engine.base_lower, engine.base_upper)(estimates[0])
         assert root.objective <= value <= root.objective + simplex._ESTIMATE_GAP * abs(value)
-        assert root.iterations < 500  # 2 485 from the u = 0 crash
+        assert root.iterations == 233  # 2 485 from the u = 0 crash
+        assert repr(root.objective) == "424328.3922488976"
 
     def test_gated_models_agree_with_scipy(self, estimates):
         for seed in range(5):
