@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from .model import (
     BidLevelData,
     Business,
@@ -149,9 +151,7 @@ def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
     read reproduces the model exactly.
     """
     for nm in (
-        [name]
-        + [c.name for c in model.columns]
-        + [r.name for r in model.rows]
+        [name, *model.column_names, *model.row_names]
         + [s.name for s in model.sos_sets]
     ):
         if not nm or any(ch.isspace() for ch in nm):
@@ -162,48 +162,52 @@ def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
     out.append(f"NAME          {name}")
     out.append("ROWS")
     out.append(" N  COST")
-    for row in model.rows:
-        out.append(f" {row.sense}  {row.name}")
+    for row_name, sense in zip(model.row_names, model.senses):
+        out.append(f" {sense}  {row_name}")
 
-    per_col: list[list[tuple[str, float]]] = [[] for _ in model.columns]
-    for row in model.rows:
-        for j, val in row.coeffs:
-            per_col[j].append((row.name, val))
+    # Column-major: a stable sort by column keeps each column's entries
+    # in row order.
+    n = len(model.column_names)
+    by_col = model.indices.argsort(kind="stable")
+    entry_row = np.arange(len(model.row_names)).repeat(np.diff(model.indptr))[by_col].tolist()
+    values = model.data[by_col].tolist()
+    starts = np.searchsorted(model.indices[by_col], np.arange(n + 1)).tolist()
 
     out.append("COLUMNS")
-    for col, entries in zip(model.columns, per_col):
-        if col.objective != 0.0 or not entries:
-            out.append(f"    {_pad(col.name)}{_pad('COST')}{_num(col.objective)}")
-        for row_name, val in entries:
-            out.append(f"    {_pad(col.name)}{_pad(row_name)}{_num(val)}")
+    for col_name, obj, lo, hi in zip(
+        model.column_names, model.objective.tolist(), starts, starts[1:]
+    ):
+        if obj != 0.0 or lo == hi:
+            out.append(f"    {_pad(col_name)}{_pad('COST')}{_num(obj)}")
+        for i, val in zip(entry_row[lo:hi], values[lo:hi]):
+            out.append(f"    {_pad(col_name)}{_pad(model.row_names[i])}{_num(val)}")
 
     out.append("RHS")
-    for row in model.rows:
-        if row.rhs != 0.0:
-            out.append(f"    {_pad('RHS')}{_pad(row.name)}{_num(row.rhs)}")
+    for row_name, rhs in zip(model.row_names, model.rhs.tolist()):
+        if rhs != 0.0:
+            out.append(f"    {_pad('RHS')}{_pad(row_name)}{_num(rhs)}")
 
     out.append("BOUNDS")
-    for col in model.columns:
-        lo, hi = col.lower, col.upper
+    for col_name, lo, hi in zip(model.column_names, model.lower.tolist(), model.upper.tolist()):
         if lo == hi:
-            out.append(f" FX {_pad('BND')}{_pad(col.name)}{_num(lo)}")
+            out.append(f" FX {_pad('BND')}{_pad(col_name)}{_num(lo)}")
             continue
         if lo == -math.inf and hi == math.inf:
-            out.append(f" FR {_pad('BND')}{_pad(col.name)}")
+            out.append(f" FR {_pad('BND')}{_pad(col_name)}")
             continue
         if lo == -math.inf:
-            out.append(f" MI {_pad('BND')}{_pad(col.name)}")
+            out.append(f" MI {_pad('BND')}{_pad(col_name)}")
         elif lo != 0.0:
-            out.append(f" LO {_pad('BND')}{_pad(col.name)}{_num(lo)}")
+            out.append(f" LO {_pad('BND')}{_pad(col_name)}{_num(lo)}")
         if hi != math.inf:
-            out.append(f" UP {_pad('BND')}{_pad(col.name)}{_num(hi)}")
+            out.append(f" UP {_pad('BND')}{_pad(col_name)}{_num(hi)}")
 
     if model.sos_sets:
         out.append("SOS")
         for sos in model.sos_sets:
             out.append(f" S{sos.sos_type} {sos.name}")
             for j, w in zip(sos.members, sos.weights):
-                out.append(f"    {_pad(model.columns[j].name)}{_num(w)}")
+                out.append(f"    {_pad(model.column_names[j])}{_num(w)}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -403,16 +407,22 @@ def read_mps(text: str) -> LpModel:
         )
         for s in sos_raw
     )
-    return LpModel(columns=columns, rows=rows, sos_sets=sos_sets, maximize=maximize)
+    return LpModel.from_tuples(columns, rows, sos_sets, maximize)
 
 
 def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
-    """Equality on columns, rows, sense, and SOS structure; level-bid
-    metadata (absent from MPS) is ignored."""
-    strip = lambda m: replace(
-        m, sos_sets=tuple(replace(s, bids=None) for s in m.sos_sets)
+    """Equality on names, senses, every array, the objective sense and
+    the SOS structure; level-bid metadata (absent from MPS) is ignored."""
+    strip = lambda m: tuple(replace(s, bids=None) for s in m.sos_sets)
+    return (
+        (a.column_names, a.row_names, a.senses, a.maximize)
+        == (b.column_names, b.row_names, b.senses, b.maximize)
+        and all(
+            np.array_equal(getattr(a, f), getattr(b, f))
+            for f in ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
+        )
+        and strip(a) == strip(b)
     )
-    return strip(a) == strip(b)
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +439,38 @@ def model_to_instance(model: LpModel) -> Instance:
     click coefficients can differ from the originals in the last few
     bits.  Level bids are not stored in MPS and come back as None.
     """
-    rows_by_name = {r.name: r for r in model.rows}
+    row_at = {name: i for i, name in enumerate(model.row_names)}
+    ptr, idx, val = model.indptr.tolist(), model.indices.tolist(), model.data.tolist()
+    rhs = model.rhs.tolist()
+
+    def entries(i: int):
+        return zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]])
+
     campaigns_meta: list[dict] = []
     for sos in model.sos_sets:
         cid = sos.name[2:] if sos.name.startswith("S_") else sos.name
-        cvx = rows_by_name.get(f"CVX_{cid}")
-        if cvx is None or tuple(j for j, _ in cvx.coeffs) != sos.members:
+        cvx = row_at.get(f"CVX_{cid}")
+        if cvx is None or tuple(idx[ptr[cvx]:ptr[cvx + 1]]) != sos.members:
             raise ValueError(f"set {sos.name}: no matching convexity row CVX_{cid}")
         campaigns_meta.append({"cid": cid, "members": sos.members, "weights": sos.weights})
 
-    imp = rows_by_name.get("IMP")
+    imp = row_at.get("IMP")
     if imp is None:
         raise ValueError("model has no IMP row")
-    impressions = {j: v for j, v in imp.coeffs}
+    impressions = dict(entries(imp))
 
-    business_ids = [
-        r.name[4:] for r in model.rows if r.name.startswith("BUD_")
-    ]
+    business_ids = [name[4:] for name in model.row_names if name.startswith("BUD_")]
     member_business: dict[int, str] = {}
     spend: dict[int, float] = {}
     click: dict[int, float] = {}
     for bid_ in business_ids:
-        bud = rows_by_name[f"BUD_{bid_}"]
-        clk = rows_by_name.get(f"CLK_{bid_}")
+        clk = row_at.get(f"CLK_{bid_}")
         if clk is None:
             raise ValueError(f"business {bid_}: BUD row without CLK row")
-        for j, v in bud.coeffs:
+        for j, v in entries(row_at[f"BUD_{bid_}"]):
             member_business[j] = bid_
             spend[j] = v
-        for j, v in clk.coeffs:
+        for j, v in entries(clk):
             click[j] = v
 
     # cpc*ctr per campaign from spend - click = P * cpc * ctr
@@ -485,7 +498,7 @@ def model_to_instance(model: LpModel) -> Instance:
         businesses.append(
             Business(
                 id=bid_,
-                budget=rows_by_name[f"BUD_{bid_}"].rhs,
+                budget=rhs[row_at[f"BUD_{bid_}"]],
                 cpc=cpc,
                 campaign_ids=tuple(
                     m["cid"] for m in campaigns_meta if camp_business[m["cid"]] == bid_
@@ -494,6 +507,7 @@ def model_to_instance(model: LpModel) -> Instance:
         )
     cpc_of = {b.id: b.cpc for b in businesses}
 
+    objective = model.objective.tolist()
     campaigns = []
     for meta in campaigns_meta:
         cid = meta["cid"]
@@ -506,7 +520,7 @@ def model_to_instance(model: LpModel) -> Instance:
             levels.append(
                 BidLevelData(
                     level_index=int(meta["weights"][pos]),
-                    ret=model.columns[j].objective,
+                    ret=objective[j],
                     ad_value=av,
                     impressions=p,
                 )
@@ -519,7 +533,7 @@ def model_to_instance(model: LpModel) -> Instance:
     return Instance(
         businesses=tuple(businesses),
         campaigns=tuple(campaigns),
-        impression_budget=imp.rhs,
+        impression_budget=rhs[imp],
     )
 
 
@@ -552,9 +566,9 @@ def write_solution(
         f"NODES {report.nodes}",
     ]
     if solution is not None:
-        for col, v in zip(model.columns, solution):
+        for name, v in zip(model.column_names, solution):
             if abs(v) >= 5e-13:
-                lines.append(f"COLUMN {col.name} {v:.12f}")
+                lines.append(f"COLUMN {name} {v:.12f}")
         for sos in model.sos_sets:
             bid = interpolate_bid(sos, solution, zero_tol)
             if bid is not None:

@@ -17,12 +17,23 @@ all-zero "do nothing" slack, so a campaign can opt out of bidding.
 * one global impression row,
 * one special ordered set per campaign with reference weights equal to
   the level indices.
+
+The LP is an ``LpModel`` held as arrays, the layout LP solvers work on:
+names, the objective and bound vectors, row senses and right-hand
+sides, and the matrix in CSR (compressed sparse rows).  The simplex
+engine and the file writers read these arrays as they are.  Per-column
+``LpColumn`` and per-row ``LpRow`` tuples are a view built on first use,
+and the input of ``LpModel.from_tuples``, through which ``read_mps``
+and hand-written models come in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class LpColumn:
+    """One column, as ``LpModel.columns`` lists it."""
+
     name: str
     objective: float
     lower: float
@@ -73,8 +86,9 @@ class LpColumn:
 
 @dataclass(frozen=True)
 class LpRow:
-    """Sparse row.  ``sense`` is "L" (<=) or "E" (=); coefficients are
-    (column position, value) pairs in column order."""
+    """One row, as ``LpModel.rows`` lists it.  ``sense`` is "L" (<=) or
+    "E" (=); coefficients are (column position, value) pairs in their
+    stored order."""
 
     name: str
     sense: str
@@ -98,21 +112,89 @@ class SosSet:
     bids: tuple[float | None, ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpModel:
-    columns: tuple[LpColumn, ...]
-    rows: tuple[LpRow, ...]
-    sos_sets: tuple[SosSet, ...]
+    """An LP with SOS sets, held as names and read-only numpy arrays.
+
+    Columns are ``column_names`` with the float arrays ``objective``,
+    ``lower`` and ``upper``.  Rows are ``row_names``, ``senses`` (one
+    character per row: "L" for <=, "E" for =) and the float array
+    ``rhs``.  The matrix is CSR: row i's entries are positions
+    ``indptr[i]:indptr[i + 1]`` of ``indices`` (column positions) and
+    ``data``, every stored entry kept in its given order, explicit zeros
+    and repeated columns included (the engine sums repeats).
+
+    ``columns`` and ``rows`` show the same model as ``LpColumn`` and
+    ``LpRow`` tuples, built on first use, and ``from_tuples`` builds a
+    model from such tuples.  ``column_index`` maps each column name to
+    its position.  Models compare by identity;
+    ``fileio.models_structurally_equal`` compares their contents.
+    """
+
+    column_names: tuple[str, ...]
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row_names: tuple[str, ...]
+    senses: str
+    rhs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sos_sets: tuple[SosSet, ...] = ()
     maximize: bool = True
-    column_index: dict[str, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.column_index:
-            object.__setattr__(
-                self,
-                "column_index",
-                {c.name: j for j, c in enumerate(self.columns)},
+        for a in (self.objective, self.lower, self.upper, self.rhs,
+                  self.indptr, self.indices, self.data):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_tuples(
+        cls,
+        columns: tuple[LpColumn, ...],
+        rows: tuple[LpRow, ...],
+        sos_sets: tuple[SosSet, ...] = (),
+        maximize: bool = True,
+    ) -> LpModel:
+        """The model whose ``columns`` and ``rows`` are these."""
+        indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
+        entries = [e for r in rows for e in r.coeffs]
+        return cls(
+            tuple(c.name for c in columns),
+            np.array([c.objective for c in columns], float),
+            np.array([c.lower for c in columns], float),
+            np.array([c.upper for c in columns], float),
+            tuple(r.name for r in rows),
+            "".join(r.sense for r in rows),
+            np.array([r.rhs for r in rows], float),
+            indptr,
+            np.array([j for j, _ in entries], np.intp),
+            np.array([v for _, v in entries], float),
+            tuple(sos_sets),
+            maximize,
+        )
+
+    @cached_property
+    def columns(self) -> tuple[LpColumn, ...]:
+        return tuple(map(
+            LpColumn, self.column_names, self.objective.tolist(),
+            self.lower.tolist(), self.upper.tolist(),
+        ))
+
+    @cached_property
+    def rows(self) -> tuple[LpRow, ...]:
+        ptr, idx, val = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return tuple(
+            LpRow(name, sense, rhs, tuple(zip(idx[a:b], val[a:b])))
+            for name, sense, rhs, a, b in zip(
+                self.row_names, self.senses, self.rhs.tolist(), ptr, ptr[1:]
             )
+        )
+
+    @cached_property
+    def column_index(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.column_names)}
 
 
 def _check_amount(problems: list[str], where: str, name: str, value: float) -> None:
@@ -169,11 +251,21 @@ def validate_instance(instance: Instance) -> list[str]:
         if lev0.ret != 0.0 or lev0.ad_value != 0.0 or lev0.impressions != 0.0:
             problems.append(f"campaign {c.id}: slack level must be all-zero")
         for lev in c.levels:
+            # One test for a sound level; a level that fails it is
+            # checked again amount by amount for its messages.
+            bid = lev.bid
+            if (
+                0.0 <= lev.ret < math.inf
+                and 0.0 <= lev.ad_value < math.inf
+                and 0.0 <= lev.impressions < math.inf
+                and (bid is None or -math.inf < bid < math.inf)
+            ):
+                continue
             where = f"campaign {c.id} level {lev.level_index}"
             _check_amount(problems, where, "ret", lev.ret)
             _check_amount(problems, where, "ad_value", lev.ad_value)
             _check_amount(problems, where, "impressions", lev.impressions)
-            if lev.bid is not None and not math.isfinite(lev.bid):
+            if bid is not None and not math.isfinite(bid):
                 problems.append(f"{where}: bid must be finite")
 
     for b in instance.businesses:
@@ -186,63 +278,81 @@ def validate_instance(instance: Instance) -> list[str]:
 
 
 def build_model(instance: Instance) -> LpModel:
-    """Expand a validated Instance into the LP/SOS matrix."""
+    """Expand a validated Instance into the LP/SOS matrix.
+
+    One pass over the levels gathers their names and amounts; the rows'
+    entries are then laid out with numpy, each row's in column order."""
     problems = validate_instance(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
-    columns: list[LpColumn] = []
-    col_of: dict[tuple[str, int], int] = {}
-    for c in instance.campaigns:
+    campaigns, businesses = instance.campaigns, instance.businesses
+    names = []
+    amounts = []
+    for c in campaigns:
         for lev in c.levels:
-            col_of[(c.id, lev.level_index)] = len(columns)
-            columns.append(
-                LpColumn(
-                    name=f"D_{c.id}_{lev.level_index}",
-                    objective=lev.ret,
-                    lower=0.0,
-                    upper=1.0,
-                )
-            )
-
-    rows: list[LpRow] = []
-    for c in instance.campaigns:
-        coeffs = tuple((col_of[(c.id, lev.level_index)], 1.0) for lev in c.levels)
-        rows.append(LpRow(name=f"CVX_{c.id}", sense="E", rhs=1.0, coeffs=coeffs))
-
-    campaigns_of = {b.id: [c for c in instance.campaigns if c.business_id == b.id]
-                    for b in instance.businesses}
-    for b in instance.businesses:
-        bud: list[tuple[int, float]] = []
-        clk: list[tuple[int, float]] = []
-        for c in campaigns_of[b.id]:
-            for lev in c.levels:
-                j = col_of[(c.id, lev.level_index)]
-                bud.append((j, lev.impressions * lev.ad_value))
-                clk.append((j, lev.impressions * (lev.ad_value - b.cpc * c.ctr)))
-        bud.sort()
-        clk.sort()
-        rows.append(LpRow(name=f"BUD_{b.id}", sense="L", rhs=b.budget, coeffs=tuple(bud)))
-        rows.append(LpRow(name=f"CLK_{b.id}", sense="L", rhs=0.0, coeffs=tuple(clk)))
-
-    imp = tuple(
-        (col_of[(c.id, lev.level_index)], lev.impressions)
-        for c in instance.campaigns
-        for lev in c.levels
+            names.append(f"D_{c.id}_{lev.level_index}")
+            amounts.append((lev.ret, lev.ad_value, lev.impressions))
+    n, nc, nb = len(names), len(campaigns), len(businesses)
+    m = nc + 2 * nb + 1
+    ret, ad_value, impressions = np.array(amounts, float).reshape(n, 3).T.copy()
+    sizes = np.array([len(c.levels) for c in campaigns], np.intp)
+    business_of = {b.id: k for k, b in enumerate(businesses)}
+    owner = np.array([business_of[c.business_id] for c in campaigns], np.intp)
+    cpc_ctr = np.array([b.cpc for b in businesses], float)[owner] * np.array(
+        [c.ctr for c in campaigns], float
     )
-    rows.append(
-        LpRow(name="IMP", sense="L", rhs=instance.impression_budget, coeffs=imp)
-    )
+    col_owner = owner.repeat(sizes)
+
+    # Row of each entry: CVX per campaign, then BUD and CLK per business,
+    # then IMP.  Each of the four blocks lists every column once, in order
+    # (entry k is column k mod n), and the stable sort by row keeps that
+    # order within each row.
+    entry_row = np.concatenate((
+        np.arange(nc).repeat(sizes),
+        nc + 2 * col_owner,
+        nc + 1 + 2 * col_owner,
+        np.full(n, m - 1),
+    ))
+    entry_val = np.concatenate((
+        np.ones(n),
+        impressions * ad_value,
+        impressions * (ad_value - cpc_ctr.repeat(sizes)),
+        impressions,
+    ))
+    order = entry_row.argsort(kind="stable")
+    indptr = np.zeros(m + 1, np.intp)
+    np.cumsum(np.bincount(entry_row, minlength=m), out=indptr[1:])
+
+    row_names = [f"CVX_{c.id}" for c in campaigns]
+    rhs = [1.0] * nc
+    for b in businesses:
+        row_names += (f"BUD_{b.id}", f"CLK_{b.id}")
+        rhs += (b.budget, 0.0)
+    row_names.append("IMP")
+    rhs.append(instance.impression_budget)
 
     sos_sets = tuple(
         SosSet(
             name=f"S_{c.id}",
             sos_type=1,
-            members=tuple(col_of[(c.id, lev.level_index)] for lev in c.levels),
+            members=tuple(range(first, first + len(c.levels))),
             weights=tuple(float(lev.level_index) for lev in c.levels),
             bids=tuple(lev.bid for lev in c.levels),
         )
-        for c in instance.campaigns
+        for c, first in zip(campaigns, (sizes.cumsum() - sizes).tolist())
     )
 
-    return LpModel(columns=tuple(columns), rows=tuple(rows), sos_sets=sos_sets)
+    return LpModel(
+        column_names=tuple(names),
+        objective=ret,
+        lower=np.zeros(n),
+        upper=np.ones(n),
+        row_names=tuple(row_names),
+        senses="E" * nc + "L" * (m - nc),
+        rhs=np.array(rhs, float),
+        indptr=indptr,
+        indices=order % n,
+        data=entry_val[order],
+        sos_sets=sos_sets,
+    )

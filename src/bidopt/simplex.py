@@ -123,7 +123,9 @@ basis.  The linking logicals stay basic, so y_L = 0 and the crash is in
 general not dual feasible: the primal loop solves from it.  An estimate
 that fails (L not finite, a master that does not end optimal, or no
 convergence within ``_ESTIMATE_ROUNDS`` rounds, as when the linking rows
-cannot be met) leaves the crash at u = 0.
+cannot be met) leaves the crash at u = 0.  Where L bounds the LP, linking
+rows that cannot be met end it sooner, once L falls below the lowest
+objective that any x meeting the GUB rows reaches.
 
 Maximization models are negated internally; the reported objective and
 reduced costs are in the model's own (maximization) sense, so
@@ -136,14 +138,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
-from .model import LpColumn, LpModel, LpRow
+from .model import LpModel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -249,15 +250,20 @@ def _gub_blocks(aug: scipy.sparse.csc_matrix) -> _Blocks:
 
     Stored zeros are not entries.  A lone GUB row would save one row of
     the LU at the price of a pivot chosen without looking at the other
-    rows, so a model without two disjoint rows gets none."""
+    rows, so a model without two disjoint rows gets none.  That is known
+    at once when a column has an entry in every one of two or more rows,
+    as the Lagrangian masters' t does."""
     m, ncols = aug.shape
     nz = aug.data != 0.0
     rows = aug.indices[nz]
     cols = np.arange(ncols).repeat(np.diff(aug.indptr))[nz]
     data = aug.data[nz]
-    is_gub = _disjoint_rows(rows, cols, m, ncols)
-    if np.count_nonzero(is_gub) < 2:
-        is_gub[:] = False
+    if m >= 2 and np.bincount(cols, minlength=ncols).max() == m:
+        is_gub = np.zeros(m, bool)
+    else:
+        is_gub = _disjoint_rows(rows, cols, m, ncols)
+        if np.count_nonzero(is_gub) < 2:
+            is_gub[:] = False
     gub_rows = is_gub.nonzero()[0]
     link_rows = (~is_gub).nonzero()[0]
     perm = np.concatenate((gub_rows, link_rows))
@@ -481,10 +487,11 @@ class _SolveState:
 class SimplexEngine:
     """Reusable solver context for one LpModel.
 
-    Construction does the sparse setup once; ``solve`` may then be
-    called many times with different bound overrides and warm starts
-    (the branch-and-bound driver does exactly that).  A context must
-    not be shared between threads during a solve.
+    Construction reads the model's arrays once into the row-scaled
+    ``[A I]``, in CSC and CSR; ``solve`` may then be called many times
+    with different bound overrides and warm starts (the branch-and-bound
+    driver does exactly that).  A context must not be shared between
+    threads during a solve.
     """
 
     def __init__(
@@ -497,27 +504,21 @@ class SimplexEngine:
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
 
-        n = len(model.columns)
-        m = len(model.rows)
+        n = model.objective.size
+        m = model.rhs.size
         self.n = n
         self.m = m
 
-        sizes = np.fromiter((len(r.coeffs) for r in model.rows), np.intp, m)
-        pairs = np.fromiter(
-            chain.from_iterable(chain.from_iterable(r.coeffs for r in model.rows)),
-            float,
-            2 * int(sizes.sum()),
-        )
-        cols = pairs[0::2].astype(np.intp)
+        cols = model.indices
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ValueError("row coefficient for a column that does not exist")
-        rows = np.repeat(np.arange(m), sizes)
+        rows = np.arange(m).repeat(np.diff(model.indptr))
         biggest = np.zeros(m)
-        np.maximum.at(biggest, rows, np.abs(pairs[1::2]))
+        np.maximum.at(biggest, rows, np.abs(model.data))
         scale = np.array(
             [2.0 ** (-round(math.log2(v))) if v > 0.0 else 1.0 for v in biggest.tolist()]
         )
-        vals = pairs[1::2] * scale[rows]
+        vals = model.data * scale[rows]
 
         # [A I] in CSC, rows ascending in each column, repeats summed
         order = np.lexsort((rows, cols))
@@ -535,18 +536,18 @@ class SimplexEngine:
         self._aug = scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, n + m))
         self._aug_t = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + m, m))
         self._blocks = _gub_blocks(self._aug)
-        self.rhs = np.fromiter((r.rhs for r in model.rows), float, m) * scale
+        self.rhs = model.rhs * scale
 
         sense_max = 1.0 if model.maximize else -1.0
-        self._obj = np.fromiter((c.objective for c in model.columns), float, n)
+        self._obj = model.objective
         self.cost = np.zeros(n + m)
         self.cost[:n] = -sense_max * self._obj
 
         self.base_lower = np.zeros(n + m)
         self.base_upper = np.zeros(n + m)
-        self.base_lower[:n] = [c.lower for c in model.columns]
-        self.base_upper[:n] = [c.upper for c in model.columns]
-        self.base_upper[n:] = [math.inf if r.sense == "L" else 0.0 for r in model.rows]
+        self.base_lower[:n] = model.lower
+        self.base_upper[:n] = model.upper
+        self.base_upper[n:] = [math.inf if s == "L" else 0.0 for s in model.senses]
 
         # The basic columns of the last nonsingular start, as bytes, their
         # factor and, once a dual phase asked for them, their -d (None
@@ -618,7 +619,8 @@ class SimplexEngine:
 
     def _lagrangian(self, lower, upper):
         """The Lagrangian dual function of the linking rows under the bounds
-        ``lower`` and ``upper``, as ``evaluate(u) -> (L(u), subgradient)``.
+        ``lower`` and ``upper``, as ``evaluate(u) -> (L(u), subgradient)``,
+        and its floor.
 
         In the maximization sense (profits c = -cost), with multipliers u
         on the linking rows, ``L(u) = u^T b_L + max (c - A_L^T u)^T x``
@@ -632,6 +634,11 @@ class SimplexEngine:
         nonnegative, L(u) is at least ``max c^T x`` for every u >= 0.  The
         subgradient is ``b_L - A_L x(u)``.  L is +inf when a column outside
         the GUB rows has an infinite bound on its favoured side.
+
+        Under those same conditions the floor is the lowest ``c^T x`` of
+        any x that meets the GUB rows and the bounds, the same pass at
+        the prices ``-cost``: an L(u) below it proves that no x meets the
+        linking rows.  Otherwise the floor is -inf.
         """
         blocks = self._blocks
         link = blocks.perm[blocks.gub_rows.size:]
@@ -641,17 +648,29 @@ class SimplexEngine:
         out_lo, out_up = lower[out], upper[out]
         out_zero = np.clip(0.0, out_lo, out_up)
 
-        def evaluate(u):
-            price = self._priced(u)
+        def argmax(price):
+            """The x that maximizes ``-price^T x`` as L does."""
             x = np.zeros(self.n + self.m)
             p = price[out]
             x[out] = np.where(p < 0.0, out_up, np.where(p > 0.0, out_lo, out_zero))
             cols = best(price)
             x[cols] = self.rhs[blocks.gub_rows[blocks.slot[cols]]] / blocks.gval[cols]
+            return x
+
+        def evaluate(u):
+            price = self._priced(u)
+            x = argmax(price)
             value = float(u @ b_link - price @ x)
             return value, b_link - (self._aug @ x)[link]
 
-        return evaluate
+        floor = -math.inf
+        if (
+            not lower.any()
+            and (blocks.gval >= 0.0).all()
+            and (self.rhs[blocks.gub_rows] >= 0.0).all()
+        ):
+            floor = float(-self.cost @ argmax(-self.cost))
+        return evaluate, floor
 
     def _estimate_duals(self, lower, upper, deadline) -> np.ndarray | None:
         """Multipliers u of the linking rows that nearly minimize L(u), or
@@ -668,42 +687,51 @@ class SimplexEngine:
         minimum over all u.  It fails when L is not finite, a master solve
         does not end ``OPTIMAL`` or raises, or ``_ESTIMATE_ROUNDS`` rounds
         pass: an unbounded dual, from linking rows the GUB rows cannot
-        meet, moves the centre without end.
+        meet, moves the centre without end.  Where L bounds the LP, such
+        a dual is caught sooner: the estimate fails once L at the centre
+        is below ``_lagrangian``'s floor by more than ``_ESTIMATE_GAP``
+        (relative), which no LP with a feasible point allows.
 
         The master is an LP in the step v = u - centre and the model's
         excess t over L at the centre: minimize t subject to one row
         ``g_k^T v - t <= L(centre) - L(u_k) - g_k^T (centre - u_k)`` per cut,
         with v in the box and u >= 0 on rows whose logical is unbounded.
-        It is solved by a nested engine, warm from the last master's
-        optimal basis plus the new row's logical: that basis stays dual
-        feasible, and the new cut cuts off its minimizer, so the dual
-        phase re-solves it.
+        Its matrix is the dense block of the cuts' subgradients beside a
+        column of -1s for t.  It is solved by a nested engine, warm from
+        the last master's optimal basis plus the new row's logical: that
+        basis stays dual feasible, and the new cut cuts off its minimizer,
+        so the dual phase re-solves it.
         """
-        evaluate = self._lagrangian(lower, upper)
+        evaluate, floor = self._lagrangian(lower, upper)
         link = self._blocks.perm[self._blocks.gub_rows.size:]
         l = link.size
         u_min = np.where(np.isinf(upper[self.n + link]), 0.0, -math.inf)
         u = centre = np.zeros(l)
         value, grad = evaluate(u)
         top = value
-        grads, intercepts, rows = [], [], []
+        grads, intercepts, cut_names = [], [], []
+        column_names = tuple(f"v{i}" for i in range(l)) + ("t",)
+        objective = np.append(np.zeros(l), 1.0)
         box = 1.0
         token = None
-        for _ in range(_ESTIMATE_ROUNDS):
+        for k in range(_ESTIMATE_ROUNDS):
             if not math.isfinite(value):
                 return None
             # the cut t >= L(u) + g^T (. - u) of the last evaluation
             grads.append(grad)
             intercepts.append(value - grad @ u)
-            rows.append(tuple(enumerate(grad.tolist())) + ((l, -1.0),))
-            excess = top - np.array(intercepts) - np.array(grads) @ centre
+            cut_names.append(f"cut{k}")
+            cuts = np.array(grads)
+            excess = top - np.array(intercepts) - cuts @ centre
             low = np.maximum(u_min - centre, -box)
-            columns = [LpColumn(f"v{i}", 0.0, lo, box) for i, lo in enumerate(low.tolist())]
-            columns.append(LpColumn("t", 1.0, -math.inf, math.inf))
-            cuts = [
-                LpRow(f"cut{k}", "L", e, r) for k, (e, r) in enumerate(zip(excess.tolist(), rows))
-            ]
-            master = LpModel(tuple(columns), tuple(cuts), (), maximize=False)
+            master = LpModel(
+                column_names, objective,
+                np.append(low, -math.inf), np.append(np.full(l, box), math.inf),
+                tuple(cut_names), "L" * (k + 1), excess,
+                np.arange(0, (k + 2) * (l + 1), l + 1), np.tile(np.arange(l + 1), k + 1),
+                np.column_stack((cuts, np.full(k + 1, -1.0))).ravel(),
+                maximize=False,
+            )
             try:
                 engine = SimplexEngine(master, self.feas_tol, self.opt_tol)
                 sol = engine.solve(warm=token, deadline=deadline)
@@ -723,6 +751,8 @@ class SimplexEngine:
             if value <= top - 0.1 * gap:
                 centre, top = u, value
                 box *= 2.0
+                if top < floor - _ESTIMATE_GAP * max(1.0, abs(floor)):
+                    return None  # below every GUB-feasible objective
         return None
 
     def _factorize(self, basis: np.ndarray) -> _Factor:

@@ -150,6 +150,33 @@ class TestMpsRead:
         model = build_model(inst)
         assert models_structurally_equal(read_mps(write_mps(model)), model)
 
+    def test_round_trip_keeps_zeros_and_repeats(self):
+        text = (
+            "ROWS\n N  COST\n E  g\n L  link\nCOLUMNS\n"
+            "    x  COST  2.0\n    x  g  1.0\n    x  g  0.5\n    x  link  0.0\n"
+            "    y  g  1.0\n    y  link  -3.0\nBOUNDS\n FR BND  y\nENDATA\n"
+        )
+        model = read_mps(text)
+        assert model.rows[0].coeffs == ((0, 1.0), (0, 0.5), (1, 1.0))
+        assert model.rows[1].coeffs == ((0, 0.0), (1, -3.0))
+        back = read_mps(write_mps(model))
+        assert models_structurally_equal(back, model)
+        assert write_mps(back) == write_mps(model)
+
+    def test_structural_equality_sees_every_part(self, t1_model):
+        base = read_mps(write_mps(t1_model))
+        data = base.data.copy()
+        data[-1] += 1.0
+        for change in (
+            {"data": data},
+            {"indices": base.indices[::-1].copy()},
+            {"upper": base.upper * 2.0},
+            {"senses": "LLLL"},
+            {"row_names": ("a", "b", "c", "d")},
+            {"maximize": False},
+        ):
+            assert not models_structurally_equal(dataclasses.replace(base, **change), base)
+
     @pytest.mark.parametrize(
         "mutate, message",
         [

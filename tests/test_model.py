@@ -3,16 +3,66 @@ import math
 
 import pytest
 
+from bidopt.generate import scale_suite
 from bidopt.model import (
     BidLevelData,
     Business,
     Campaign,
     Instance,
+    LpColumn,
+    LpModel,
+    LpRow,
+    SosSet,
     build_model,
     validate_instance,
 )
 
 from conftest import make_t1
+
+
+def tuple_build(instance: Instance) -> LpModel:
+    """``build_model`` as a loop over campaigns and levels that makes one
+    ``LpColumn`` and ``LpRow`` at a time: the reference for the array
+    build."""
+    columns, col_of = [], {}
+    for c in instance.campaigns:
+        for lev in c.levels:
+            col_of[(c.id, lev.level_index)] = len(columns)
+            columns.append(LpColumn(f"D_{c.id}_{lev.level_index}", lev.ret, 0.0, 1.0))
+    rows = [
+        LpRow(f"CVX_{c.id}", "E", 1.0, tuple((col_of[(c.id, lev.level_index)], 1.0) for lev in c.levels))
+        for c in instance.campaigns
+    ]
+    for b in instance.businesses:
+        bud, clk = [], []
+        for c in instance.campaigns:
+            if c.business_id != b.id:
+                continue
+            for lev in c.levels:
+                j = col_of[(c.id, lev.level_index)]
+                bud.append((j, lev.impressions * lev.ad_value))
+                clk.append((j, lev.impressions * (lev.ad_value - b.cpc * c.ctr)))
+        rows.append(LpRow(f"BUD_{b.id}", "L", b.budget, tuple(sorted(bud))))
+        rows.append(LpRow(f"CLK_{b.id}", "L", 0.0, tuple(sorted(clk))))
+    imp = tuple(
+        (col_of[(c.id, lev.level_index)], lev.impressions)
+        for c in instance.campaigns
+        for lev in c.levels
+    )
+    rows.append(LpRow("IMP", "L", instance.impression_budget, imp))
+    sos_sets = tuple(
+        SosSet(
+            f"S_{c.id}", 1,
+            tuple(col_of[(c.id, lev.level_index)] for lev in c.levels),
+            tuple(float(lev.level_index) for lev in c.levels),
+            tuple(lev.bid for lev in c.levels),
+        )
+        for c in instance.campaigns
+    )
+    return LpModel.from_tuples(tuple(columns), tuple(rows), sos_sets)
+
+
+ARRAYS = ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
 
 
 def replace_campaign(inst, cid, **changes):
@@ -133,6 +183,31 @@ class TestBuildModel:
 
     def test_column_index(self, t1_model):
         assert t1_model.column_index == {"D_c1_0": 0, "D_c1_1": 1, "D_c1_2": 2}
+
+    def test_arrays_match_the_loop_build_bit_for_bit(self, suite1, scale_base):
+        for inst in [make_t1(), *suite1, scale_suite(scale_base, [300])[0]]:
+            got, want = build_model(inst), tuple_build(inst)
+            assert got.column_names == want.column_names
+            assert (got.row_names, got.senses) == (want.row_names, want.senses)
+            for name in ARRAYS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert not a.flags.writeable and a.flags.c_contiguous
+            assert got.sos_sets == want.sos_sets
+            assert (got.columns, got.rows) == (want.columns, want.rows)
+
+    def test_tuple_views_round_trip(self, t1_model):
+        twin = LpModel.from_tuples(t1_model.columns, t1_model.rows, t1_model.sos_sets)
+        assert (twin.columns, twin.rows) == (t1_model.columns, t1_model.rows)
+        for name in ARRAYS:
+            assert getattr(twin, name).tobytes() == getattr(t1_model, name).tobytes()
+
+    def test_scale_model_counts(self, scale_base):
+        # the benchmark's traced run reports these three from the views
+        model = build_model(scale_suite(scale_base, [2704])[0])
+        assert len(model.rows) == 2725
+        assert len(model.columns) == 12192
+        assert sum(len(r.coeffs) for r in model.rows) == 48768
 
     def test_counts_two_business(self):
         t1 = make_t1()

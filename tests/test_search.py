@@ -88,7 +88,7 @@ class TestSatisfaction:
             SosSet("A", 1, (0, 1), (0.0, 1.0)),
             SosSet("B", 1, (2, 3), (0.0, 1.0)),
         )
-        model = LpModel(columns=cols, rows=(), sos_sets=sets)
+        model = LpModel.from_tuples(columns=cols, rows=(), sos_sets=sets)
         primal = (0.5, 0.5, 0.5, 0.5)
         assert _pick_violated(model, primal, 1e-6) is sets[0]
         assert _pick_violated(model, (0.0, 1.0, 0.5, 0.5), 1e-6) is sets[1]
@@ -379,7 +379,7 @@ class TestBranchAndBound:
         assert math.isclose(report.incumbent_objective, 50.0, rel_tol=1e-9)
 
     def test_infeasible_model(self):
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 2.0, ((0, 1.0),)),),
             sos_sets=(SosSet("S", 1, (0,), (0.0,)),),

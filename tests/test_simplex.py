@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import time
 import types
@@ -10,6 +11,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from bidopt import simplex
+from bidopt.fileio import read_mps
 from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpModel, LpRow, build_model
 from bidopt.simplex import (
@@ -69,7 +71,7 @@ def random_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, tuple(coeffs)))
-    return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
 def random_sparse_model(rng: np.random.Generator) -> LpModel:
@@ -110,7 +112,7 @@ def random_sparse_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, coeffs))
-    return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
 def random_bid_model(rng: np.random.Generator) -> LpModel:
@@ -221,7 +223,88 @@ class TestT1Exact:
             SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 0.0)})
 
 
+def tuple_setup(model: LpModel):
+    """``[A I]`` in CSC (data, indices, indptr), the row-scaled rhs, the
+    cost and the base bounds, built entry by entry from the model's
+    ``rows`` and ``columns`` tuples: the reference for the engine's
+    set-up from the CSR arrays."""
+    n, m = len(model.columns), len(model.rows)
+    scale, acc = [], {}
+    for i, row in enumerate(model.rows):
+        big = max((abs(v) for _, v in row.coeffs), default=0.0)
+        s = 2.0 ** (-round(math.log2(big))) if big > 0.0 else 1.0
+        scale.append(s)
+        for j, v in row.coeffs:
+            acc.setdefault((j, i), []).append(v * s)
+    for i in range(m):
+        acc[n + i, i] = [1.0]
+    keys = sorted(acc)
+    sense = 1.0 if model.maximize else -1.0
+    return {
+        # repeats add up in their given order, through the engine's reduceat
+        "data": [np.add.reduceat(acc[k], [0])[0] for k in keys],
+        "indices": [i for _, i in keys],
+        "indptr": np.searchsorted([j for j, _ in keys], np.arange(n + m + 1)),
+        "rhs": [r.rhs * s for r, s in zip(model.rows, scale)],
+        "cost": [-sense * c.objective for c in model.columns] + [0.0] * m,
+        "base_lower": [c.lower for c in model.columns] + [0.0] * m,
+        "base_upper": [c.upper for c in model.columns]
+        + [math.inf if r.sense == "L" else 0.0 for r in model.rows],
+    }
+
+
+# A row that lists a column twice and explicit zeros, which MPS allows
+REPEATS_MPS = """* OBJSENSE: MAXIMIZE
+NAME          REPEATS
+ROWS
+ N  COST
+ E  g1
+ E  g2
+ L  link
+COLUMNS
+    x  COST  3.0
+    x  g1    1.0
+    x  link  0.0
+    x  link  2.5
+    y  COST  1.0
+    y  g1    0.75
+    y  g1    0.25
+    y  link  -1.5
+    y  link  1e-17
+    z  g2    0.0
+    z  g2    1.0
+    w  g2    1.0
+    w  link  0.1
+    w  link  0.2
+    w  link  0.3
+RHS
+    RHS  g1    1.0
+    RHS  g2    1.0
+    RHS  link  2.0
+ENDATA
+"""
+
+
 class TestEngineSetup:
+    def test_arrays_match_the_tuple_setup_bit_for_bit(self, suite1, scale_base, t1_model):
+        models = [t1_model, read_mps(REPEATS_MPS), build_model(scale_suite(scale_base, [300])[0])]
+        models += [build_model(inst) for inst in suite1]
+        for model in models:
+            want = tuple_setup(model)
+            twin = LpModel.from_tuples(model.columns, model.rows, model.sos_sets, model.maximize)
+            for engine in (SimplexEngine(model), SimplexEngine(twin)):
+                got = {
+                    "data": engine._aug.data,
+                    "indices": engine._aug.indices,
+                    "indptr": engine._aug.indptr,
+                    **{k: getattr(engine, k) for k in ("rhs", "cost", "base_lower", "base_upper")},
+                }
+                for key, value in want.items():
+                    if key in ("indices", "indptr"):
+                        np.testing.assert_array_equal(got[key], value)
+                    else:
+                        assert got[key].tobytes() == np.array(value, float).tobytes(), key
+
     def test_repeated_coefficients_are_summed(self, t1_model):
         # a row may list a column twice (an MPS file can): the entries add up
         split = tuple(
@@ -230,7 +313,7 @@ class TestEngineSetup:
             ))
             for r in t1_model.rows
         )
-        model = LpModel(columns=t1_model.columns, rows=split, sos_sets=())
+        model = LpModel.from_tuples(columns=t1_model.columns, rows=split, sos_sets=())
         engine = SimplexEngine(model)
         # the same entries, up to each row's power-of-two scale
         n = len(t1_model.columns)
@@ -245,14 +328,14 @@ class TestEngineSetup:
 
     def test_coefficient_of_a_missing_column_raises(self, t1_model):
         row = LpRow("r", "L", 1.0, ((len(t1_model.columns), 1.0),))
-        model = LpModel(columns=t1_model.columns, rows=(row,), sos_sets=())
+        model = LpModel.from_tuples(columns=t1_model.columns, rows=(row,), sos_sets=())
         with pytest.raises(ValueError, match="column"):
             SimplexEngine(model)
 
 
 class TestStates:
     def test_unbounded(self):
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, math.inf),),
             rows=(LpRow("r", "L", 1.0, ((0, -1.0),)),),
             sos_sets=(),
@@ -260,7 +343,7 @@ class TestStates:
         assert SimplexEngine(model).solve().status == UNBOUNDED
 
     def test_infeasible_rows(self):
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(
                 LpRow("lo", "E", 2.0, ((0, 1.0),)),
@@ -427,7 +510,7 @@ class TestDeterminismAndWarm:
 class TestSingularBasis:
     def test_dependent_warm_basis_falls_back_to_cold(self, monkeypatch):
         # columns (1, 1) and (2, 2) are parallel, so no basis holds both
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 10.0), LpColumn("y", 1.0, 0.0, 10.0)),
             rows=(
                 LpRow("a", "L", 4.0, ((0, 1.0), (1, 2.0))),
@@ -664,7 +747,7 @@ class TestGubFactor:
                 LpRow(r.name, r.sense, r.rhs, tuple(sorted({0: 1.0, **dict(r.coeffs)}.items())))
                 for r in model.rows
             )
-            model = LpModel(columns=model.columns, rows=rows, sos_sets=())
+            model = LpModel.from_tuples(columns=model.columns, rows=rows, sos_sets=())
             engine = SimplexEngine(model)
             assert engine._blocks.gub_rows.size == 0
             sol = engine.solve()
@@ -684,10 +767,36 @@ class TestGubFactor:
             )
             assert _gub_blocks(aug).gub_rows.tolist() == greedy_disjoint_rows(aug)
 
+    def test_a_column_in_every_row_leaves_no_gub_rows_at_once(self, monkeypatch):
+        # as the Lagrangian masters' t: the blocks of no GUB rows, with no
+        # greedy round
+        rng = np.random.default_rng(17)
+        monkeypatch.setattr(simplex, "_disjoint_rows", None)
+        for _ in range(50):
+            m, n = int(rng.integers(2, 12)), int(rng.integers(1, 20))
+            amat = scipy.sparse.random(m, n, density=float(rng.uniform(0.02, 0.4)), rng=rng)
+            amat.data[rng.random(amat.data.size) < 0.2] = 0.0  # stored zeros
+            full = rng.uniform(-2.0, 2.0, (m, 1))
+            full[full == 0.0] = 1.0
+            aug = scipy.sparse.hstack(
+                [amat, full, scipy.sparse.identity(m)], format="csc"
+            )
+            assert greedy_disjoint_rows(aug) == []
+            blocks = _gub_blocks(aug)
+            assert blocks.gub_rows.size == 0
+            assert blocks.perm.tolist() == blocks.unperm.tolist() == list(range(m))
+            assert (blocks.slot == -1).all() and not blocks.gval.any()
+            dense = aug.toarray()
+            for j in range(aug.shape[1]):
+                lo, hi = blocks.indptr[j], blocks.indptr[j + 1]
+                rows = np.flatnonzero(dense[:, j])
+                assert blocks.indices[lo:hi].tolist() == rows.tolist()
+                assert blocks.data[lo:hi].tolist() == dense[rows, j].tolist()
+
     def test_stored_zero_is_not_a_key(self):
         # a: x0 (+ 0 x1) = 1 and b: x1 + x2 = 1 are disjoint once the
         # stored zero is dropped; c links all three columns
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(3)),
             rows=(
                 LpRow("a", "E", 1.0, ((0, 1.0), (1, 0.0))),
@@ -710,7 +819,7 @@ class TestGubFactor:
     def test_key_is_the_largest_entry_then_the_lowest_position(self):
         # a: x0 + 4 x1 = 1 (scaled to 0.25 and 1), b: x2 + x3 = 1, and c
         # links all four columns
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(4)),
             rows=(
                 LpRow("a", "E", 1.0, ((0, 1.0), (1, 4.0))),
@@ -899,7 +1008,7 @@ class TestDualSimplex:
     def test_ratio_ties_go_to_the_largest_pivot_then_the_lowest_index(self, dual_log):
         # x1 - x2 - 2 x3 - 2 x4 <= 4 at zero cost: raising x1 to 6 leaves
         # the row 2 short, and x2, x3 and x4 tie at ratio 0
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=tuple(LpColumn(f"x{j}", 0.0, 0.0, 10.0) for j in range(1, 5)),
             rows=(LpRow("r", "L", 4.0, ((0, 1.0), (1, -1.0), (2, -2.0), (3, -2.0))),),
             sos_sets=(),
@@ -915,7 +1024,7 @@ class TestDualSimplex:
         # its upper bound, and no column can repair the row, but the row
         # itself puts x at 1.  The dual phase hands over instead of
         # calling the LP infeasible.
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 1.0, ((0, 1.0),)),),
             sos_sets=(),
@@ -1010,7 +1119,7 @@ class TestCrash:
         objs = (2.0, 6.0, 3.0, 1.0, 5.0, -100.0, 1.0)
         bounds = [(0.0, 1.0)] * 7
         bounds[4] = (0.0, 0.0)
-        model = LpModel(
+        model = LpModel.from_tuples(
             columns=tuple(
                 LpColumn(f"x{j}", obj, lo, hi)
                 for j, (obj, (lo, hi)) in enumerate(zip(objs, bounds))
@@ -1159,7 +1268,22 @@ def unmeetable_link_model(sense: str) -> LpModel:
     weights = rng.uniform(1.0, 2.0, len(cols)).tolist()
     rhs = -1.0 if sense == "L" else 200.0  # every activity is in [40, 80]
     rows.append(LpRow("link", sense, rhs, tuple(enumerate(weights))))
-    return LpModel(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+
+
+def master_solves(monkeypatch, model: LpModel) -> list:
+    """The engines of every solve of a model other than ``model``: the
+    Lagrangian estimate's masters."""
+    masters = []
+    solve = SimplexEngine.solve
+
+    def counted(self, *args, **kwargs):
+        if self.model is not model:
+            masters.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexEngine, "solve", counted)
+    return masters
 
 
 @pytest.fixture
@@ -1190,7 +1314,7 @@ class TestLagrangianEstimate:
             engine = SimplexEngine(build_model(inst))
             root = engine.solve()
             assert root.status == OPTIMAL
-            evaluate = engine._lagrangian(engine.base_lower, engine.base_upper)
+            evaluate, _ = engine._lagrangian(engine.base_lower, engine.base_upper)
             links = engine.m - engine._blocks.gub_rows.size
             tol = 1e-9 * max(1.0, abs(root.objective))
             for scale in (0.0, 1.0, 100.0, 1e4):
@@ -1198,18 +1322,22 @@ class TestLagrangianEstimate:
                 value, _ = evaluate(u)
                 assert value >= root.objective - tol
 
-    def test_estimate_reaches_the_root_bound(self, scale_base, estimates):
+    def test_estimate_reaches_the_root_bound(self, scale_base, estimates, monkeypatch):
         # the acceptance 6a model: the estimate stops with L within its gap
         # of the root objective, which a stop on a box-bound gap misses
         model = build_model(scale_suite(scale_base, [2704])[0])
+        masters = master_solves(monkeypatch, model)
         engine = SimplexEngine(model)
         root = engine.solve()
         assert root.status == OPTIMAL
         assert len(estimates) == 1 and estimates[0] is not None
-        value, _ = engine._lagrangian(engine.base_lower, engine.base_upper)(estimates[0])
+        evaluate, _ = engine._lagrangian(engine.base_lower, engine.base_upper)
+        value, _ = evaluate(estimates[0])
         assert root.objective <= value <= root.objective + simplex._ESTIMATE_GAP * abs(value)
         assert root.iterations == 233  # 2 485 from the u = 0 crash
         assert repr(root.objective) == "424328.3922488976"
+        assert len(masters) == 78
+        assert hashlib.sha256(estimates[0].tobytes()).hexdigest()[:16] == "a201bca414949735"
 
     def test_gated_models_agree_with_scipy(self, estimates):
         for seed in range(5):
@@ -1240,14 +1368,32 @@ class TestLagrangianEstimate:
         assert len(estimates) == 1
 
     @pytest.mark.parametrize("sense", ["L", "E"])
-    def test_unmeetable_linking_rows_fall_back_to_u_zero(self, sense, estimates):
+    def test_unmeetable_linking_rows_fall_back_to_u_zero(self, sense, estimates, monkeypatch):
+        # L at the centre falls below the lowest objective of the
+        # convexity rows' choices within three rounds (200 without that stop)
         model = unmeetable_link_model(sense)
+        masters = master_solves(monkeypatch, model)
+        engine = SimplexEngine(model)
+        evaluate, floor = engine._lagrangian(engine.base_lower, engine.base_upper)
+        lowest = sum(
+            min(model.columns[j].objective for j, _ in row.coeffs) for row in model.rows[:-1]
+        )
+        assert math.isclose(floor, lowest, rel_tol=1e-12)
         t0 = time.perf_counter()
-        sol = SimplexEngine(model).solve()
+        sol = engine.solve()
         assert time.perf_counter() - t0 < 10.0
+        assert len(masters) == 3
         assert estimates == [None]
         assert sol.status == INFEASIBLE
         assert scipy_reference(model).status == 2
+
+    def test_no_floor_where_l_does_not_bound_the_lp(self):
+        # a lower bound above 0 voids L's bound on the LP, and the stop
+        engine = SimplexEngine(gated_model(0))
+        lower = engine.base_lower.copy()
+        assert engine._lagrangian(lower, engine.base_upper)[1] > -math.inf
+        lower[1] = 0.5
+        assert engine._lagrangian(lower, engine.base_upper)[1] == -math.inf
 
     @pytest.mark.parametrize("failure", ["limit", "raise"])
     def test_master_failure_falls_back_to_u_zero(self, monkeypatch, estimates, failure):
