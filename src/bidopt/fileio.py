@@ -70,6 +70,9 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """The instance a document holds.  A business may list its campaigns
+    in ``campaign_ids``; the list must name exactly the campaigns that
+    reference it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -94,18 +97,17 @@ def instance_from_json(text: str) -> Instance:
             for c in doc["campaigns"]
         )
         businesses = tuple(
-            Business(
-                id=str(b["id"]),
-                budget=float(b["budget"]),
-                cpc=float(b["cpc"]),
-                campaign_ids=tuple(
-                    b["campaign_ids"]
-                    if "campaign_ids" in b
-                    else (c.id for c in campaigns if c.business_id == b["id"])
-                ),
-            )
+            Business(id=str(b["id"]), budget=float(b["budget"]), cpc=float(b["cpc"]))
             for b in doc["businesses"]
         )
+        listed = []
+        for b, raw in zip(businesses, doc["businesses"]):
+            if "campaign_ids" in raw and sorted(raw["campaign_ids"]) != sorted(
+                c.id for c in campaigns if c.business_id == b.id
+            ):
+                listed.append(
+                    f"business {b.id}: campaign_ids inconsistent with campaigns referencing it"
+                )
         instance = Instance(
             businesses=businesses,
             campaigns=campaigns,
@@ -113,7 +115,7 @@ def instance_from_json(text: str) -> Instance:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid instance JSON: missing or bad field {exc}") from exc
-    problems = validate_instance(instance)
+    problems = validate_instance(instance) + listed
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
     return instance
@@ -146,7 +148,7 @@ def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
     Sections NAME/ROWS/COLUMNS/RHS/BOUNDS/SOS/ENDATA.  Data lines are
     indented four spaces with name fields padded to 20 columns; one
     (row, value) pair per COLUMNS/RHS line.  The objective row is COST;
-    the sense is recorded in a leading comment.  Stored coefficients
+    a leading comment records that it is maximized.  Stored coefficients
     (including explicit zeros) are written verbatim, column-major, so a
     read reproduces the model exactly.
     """
@@ -158,7 +160,7 @@ def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
             raise ValueError(f"name {nm!r} is empty or contains whitespace")
 
     out: list[str] = []
-    out.append(f"* OBJSENSE: {'MAXIMIZE' if model.maximize else 'MINIMIZE'}")
+    out.append("* OBJSENSE: MAXIMIZE")
     out.append(f"NAME          {name}")
     out.append("ROWS")
     out.append(" N  COST")
@@ -222,10 +224,9 @@ def read_mps(text: str) -> LpModel:
     """Parse the subset emitted by write_mps.
 
     Raises MpsParseError with a line number for malformed sections,
-    unknown row or column references, non-finite numbers and
-    non-increasing SOS weights.
+    an objective sense other than MAXIMIZE, unknown row or column
+    references, non-finite numbers and non-increasing SOS weights.
     """
-    maximize = True
     section = None
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
@@ -263,9 +264,10 @@ def read_mps(text: str) -> LpModel:
             stripped = raw[1:].strip()
             if stripped.startswith("OBJSENSE:"):
                 sense_word = stripped.split(":", 1)[1].strip()
-                if sense_word not in ("MAXIMIZE", "MINIMIZE"):
-                    raise MpsParseError(ln, f"unknown objective sense {sense_word!r}")
-                maximize = sense_word == "MAXIMIZE"
+                if sense_word != "MAXIMIZE":
+                    raise MpsParseError(
+                        ln, f"objective sense {sense_word!r} is not part of the format subset"
+                    )
             continue
         if not raw.strip():
             continue
@@ -407,16 +409,15 @@ def read_mps(text: str) -> LpModel:
         )
         for s in sos_raw
     )
-    return LpModel.from_tuples(columns, rows, sos_sets, maximize)
+    return LpModel.from_tuples(columns, rows, sos_sets)
 
 
 def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
-    """Equality on names, senses, every array, the objective sense and
-    the SOS structure; level-bid metadata (absent from MPS) is ignored."""
+    """Equality on names, senses, every array and the SOS structure;
+    level-bid metadata (absent from MPS) is ignored."""
     strip = lambda m: tuple(replace(s, bids=None) for s in m.sos_sets)
     return (
-        (a.column_names, a.row_names, a.senses, a.maximize)
-        == (b.column_names, b.row_names, b.senses, b.maximize)
+        (a.column_names, a.row_names, a.senses) == (b.column_names, b.row_names, b.senses)
         and all(
             np.array_equal(getattr(a, f), getattr(b, f))
             for f in ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
@@ -427,6 +428,11 @@ def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
 
 # ---------------------------------------------------------------------------
 # model -> instance inversion (for MPS -> JSON conversion)
+
+def _campaign_id(sos: SosSet) -> str:
+    """The campaign of a set: its name less ``build_model``'s "S_" prefix."""
+    return sos.name[2:] if sos.name.startswith("S_") else sos.name
+
 
 def model_to_instance(model: LpModel) -> Instance:
     """Rebuild an Instance whose build_model output reproduces this
@@ -448,7 +454,7 @@ def model_to_instance(model: LpModel) -> Instance:
 
     campaigns_meta: list[dict] = []
     for sos in model.sos_sets:
-        cid = sos.name[2:] if sos.name.startswith("S_") else sos.name
+        cid = _campaign_id(sos)
         cvx = row_at.get(f"CVX_{cid}")
         if cvx is None or tuple(idx[ptr[cvx]:ptr[cvx + 1]]) != sos.members:
             raise ValueError(f"set {sos.name}: no matching convexity row CVX_{cid}")
@@ -495,16 +501,7 @@ def model_to_instance(model: LpModel) -> Instance:
     for bid_ in business_ids:
         qs = [product[c] for c in product if camp_business[c] == bid_]
         cpc = max(qs) if qs else 0.0
-        businesses.append(
-            Business(
-                id=bid_,
-                budget=rhs[row_at[f"BUD_{bid_}"]],
-                cpc=cpc,
-                campaign_ids=tuple(
-                    m["cid"] for m in campaigns_meta if camp_business[m["cid"]] == bid_
-                ),
-            )
-        )
+        businesses.append(Business(id=bid_, budget=rhs[row_at[f"BUD_{bid_}"]], cpc=cpc))
     cpc_of = {b.id: b.cpc for b in businesses}
 
     objective = model.objective.tolist()
@@ -572,8 +569,7 @@ def write_solution(
         for sos in model.sos_sets:
             bid = interpolate_bid(sos, solution, zero_tol)
             if bid is not None:
-                cid = sos.name[2:] if sos.name.startswith("S_") else sos.name
-                lines.append(f"BID {cid} {bid:.12f}")
+                lines.append(f"BID {_campaign_id(sos)} {bid:.12f}")
     return "\n".join(lines) + "\n"
 
 

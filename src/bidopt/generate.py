@@ -105,7 +105,6 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
         else:
             n_campaigns = campaign_counts[k]
 
-        ids: list[str] = []
         top_spend = 0.0
         top_click_weight = 0.0
         bus_campaigns: list[tuple[str, float, list[BidLevelData]]] = []
@@ -113,7 +112,6 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
 
         for i in range(n_campaigns):
             cid = f"{bus_id}_c{i + 1}"
-            ids.append(cid)
             n_levels = _draw_count(rng, params.levels_per_campaign)
             ctr = rng.uniform(0.01, 0.2)
 
@@ -149,14 +147,7 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
 
         margin = rng.uniform(*params.click_margin)
         cpc = margin * top_spend / top_click_weight if top_click_weight > 0 else 1.0
-        businesses.append(
-            Business(
-                id=bus_id,
-                budget=params.budget_tightness * top_spend,
-                cpc=cpc,
-                campaign_ids=tuple(ids),
-            )
-        )
+        businesses.append(Business(bus_id, params.budget_tightness * top_spend, cpc))
         for cid, ctr, levels in bus_campaigns:
             campaigns.append(
                 Campaign(id=cid, business_id=bus_id, ctr=ctr, levels=tuple(levels))

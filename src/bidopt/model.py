@@ -61,10 +61,12 @@ class Campaign:
 
 @dataclass(frozen=True)
 class Business:
+    """A business: its budget and the cost per click it is billed.  Its
+    campaigns are those whose ``business_id`` names it."""
+
     id: str
     budget: float
     cpc: float
-    campaign_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ class SosSet:
 
 @dataclass(frozen=True, eq=False)
 class LpModel:
-    """An LP with SOS sets, held as names and read-only numpy arrays.
+    """An LP with SOS sets, held as names and read-only numpy arrays.  It
+    maximizes its objective.
 
     Columns are ``column_names`` with the float arrays ``objective``,
     ``lower`` and ``upper``.  Rows are ``row_names``, ``senses`` (one
@@ -126,8 +129,7 @@ class LpModel:
 
     ``columns`` and ``rows`` show the same model as ``LpColumn`` and
     ``LpRow`` tuples, built on first use, and ``from_tuples`` builds a
-    model from such tuples.  ``column_index`` maps each column name to
-    its position.  Models compare by identity;
+    model from such tuples.  Models compare by identity;
     ``fileio.models_structurally_equal`` compares their contents.
     """
 
@@ -142,7 +144,6 @@ class LpModel:
     indices: np.ndarray
     data: np.ndarray
     sos_sets: tuple[SosSet, ...] = ()
-    maximize: bool = True
 
     def __post_init__(self) -> None:
         for a in (self.objective, self.lower, self.upper, self.rhs,
@@ -155,7 +156,6 @@ class LpModel:
         columns: tuple[LpColumn, ...],
         rows: tuple[LpRow, ...],
         sos_sets: tuple[SosSet, ...] = (),
-        maximize: bool = True,
     ) -> LpModel:
         """The model whose ``columns`` and ``rows`` are these."""
         indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
@@ -172,7 +172,6 @@ class LpModel:
             np.array([j for j, _ in entries], np.intp),
             np.array([v for _, v in entries], float),
             tuple(sos_sets),
-            maximize,
         )
 
     @cached_property
@@ -191,10 +190,6 @@ class LpModel:
                 self.row_names, self.senses, self.rhs.tolist(), ptr, ptr[1:]
             )
         )
-
-    @cached_property
-    def column_index(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.column_names)}
 
 
 def _check_amount(problems: list[str], where: str, name: str, value: float) -> None:
@@ -224,7 +219,6 @@ def validate_instance(instance: Instance) -> list[str]:
         _check_amount(problems, f"business {b.id}", "budget", b.budget)
         _check_amount(problems, f"business {b.id}", "cpc", b.cpc)
 
-    by_business: dict[str, list[str]] = {b.id: [] for b in instance.businesses}
     seen_campaign: set[str] = set()
     for c in instance.campaigns:
         if not c.id:
@@ -232,10 +226,8 @@ def validate_instance(instance: Instance) -> list[str]:
         if c.id in seen_campaign:
             problems.append(f"campaign {c.id}: duplicate id")
         seen_campaign.add(c.id)
-        if c.business_id not in by_business:
+        if c.business_id not in seen_business:
             problems.append(f"campaign {c.id}: unknown business {c.business_id!r}")
-        else:
-            by_business[c.business_id].append(c.id)
         if not (0.0 <= c.ctr <= 1.0):
             problems.append(f"campaign {c.id}: ctr must be in [0, 1]")
         if not c.levels:
@@ -267,12 +259,6 @@ def validate_instance(instance: Instance) -> list[str]:
             _check_amount(problems, where, "impressions", lev.impressions)
             if bid is not None and not math.isfinite(bid):
                 problems.append(f"{where}: bid must be finite")
-
-    for b in instance.businesses:
-        if sorted(b.campaign_ids) != sorted(by_business.get(b.id, [])):
-            problems.append(
-                f"business {b.id}: campaign_ids inconsistent with campaigns referencing it"
-            )
 
     return problems
 

@@ -149,7 +149,6 @@ def strategy1_fix(
     rc_tol: float = RC_TOL,
 ) -> Bounds:
     """Round near-one sets to their dominant member."""
-    sense = 1.0 if model.maximize else -1.0
     fixes: Bounds = {}
     for sos in model.sos_sets:
         near = [p for p, j in enumerate(sos.members) if lp.primal[j] >= near_one_tol]
@@ -159,7 +158,7 @@ def strategy1_fix(
         if p_star != 0:
             # Raising any sibling must strictly worsen the objective.
             ok = all(
-                sense * lp.reduced_costs[j] < -rc_tol
+                lp.reduced_costs[j] < -rc_tol
                 for p, j in enumerate(sos.members)
                 if p != p_star
             )

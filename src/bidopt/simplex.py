@@ -102,10 +102,11 @@ u = 0 basis is dual feasible, so the cold root LP runs dual steps; the
 primal loop from the all-logical basis spent most of its pivots finding
 each campaign's level.  The crash uses the solve's own bounds, and it
 goes through the dual phase like a warm start, which runs only if the
-basis passes its dual-feasibility check.  A singular crash falls back to
-the all-logical basis and the primal loop alone, and a model with fewer
-than two GUB rows has no crash: its cold start is the all-logical basis,
-with no dual phase.
+basis passes its dual-feasibility check.  A model with fewer than two
+GUB rows has no crash: its cold start is the all-logical basis, and a
+singular crash falls back to that basis.  Every start, warm, crash or
+all-logical, takes its factor from the engine's start memo and goes
+through the same check.
 
 A model with many GUB rows per linking row (at least ``_GUB_PER_LINK``;
 the acceptance scale models have over a hundred, the tree and suite
@@ -127,9 +128,9 @@ cannot be met) leaves the crash at u = 0.  Where L bounds the LP, linking
 rows that cannot be met end it sooner, once L falls below the lowest
 objective that any x meeting the GUB rows reaches.
 
-Maximization models are negated internally; the reported objective and
-reduced costs are in the model's own (maximization) sense, so
-at optimality a column sitting at its lower bound has reduced cost
+Every model maximizes its objective; the engine minimizes its negation.
+The reported objective and reduced costs are the model's own, so at
+optimality a column sitting at its lower bound has reduced cost
 <= +opt_tol and one at its upper bound has reduced cost >= -opt_tol.
 """
 
@@ -538,10 +539,9 @@ class SimplexEngine:
         self._blocks = _gub_blocks(self._aug)
         self.rhs = model.rhs * scale
 
-        sense_max = 1.0 if model.maximize else -1.0
         self._obj = model.objective
         self.cost = np.zeros(n + m)
-        self.cost[:n] = -sense_max * self._obj
+        self.cost[:n] = -self._obj
 
         self.base_lower = np.zeros(n + m)
         self.base_upper = np.zeros(n + m)
@@ -556,8 +556,8 @@ class SimplexEngine:
         # whose nonbasic statuses differ.  The columns of the last singular
         # start are kept apart, so that their verdict does not evict the
         # factor of the start that replaced them.
-        self._start: tuple[bytes, _Factor | None, np.ndarray | None] = (b"", None, None)
-        self._singular = b""
+        self._start: tuple[bytes | None, _Factor | None, np.ndarray | None] = (None, None, None)
+        self._singular: bytes | None = None
 
     # -- helpers -------------------------------------------------------
 
@@ -693,7 +693,7 @@ class SimplexEngine:
         (relative), which no LP with a feasible point allows.
 
         The master is an LP in the step v = u - centre and the model's
-        excess t over L at the centre: minimize t subject to one row
+        excess t over L at the centre: maximize -t subject to one row
         ``g_k^T v - t <= L(centre) - L(u_k) - g_k^T (centre - u_k)`` per cut,
         with v in the box and u >= 0 on rows whose logical is unbounded.
         Its matrix is the dense block of the cuts' subgradients beside a
@@ -711,7 +711,7 @@ class SimplexEngine:
         top = value
         grads, intercepts, cut_names = [], [], []
         column_names = tuple(f"v{i}" for i in range(l)) + ("t",)
-        objective = np.append(np.zeros(l), 1.0)
+        objective = -np.append(np.zeros(l), 1.0)
         box = 1.0
         token = None
         for k in range(_ESTIMATE_ROUNDS):
@@ -730,7 +730,6 @@ class SimplexEngine:
                 tuple(cut_names), "L" * (k + 1), excess,
                 np.arange(0, (k + 2) * (l + 1), l + 1), np.tile(np.arange(l + 1), k + 1),
                 np.column_stack((cuts, np.full(k + 1, -1.0))).ravel(),
-                maximize=False,
             )
             try:
                 engine = SimplexEngine(master, self.feas_tol, self.opt_tol)
@@ -741,7 +740,7 @@ class SimplexEngine:
                 return None
             token = sol.basis + bytes([BASIC])
             step = np.array(sol.primal[:l])
-            gap = -sol.objective
+            gap = sol.objective
             if gap <= _ESTIMATE_GAP * max(1.0, abs(top)):
                 if not np.any(np.abs(step) >= box * (1.0 - 1e-9)):
                     return centre
@@ -799,15 +798,16 @@ class SimplexEngine:
     ) -> LpSolution:
         """Solve the LP relaxation (SOS sets ignored).
 
-        ``bounds`` maps column positions or names to (lower, upper)
-        overrides applied on top of the model bounds; fixing a column
-        means lower == upper.  ``warm`` is the ``basis`` of an earlier
+        ``bounds`` maps column positions to (lower, upper) overrides
+        applied on top of the model bounds; fixing a column means
+        lower == upper.  ``warm`` is the ``basis`` of an earlier
         solution of this engine; a token of the wrong length, with a
         basic count other than the number of rows, or with a singular
         basis falls back to the cold start: the crash basis
         under ``bounds``, or, when that is singular, the all-logical
-        basis.  A warm or crash basis that is dual feasible under
-        ``bounds`` is re-solved with dual simplex steps first.  On a model
+        basis.  Whichever basis starts the solve, it is re-solved with
+        dual simplex steps first when it is dual feasible under
+        ``bounds``.  On a model
         with at least ``_GUB_PER_LINK`` GUB rows per linking row the crash
         takes the Lagrangian estimate of the linking rows' duals under
         ``bounds``, or u = 0 when the estimate fails.  The solve returns
@@ -821,10 +821,9 @@ class SimplexEngine:
         lower = self.base_lower.copy()
         upper = self.base_upper.copy()
         if bounds:
-            for key, (lo, hi) in bounds.items():
-                j = self.model.column_index[key] if isinstance(key, str) else key
+            for j, (lo, hi) in bounds.items():
                 if lo > hi:
-                    raise ValueError(f"bounds for column {key}: lower > upper")
+                    raise ValueError(f"bounds for column {j}: lower > upper")
                 lower[j] = lo
                 upper[j] = hi
 
@@ -840,7 +839,6 @@ class SimplexEngine:
                 vstat[snap_up] = AT_UPPER
                 basis = np.flatnonzero(vstat == BASIC)
                 factor = self._start_factor(basis)
-        dual_start = True
         if factor is None:
             links = m - self._blocks.gub_rows.size
             u = None
@@ -849,24 +847,21 @@ class SimplexEngine:
             vstat = self._crash_vstat(lower, upper, u)
             basis = np.flatnonzero(vstat == BASIC)
             factor = self._start_factor(basis)
-            dual_start = self._blocks.gub_rows.size > 0
-        if factor is None:  # _SolveState factorizes the all-logical basis
-            dual_start = False
+        if factor is None:
             vstat = self._cold_vstat(lower, upper)
             basis = np.flatnonzero(vstat == BASIC)
+            factor = self._start_factor(basis)
 
         if max_iterations is None:
             max_iterations = 100 * (n + m) + 10_000
         st = _SolveState(self, lower, upper, vstat, basis, factor, max_iterations, deadline)
         dirn, lb_b, ub_b, free_var = st.dirn, st.lb_b, st.ub_b, st.free_var
-        status = None
         priced = None  # the factor, eta count and masks of the last pricing
-        if dual_start:
-            status, _, neg_d = self._dual_phase(st)
-            if neg_d is not None:
-                # The phase-2 pricing of the basis the dual phase hands
-                # over: the primal loop takes it as its own in phase 2.
-                priced = (st.factor, len(st.factor.etas), bytes(m), bytes(m))
+        status, _, neg_d = self._dual_phase(st)
+        if neg_d is not None:
+            # The phase-2 pricing of the basis the dual phase hands over:
+            # the primal loop takes it as its own in phase 2.
+            priced = (st.factor, len(st.factor.etas), bytes(m), bytes(m))
         degen_streak = 0
         bland = False
         stall_x = None  # the final stall's nonbasic values
@@ -998,8 +993,7 @@ class SimplexEngine:
         reduced = None
         if status == OPTIMAL:
             # The stall's pricing, a phase-2 one on the final basis.
-            sense_max = 1.0 if self.model.maximize else -1.0
-            reduced = tuple((sense_max * neg_d[:n]).tolist())
+            reduced = tuple(neg_d[:n].tolist())
         return LpSolution(
             status=status,
             objective=float(self._obj @ primal) if status != INFEASIBLE else math.nan,

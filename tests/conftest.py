@@ -17,7 +17,7 @@ def make_t1() -> Instance:
         BidLevelData(2, 120.0, 0.8, 200.0, bid=0.70),
     )
     return Instance(
-        businesses=(Business("k1", 100.0, 2.0, ("c1",)),),
+        businesses=(Business("k1", 100.0, 2.0),),
         campaigns=(Campaign("c1", "k1", 0.4, levels),),
         impression_budget=1000.0,
     )
@@ -34,7 +34,7 @@ def make_rollback_instance() -> Instance:
     lev_a = (BidLevelData(0, 0.0, 0.0, 0.0), BidLevelData(1, 100.0, 0.1, 100.0))
     lev_b = (BidLevelData(0, 0.0, 0.0, 0.0), BidLevelData(1, 1.0, 1.0, 1e7))
     return Instance(
-        businesses=(Business("k1", 15.0, 1.2, ("ca", "cb")),),
+        businesses=(Business("k1", 15.0, 1.2),),
         campaigns=(
             Campaign("ca", "k1", 0.075, lev_a),
             Campaign("cb", "k1", 1.0, lev_b),
@@ -58,7 +58,7 @@ def make_nonadjacent_instance() -> Instance:
         BidLevelData(3, 30.0, 0.3, 100.0),
     )
     return Instance(
-        businesses=(Business("k1", 20.0, 1.0, ("c1",)),),
+        businesses=(Business("k1", 20.0, 1.0),),
         campaigns=(Campaign("c1", "k1", 0.5, levels),),
         impression_budget=1e6,
     )

@@ -98,6 +98,15 @@ class TestInstanceJson:
         doc["businesses"][0]["campaign_ids"] = ["c1"]
         assert instance_from_json(json.dumps(doc)) == t1_instance
 
+    def test_campaign_ids_must_match_the_campaigns(self, t1_instance):
+        doc = json.loads(instance_to_json(t1_instance))
+        for listed in (["c1", "c2"], []):
+            doc["businesses"][0]["campaign_ids"] = listed
+            with pytest.raises(
+                ValueError, match="business k1: campaign_ids inconsistent with campaigns"
+            ):
+                instance_from_json(json.dumps(doc))
+
     def test_bad_json_text(self):
         with pytest.raises(ValueError, match="invalid instance JSON"):
             instance_from_json("{not json")
@@ -173,7 +182,6 @@ class TestMpsRead:
             {"upper": base.upper * 2.0},
             {"senses": "LLLL"},
             {"row_names": ("a", "b", "c", "d")},
-            {"maximize": False},
         ):
             assert not models_structurally_equal(dataclasses.replace(base, **change), base)
 
@@ -196,6 +204,8 @@ class TestMpsRead:
             (lambda t: t.replace(" N  COST", " N  PROFIT"), "must be named COST"),
             (lambda t: t.replace("NAME          BIDOPT", "NOISE         X"),
              "unknown section header"),
+            (lambda t: t.replace("OBJSENSE: MAXIMIZE", "OBJSENSE: MINIMIZE"),
+             "objective sense 'MINIMIZE'"),
         ],
     )
     def test_parse_errors(self, mutate, message):

@@ -106,8 +106,6 @@ class TestValidateInstance:
         bad = replace_campaign(t1_instance, "c1", business_id="ghost")
         msgs = validate_instance(bad)
         assert any("unknown business" in p for p in msgs)
-        # the owning business's campaign list no longer matches either
-        assert any("campaign_ids inconsistent" in p for p in msgs)
 
     def test_duplicate_ids(self, t1_instance):
         inst = t1_instance
@@ -133,7 +131,6 @@ class TestBuildModel:
         assert [c.name for c in m.columns] == ["D_c1_0", "D_c1_1", "D_c1_2"]
         assert [r.name for r in m.rows] == ["CVX_c1", "BUD_k1", "CLK_k1", "IMP"]
         assert [r.sense for r in m.rows] == ["E", "L", "L", "L"]
-        assert m.maximize is True
 
     def test_t1_columns(self, t1_model):
         for col, obj in zip(t1_model.columns, (0.0, 50.0, 120.0)):
@@ -181,9 +178,6 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="invalid instance"):
             build_model(bad)
 
-    def test_column_index(self, t1_model):
-        assert t1_model.column_index == {"D_c1_0": 0, "D_c1_1": 1, "D_c1_2": 2}
-
     def test_arrays_match_the_loop_build_bit_for_bit(self, suite1, scale_base):
         for inst in [make_t1(), *suite1, scale_suite(scale_base, [300])[0]]:
             got, want = build_model(inst), tuple_build(inst)
@@ -216,7 +210,7 @@ class TestBuildModel:
             BidLevelData(1, 7.0, 0.2, 30.0),
         )
         inst = Instance(
-            businesses=t1.businesses + (Business("k2", 10.0, 1.0, ("c2", "c3")),),
+            businesses=t1.businesses + (Business("k2", 10.0, 1.0),),
             campaigns=t1.campaigns
             + (
                 Campaign("c2", "k2", 0.1, lev),

@@ -31,7 +31,7 @@ class TestEdgeCases:
     def test_all_slack_is_zero(self):
         levels = (BidLevelData(0, 0.0, 0.0, 0.0),)
         inst = Instance(
-            businesses=(Business("k", 10.0, 1.0, ("c",)),),
+            businesses=(Business("k", 10.0, 1.0),),
             campaigns=(Campaign("c", "k", 0.1, levels),),
             impression_budget=100.0,
         )

@@ -149,14 +149,11 @@ def dense_duals(aug: np.ndarray, cost: np.ndarray, token: bytes) -> np.ndarray:
 
 def scipy_reference(model: LpModel, bounds: dict | None = None):
     n = len(model.columns)
-    c = np.array([col.objective for col in model.columns])
-    if model.maximize:
-        c = -c
+    c = -np.array([col.objective for col in model.columns])
     lo = np.array([col.lower for col in model.columns])
     hi = np.array([col.upper for col in model.columns])
     if bounds:
-        for key, (a, b) in bounds.items():
-            j = model.column_index[key] if isinstance(key, str) else key
+        for j, (a, b) in bounds.items():
             lo[j], hi[j] = a, b
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row in model.rows:
@@ -207,20 +204,20 @@ class TestT1Exact:
         assert math.isclose(dual_obj, sol.objective, rel_tol=1e-10)
 
     def test_fix_level_one(self, t1_model):
-        sol = SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 1.0)})
+        sol = SimplexEngine(t1_model).solve(bounds={1: (1.0, 1.0)})
         assert sol.status == OPTIMAL
         assert math.isclose(sol.objective, 50.0, rel_tol=1e-12)
         assert math.isclose(sol.primal[1], 1.0, rel_tol=1e-12)
 
     def test_fix_both_levels_infeasible(self, t1_model):
         sol = SimplexEngine(t1_model).solve(
-            bounds={"D_c1_1": (1.0, 1.0), "D_c1_2": (1.0, 1.0)}
+            bounds={1: (1.0, 1.0), 2: (1.0, 1.0)}
         )
         assert sol.status == INFEASIBLE
 
     def test_crossed_bounds_raise(self, t1_model):
         with pytest.raises(ValueError, match="lower > upper"):
-            SimplexEngine(t1_model).solve(bounds={"D_c1_1": (1.0, 0.0)})
+            SimplexEngine(t1_model).solve(bounds={1: (1.0, 0.0)})
 
 
 def tuple_setup(model: LpModel):
@@ -239,14 +236,13 @@ def tuple_setup(model: LpModel):
     for i in range(m):
         acc[n + i, i] = [1.0]
     keys = sorted(acc)
-    sense = 1.0 if model.maximize else -1.0
     return {
         # repeats add up in their given order, through the engine's reduceat
         "data": [np.add.reduceat(acc[k], [0])[0] for k in keys],
         "indices": [i for _, i in keys],
         "indptr": np.searchsorted([j for j, _ in keys], np.arange(n + m + 1)),
         "rhs": [r.rhs * s for r, s in zip(model.rows, scale)],
-        "cost": [-sense * c.objective for c in model.columns] + [0.0] * m,
+        "cost": [-c.objective for c in model.columns] + [0.0] * m,
         "base_lower": [c.lower for c in model.columns] + [0.0] * m,
         "base_upper": [c.upper for c in model.columns]
         + [math.inf if r.sense == "L" else 0.0 for r in model.rows],
@@ -291,7 +287,7 @@ class TestEngineSetup:
         models += [build_model(inst) for inst in suite1]
         for model in models:
             want = tuple_setup(model)
-            twin = LpModel.from_tuples(model.columns, model.rows, model.sos_sets, model.maximize)
+            twin = LpModel.from_tuples(model.columns, model.rows, model.sos_sets)
             for engine in (SimplexEngine(model), SimplexEngine(twin)):
                 got = {
                     "data": engine._aug.data,
@@ -411,7 +407,7 @@ class TestAgainstScipy:
         if mine.status == OPTIMAL:
             assert ref.status == 0, f"trial {trial}: scipy disagrees on status"
             my_obj = mine.objective
-            ref_obj = -ref.fun if model.maximize else ref.fun
+            ref_obj = -ref.fun
             scale = max(1.0, abs(ref_obj))
             assert abs(my_obj - ref_obj) <= 1e-6 * scale, (
                 f"trial {trial}: {my_obj} vs {ref_obj}"
@@ -468,7 +464,7 @@ class TestDeterminismAndWarm:
     def test_warm_resolve_matches_cold(self, t1_model):
         engine = SimplexEngine(t1_model)
         root = engine.solve()
-        tightened = {"D_c1_2": (0.0, 0.0)}
+        tightened = {2: (0.0, 0.0)}
         warm = engine.solve(bounds=tightened, warm=root.basis)
         cold = engine.solve(bounds=tightened)
         assert warm.status == cold.status == OPTIMAL
@@ -479,8 +475,8 @@ class TestDeterminismAndWarm:
     def test_monotone_tightening(self, t1_model):
         engine = SimplexEngine(t1_model)
         free = engine.solve().objective
-        capped = engine.solve(bounds={"D_c1_2": (0.0, 0.25)}).objective
-        fixed = engine.solve(bounds={"D_c1_2": (0.0, 0.0)}).objective
+        capped = engine.solve(bounds={2: (0.0, 0.25)}).objective
+        fixed = engine.solve(bounds={2: (0.0, 0.0)}).objective
         assert free >= capped - 1e-9
         assert capped >= fixed - 1e-9
 
@@ -639,7 +635,7 @@ class TestStallGuard:
         np.testing.assert_array_equal(np.sort(factorized[-1]), final_basis)
         ref = scipy_reference(model)
         assert ref.status == 0
-        ref_obj = -ref.fun  # the model maximizes
+        ref_obj = -ref.fun
         assert abs(sol.objective - ref_obj) <= 1e-6 * max(1.0, abs(ref_obj))
         TestAgainstScipy._check_feasible(model, sol.primal)
 
@@ -968,7 +964,7 @@ class TestDualSimplex:
             ref = scipy_reference(model, bounds)
             if child.status == OPTIMAL:
                 assert ref.status == 0, bounds
-                ref_obj = -ref.fun if model.maximize else ref.fun
+                ref_obj = -ref.fun
                 scale = max(1.0, abs(ref_obj))
                 assert abs(child.objective - ref_obj) <= 1e-6 * scale, bounds
             else:
@@ -1016,7 +1012,7 @@ class TestDualSimplex:
         engine = SimplexEngine(model)
         parent = engine.solve()
         sol = engine.solve(bounds={0: (6.0, 10.0)}, warm=parent.basis)
-        assert dual_log == [(None, 1)]
+        assert dual_log == [(None, 0), (None, 1)]
         assert (sol.status, sol.primal) == (OPTIMAL, (6.0, 0.0, 1.0, 0.0))
 
     def test_violation_is_recomputed_before_infeasible(self, dual_log, monkeypatch):
@@ -1185,7 +1181,9 @@ class TestCrash:
         assert sol.status == OPTIMAL
         assert len(handed) == 1 and (handed[0] is None) == drifted
 
-    def test_without_two_gub_rows_no_dual_phase(self, dual_log):
+    def test_without_two_gub_rows_the_dual_check_decides(self, dual_log):
+        # the cold start is the all-logical basis, and the dual phase's own
+        # check turns away every one that is not dual feasible
         rng = np.random.default_rng(23)
         checked = 0
         for _ in range(150):
@@ -1194,13 +1192,36 @@ class TestCrash:
             if engine._blocks.gub_rows.size:
                 continue
             lower, upper = engine.base_lower, engine.base_upper
-            np.testing.assert_array_equal(
-                engine._crash_vstat(lower, upper), engine._cold_vstat(lower, upper)
-            )
+            cold = engine._cold_vstat(lower, upper)
+            np.testing.assert_array_equal(engine._crash_vstat(lower, upper), cold)
+            dual_log.clear()
             engine.solve()
-            checked += 1
-        assert checked >= 50
-        assert dual_log == []
+            assert len(dual_log) == 1
+            if dual_infeasibility(engine, cold.tobytes()) > engine.opt_tol:
+                assert dual_log == [(None, 0)]
+                checked += 1
+        assert checked >= 100
+
+    def test_dual_feasible_all_logical_start_takes_dual_steps(self, dual_log):
+        # maximize -x0 - 2 x1 with x0 + x1 >= 3 and x0 + 3 x1 >= 4: the rows
+        # overlap, so there are no GUB rows, and every column sits at its
+        # lower bound with a nonpositive profit
+        model = LpModel.from_tuples(
+            columns=(LpColumn("x0", -1.0, 0.0, 10.0), LpColumn("x1", -2.0, 0.0, 10.0)),
+            rows=(
+                LpRow("a", "L", -3.0, ((0, -1.0), (1, -1.0))),
+                LpRow("b", "L", -4.0, ((0, -1.0), (1, -3.0))),
+            ),
+            sos_sets=(),
+        )
+        engine = SimplexEngine(model)
+        assert engine._blocks.gub_rows.size == 0
+        sol = engine.solve()
+        assert len(dual_log) == 1 and dual_log[0][0] is None and dual_log[0][1] >= 1
+        ref = scipy_reference(model)
+        assert sol.status == OPTIMAL and ref.status == 0
+        assert abs(sol.objective + ref.fun) <= 1e-9
+        np.testing.assert_allclose(sol.primal, (2.5, 0.5), rtol=0, atol=1e-9)
 
     def test_singular_crash_falls_back_to_the_all_logical_basis(
         self, dual_log, monkeypatch
@@ -1226,7 +1247,7 @@ class TestCrash:
             np.testing.assert_array_equal(
                 factorized[1], np.arange(engine.n, engine.n + engine.m)
             )
-            assert dual_log == []
+            assert dual_log == [(None, 0)]
             ref = scipy_reference(model)
             assert sol.status == OPTIMAL and ref.status == 0
             assert abs(sol.objective + ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
