@@ -126,11 +126,6 @@ def read_instance(path: str) -> Instance:
         return instance_from_json(fh.read())
 
 
-def write_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(instance))
-
-
 # ---------------------------------------------------------------------------
 # MPS
 
@@ -207,7 +202,7 @@ def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
     if model.sos_sets:
         out.append("SOS")
         for sos in model.sos_sets:
-            out.append(f" S{sos.sos_type} {sos.name}")
+            out.append(f" S{model.sos_type} {sos.name}")
             for j, w in zip(sos.members, sos.weights):
                 out.append(f"    {_pad(model.column_names[j])}{_num(w)}")
     out.append("ENDATA")
@@ -225,7 +220,9 @@ def read_mps(text: str) -> LpModel:
 
     Raises MpsParseError with a line number for malformed sections,
     an objective sense other than MAXIMIZE, unknown row or column
-    references, non-finite numbers and non-increasing SOS weights.
+    references, non-finite numbers, non-increasing SOS weights and a set
+    header whose type differs from the first one's.  A file without sets
+    reads as SOS1.
     """
     section = None
     row_sense: dict[str, str] = {}
@@ -236,6 +233,7 @@ def read_mps(text: str) -> LpModel:
     row_coeffs: dict[str, list[tuple[int, float]]] = {}
     rhs: dict[str, float] = {}
     sos_raw: list[dict] = []
+    sos_type = None
     saw_endata = False
 
     col_index: dict[str, int] = {}
@@ -353,10 +351,10 @@ def read_mps(text: str) -> LpModel:
             if tokens[0] in ("S1", "S2"):
                 if len(tokens) != 2:
                     raise MpsParseError(ln, "expected 'S1|S2 <setname>'")
-                sos_raw.append(
-                    {"name": tokens[1], "type": int(tokens[0][1]),
-                     "members": [], "weights": [], "line": ln}
-                )
+                sos_type = sos_type or int(tokens[0][1])
+                if tokens[0] != f"S{sos_type}":
+                    raise MpsParseError(ln, f"{tokens[0]} set in an S{sos_type} model")
+                sos_raw.append({"name": tokens[1], "members": [], "weights": []})
             else:
                 if not sos_raw:
                     raise MpsParseError(ln, "SOS member before any set header")
@@ -402,19 +400,18 @@ def read_mps(text: str) -> LpModel:
     sos_sets = tuple(
         SosSet(
             name=s["name"],
-            sos_type=s["type"],
             members=tuple(s["members"]),
             weights=tuple(s["weights"]),
             bids=None,
         )
         for s in sos_raw
     )
-    return LpModel.from_tuples(columns, rows, sos_sets)
+    return LpModel.from_tuples(columns, rows, sos_sets, sos_type or 1)
 
 
 def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
-    """Equality on names, senses, every array and the SOS structure;
-    level-bid metadata (absent from MPS) is ignored."""
+    """Equality on names, senses, every array, the set type and the SOS
+    structure; level-bid metadata (absent from MPS) is ignored."""
     strip = lambda m: tuple(replace(s, bids=None) for s in m.sos_sets)
     return (
         (a.column_names, a.row_names, a.senses) == (b.column_names, b.row_names, b.senses)
@@ -422,6 +419,7 @@ def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
             np.array_equal(getattr(a, f), getattr(b, f))
             for f in ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
         )
+        and a.sos_type == b.sos_type
         and strip(a) == strip(b)
     )
 

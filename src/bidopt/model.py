@@ -16,7 +16,7 @@ all-zero "do nothing" slack, so a campaign can opt out of bidding.
   click value at most 0),
 * one global impression row,
 * one special ordered set per campaign with reference weights equal to
-  the level indices.
+  the level indices, all SOS1 (``search.relax_to_sos2`` makes them SOS2).
 
 The LP is an ``LpModel`` held as arrays, the layout LP solvers work on:
 names, the objective and bound vectors, row senses and right-hand
@@ -102,13 +102,12 @@ class LpRow:
 class SosSet:
     """Ordered set of columns with strictly increasing reference weights.
 
-    ``sos_type`` 1 allows at most one nonzero member; type 2 allows at
-    most two and they must be adjacent.  ``bids`` mirrors the members'
-    bid metadata (None where absent) for bid interpolation on output.
+    The model's ``sos_type`` says how many members may be nonzero.
+    ``bids`` mirrors the members' bid metadata (None where absent) for
+    bid interpolation on output.
     """
 
     name: str
-    sos_type: int
     members: tuple[int, ...]
     weights: tuple[float, ...]
     bids: tuple[float | None, ...] | None = None
@@ -125,7 +124,9 @@ class LpModel:
     ``rhs``.  The matrix is CSR: row i's entries are positions
     ``indptr[i]:indptr[i + 1]`` of ``indices`` (column positions) and
     ``data``, every stored entry kept in its given order, explicit zeros
-    and repeated columns included (the engine sums repeats).
+    and repeated columns included (the engine sums repeats).  Every set
+    in ``sos_sets`` has type ``sos_type``: 1 allows at most one nonzero
+    member, 2 at most two and they must be adjacent.
 
     ``columns`` and ``rows`` show the same model as ``LpColumn`` and
     ``LpRow`` tuples, built on first use, and ``from_tuples`` builds a
@@ -144,6 +145,7 @@ class LpModel:
     indices: np.ndarray
     data: np.ndarray
     sos_sets: tuple[SosSet, ...] = ()
+    sos_type: int = 1
 
     def __post_init__(self) -> None:
         for a in (self.objective, self.lower, self.upper, self.rhs,
@@ -156,6 +158,7 @@ class LpModel:
         columns: tuple[LpColumn, ...],
         rows: tuple[LpRow, ...],
         sos_sets: tuple[SosSet, ...] = (),
+        sos_type: int = 1,
     ) -> LpModel:
         """The model whose ``columns`` and ``rows`` are these."""
         indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
@@ -172,6 +175,7 @@ class LpModel:
             np.array([j for j, _ in entries], np.intp),
             np.array([v for _, v in entries], float),
             tuple(sos_sets),
+            sos_type,
         )
 
     @cached_property
@@ -321,7 +325,6 @@ def build_model(instance: Instance) -> LpModel:
     sos_sets = tuple(
         SosSet(
             name=f"S_{c.id}",
-            sos_type=1,
             members=tuple(range(first, first + len(c.levels))),
             weights=tuple(float(lev.level_index) for lev in c.levels),
             bids=tuple(lev.bid for lev in c.levels),

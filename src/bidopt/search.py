@@ -107,19 +107,19 @@ def _round_to(sos: SosSet, pos: int) -> Bounds:
     }
 
 
-def violation_measure(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> float:
+def violation_measure(sos: SosSet, sos_type: int, primal, zero_tol: float = ZERO_TOL) -> float:
     """Nonzero count beyond the allowed one, plus one for an SOS2 span
     wider than an adjacent pair.  Zero exactly when the set is satisfied."""
     nz = _nonzero_positions(sos, primal, zero_tol)
-    if sos.sos_type == 1:
+    if sos_type == 1:
         return max(len(nz) - 1, 0)
     if len(nz) <= 1:
         return 0
     return (len(nz) - 2) + (1 if nz[-1] - nz[0] > 1 else 0)
 
 
-def sos_satisfied(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> bool:
-    return violation_measure(sos, primal, zero_tol) == 0
+def sos_satisfied(sos: SosSet, sos_type: int, primal, zero_tol: float = ZERO_TOL) -> bool:
+    return violation_measure(sos, sos_type, primal, zero_tol) == 0
 
 
 def _weighted_average(sos: SosSet, primal) -> float:
@@ -182,12 +182,10 @@ def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) ->
 
 
 def relax_to_sos2(model: LpModel) -> LpModel:
-    """Retype every SOS1 set as SOS2; the matrix is untouched."""
-    if any(s.sos_type != 1 for s in model.sos_sets):
+    """The SOS2 model over the same matrix and sets, which it shares."""
+    if model.sos_type != 1:
         raise ValueError("relax_to_sos2 expects an all-SOS1 model")
-    return replace(
-        model, sos_sets=tuple(replace(s, sos_type=2) for s in model.sos_sets)
-    )
+    return replace(model, sos_type=2)
 
 
 def current_interval(sos: SosSet, primal) -> tuple[int, int]:
@@ -222,7 +220,7 @@ def strategy3_hotstart(
     cut off at ``deadline``, a ``time.perf_counter()`` value, included).
     The narrowing applies to the resolve only.
     """
-    if any(s.sos_type != 2 for s in model.sos_sets):
+    if model.sos_type != 2:
         raise ValueError("strategy 3 requires an SOS2 model")
 
     zero_flags: Bounds = {}
@@ -232,7 +230,7 @@ def strategy3_hotstart(
         if not nz:
             continue
         zero_flags.update(_zero_outside(sos, nz[0], nz[-1]))
-        if not sos_satisfied(sos, lp.primal, zero_tol):
+        if not sos_satisfied(sos, model.sos_type, lp.primal, zero_tol):
             narrowing.update(_zero_outside(sos, *current_interval(sos, lp.primal)))
 
     trial = _solve(
@@ -242,7 +240,7 @@ def strategy3_hotstart(
 
 
 def sos_branch(
-    node: Node, sos: SosSet, lp: LpSolution, first_order: int = 0,
+    node: Node, sos: SosSet, sos_type: int, lp: LpSolution, first_order: int = 0,
     zero_tol: float = ZERO_TOL,
 ) -> tuple[Node, Node]:
     """Split a violated set at the weighted-average reference weight.
@@ -259,12 +257,12 @@ def sos_branch(
     if not nz:
         raise ValueError("cannot branch on an all-zero set")
     r = _split_position(sos, _weighted_average(sos, lp.primal))
-    if sos.sos_type == 1:
+    if sos_type == 1:
         r = min(max(r, nz[0]), nz[-1] - 1)
     else:
         r = min(max(r, nz[0] + 1), nz[-1] - 1)
 
-    cut_right = r if sos.sos_type == 2 else r + 1
+    cut_right = r if sos_type == 2 else r + 1
     left = {**node.bounds, **_zero_outside(sos, 0, r)}
     right = {**node.bounds, **_zero_outside(sos, cut_right, len(sos.members) - 1)}
     return (
@@ -301,7 +299,7 @@ def _pick_violated(model: LpModel, primal, zero_tol: float) -> SosSet | None:
     best = None
     best_measure = 0.0
     for sos in model.sos_sets:
-        measure = violation_measure(sos, primal, zero_tol)
+        measure = violation_measure(sos, model.sos_type, primal, zero_tol)
         if measure > best_measure:
             best = sos
             best_measure = measure
@@ -319,8 +317,8 @@ def branch_and_bound(
 ) -> tuple[SolveReport, tuple[float, ...] | None]:
     """Solve the SOS problem; returns (report, primal values or None).
 
-    ``strategy`` is "1", "2", "3" or "none".  Strategy 3 requires all
-    sets to be SOS2 (relax_to_sos2 first).  Degradation is always
+    ``strategy`` is "1", "2", "3" or "none".  Strategy 3 requires an
+    SOS2 model (relax_to_sos2 first).  Degradation is always
     reported against the root LP relaxation, solved before any fixing.
     """
     strategy = "none" if strategy in (None, "none") else str(strategy)
@@ -331,10 +329,7 @@ def branch_and_bound(
     if engine is None:
         engine = SimplexEngine(model)
 
-    sos_type_used = 2 if model.sos_sets and all(
-        s.sos_type == 2 for s in model.sos_sets
-    ) else 1
-    if strategy == "3" and sos_type_used != 2:
+    if strategy == "3" and model.sos_type != 2:
         raise ValueError("strategy 3 requires an SOS2 model (relax_to_sos2 first)")
 
     t_start = time.perf_counter()
@@ -366,7 +361,7 @@ def branch_and_bound(
             nodes=nodes,
             sos_count=len(model.sos_sets),
             strategy=strategy,
-            sos_type_used=sos_type_used,
+            sos_type_used=model.sos_type,
             first_incumbent_objective=first_obj,
             first_solution_degradation_pct=degr(first_obj),
         )
@@ -475,7 +470,7 @@ def branch_and_bound(
                 break
             continue
 
-        for child in reversed(sos_branch(node, violated, lp, order, zero_tol)):
+        for child in reversed(sos_branch(node, violated, model.sos_type, lp, order, zero_tol)):
             entry = (-child.lp_bound, child.creation_order, child)
             if best_first:
                 heapq.heappush(frontier, entry)

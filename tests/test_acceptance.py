@@ -230,9 +230,13 @@ def test_criterion_8_mps_round_trip(suite1, capsys):
     for inst in suite1:
         model = build_model(inst)
         back = read_mps(write_mps(model))
-        same = models_structurally_equal(back, model) and all(
-            (a.sos_type, a.members, a.weights) == (b.sos_type, b.members, b.weights)
-            for a, b in zip(back.sos_sets, model.sos_sets)
+        same = (
+            models_structurally_equal(back, model)
+            and back.sos_type == model.sos_type
+            and all(
+                (a.members, a.weights) == (b.members, b.weights)
+                for a, b in zip(back.sos_sets, model.sos_sets)
+            )
         )
         if not same:
             failed += 1

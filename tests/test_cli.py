@@ -18,11 +18,10 @@ from bidopt.fileio import (
     read_mps,
     read_solution,
     verify_solution,
-    write_instance,
     write_mps,
 )
 from bidopt.generate import GenParams, generate_instance
-from bidopt.model import build_model
+from bidopt.model import Instance, build_model
 
 from conftest import make_nonadjacent_instance, make_t1
 
@@ -30,7 +29,7 @@ from conftest import make_nonadjacent_instance, make_t1
 @pytest.fixture
 def t1_path(tmp_path):
     p = tmp_path / "t1.json"
-    write_instance(make_t1(), str(p))
+    p.write_text(instance_to_json(make_t1()))
     return str(p)
 
 
@@ -111,6 +110,20 @@ class TestSolve:
         assert doc["strategy"] == "3"
         assert math.isclose(doc["objective"], 900.0 / 11.0, rel_tol=1e-9)
         assert math.isclose(doc["bids"]["c1"], 0.536363636364, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("strategy", ["none", "3"])
+    def test_campaignless_instance_keeps_sos2(self, tmp_path, capsys, strategy):
+        # no campaigns, so no sets: the model is SOS2 all the same
+        p = tmp_path / "empty.json"
+        p.write_text(instance_to_json(Instance((), (), 10.0)))
+        code, stdout, _ = run(
+            capsys, "solve", str(p), "--sos", "2", "--strategy", strategy,
+            "--omit-timing",
+        )
+        assert code == EXIT_OK
+        doc = read_solution(stdout)
+        assert (doc["sos_type"], doc["strategy"]) == (2, strategy)
+        assert doc["objective"] == 0.0
 
     def test_lp_bound_is_exact_on_the_criterion_7_instance(self, tmp_path, capsys):
         # the LP value is 1788.75404086458343 (exact rational arithmetic on
@@ -213,7 +226,7 @@ class TestEnvOverrides:
         # with zero_tol raised to 0.6, the root point of the T1 relaxation
         # (6/11 and 5/11) looks like a single nonzero and is accepted as is
         p = tmp_path / "t1.json"
-        write_instance(make_t1(), str(p))
+        p.write_text(instance_to_json(make_t1()))
         monkeypatch.setenv("BIDOPT_ZERO_TOL", "0.6")
         code, stdout, _ = run(
             capsys, "solve", str(p), "--prove", "--gap", "0", "--omit-timing",
@@ -242,9 +255,9 @@ class TestEnvOverrides:
     )
     def test_out_of_range_tolerance_is_input_error(self, tmp_path, name, value):
         p = tmp_path / "four.json"
-        write_instance(
-            generate_instance(GenParams(campaigns_per_business=4, seed=5)), str(p)
-        )
+        p.write_text(instance_to_json(
+            generate_instance(GenParams(campaigns_per_business=4, seed=5))
+        ))
         argv = ["solve", str(p), "--prove"]
         env = {}
         if name == "--gap":
@@ -331,7 +344,7 @@ class TestOracle:
 
     def test_matches_solver(self, tmp_path, capsys):
         p = tmp_path / "na.json"
-        write_instance(make_nonadjacent_instance(), str(p))
+        p.write_text(instance_to_json(make_nonadjacent_instance()))
         code, oracle_out, _ = run(capsys, "oracle", str(p), "--sos", "2")
         assert code == EXIT_OK
         oracle_obj = float(oracle_out.splitlines()[0].split()[1])
@@ -418,8 +431,8 @@ class TestBench:
     def test_multiple_files(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        write_instance(make_t1(), str(p1))
-        write_instance(make_nonadjacent_instance(), str(p2))
+        p1.write_text(instance_to_json(make_t1()))
+        p2.write_text(instance_to_json(make_nonadjacent_instance()))
         code, stdout, _ = run(
             capsys, "bench", str(p1), str(p2), "--strategies", "1", "--omit-timing",
         )

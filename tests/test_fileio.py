@@ -14,14 +14,13 @@ from bidopt.fileio import (
     read_mps,
     read_solution,
     verify_solution,
-    write_instance,
     write_mps,
     write_solution,
 )
 from bidopt.cli import run_benchmark
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import build_model
-from bidopt.search import SearchLimits, branch_and_bound
+from bidopt.search import SearchLimits, branch_and_bound, relax_to_sos2
 
 from conftest import make_t1
 
@@ -125,7 +124,7 @@ class TestInstanceJson:
 
     def test_path_helpers(self, t1_instance, tmp_path):
         p = tmp_path / "inst.json"
-        write_instance(t1_instance, str(p))
+        p.write_text(instance_to_json(t1_instance), encoding="utf-8")
         assert read_instance(str(p)) == t1_instance
 
 
@@ -149,6 +148,17 @@ class TestMpsRead:
         assert back.sos_sets[0].weights == t1_model.sos_sets[0].weights
         # bid metadata is not representable in the format
         assert back.sos_sets[0].bids is None
+
+    def test_set_type_comes_from_the_headers(self, t1_model):
+        relaxed = relax_to_sos2(t1_model)
+        text = write_mps(relaxed)
+        assert " S2 S_c1\n" in text
+        back = read_mps(text)
+        assert back.sos_type == 2
+        assert models_structurally_equal(back, relaxed)
+        assert not models_structurally_equal(back, t1_model)
+        no_sets = text[: text.index("SOS\n")] + "ENDATA\n"
+        assert read_mps(no_sets).sos_type == 1
 
     def test_round_trip_is_fixed_point(self, t1_model):
         once = write_mps(read_mps(write_mps(t1_model)))
@@ -182,6 +192,7 @@ class TestMpsRead:
             {"upper": base.upper * 2.0},
             {"senses": "LLLL"},
             {"row_names": ("a", "b", "c", "d")},
+            {"sos_type": 2},
         ):
             assert not models_structurally_equal(dataclasses.replace(base, **change), base)
 
@@ -206,6 +217,9 @@ class TestMpsRead:
              "unknown section header"),
             (lambda t: t.replace("OBJSENSE: MAXIMIZE", "OBJSENSE: MINIMIZE"),
              "objective sense 'MINIMIZE'"),
+            # the second set's header, where ENDATA was, names the other type
+            (lambda t: t.replace("ENDATA\n", " S2 S_x\n    D_c1_0              0.0\nENDATA\n"),
+             f"MPS line {T1_MPS.splitlines().index('ENDATA') + 1}: S2 set in an S1 model"),
         ],
     )
     def test_parse_errors(self, mutate, message):
@@ -281,8 +295,6 @@ class TestSolutionFile:
         assert doc["columns"] == {} and doc["bids"] == {}
 
     def test_sos2_bid_line_interpolates(self, t1_model):
-        from bidopt.search import relax_to_sos2
-
         model = relax_to_sos2(t1_model)
         report, values = branch_and_bound(model, limits=PROVE)
         doc = read_solution(write_solution(report, values, model, omit_timing=True))

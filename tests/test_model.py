@@ -52,7 +52,7 @@ def tuple_build(instance: Instance) -> LpModel:
     rows.append(LpRow("IMP", "L", instance.impression_budget, imp))
     sos_sets = tuple(
         SosSet(
-            f"S_{c.id}", 1,
+            f"S_{c.id}",
             tuple(col_of[(c.id, lev.level_index)] for lev in c.levels),
             tuple(float(lev.level_index) for lev in c.levels),
             tuple(lev.bid for lev in c.levels),
@@ -163,7 +163,7 @@ class TestBuildModel:
     def test_t1_sos(self, t1_model):
         (s,) = t1_model.sos_sets
         assert s.name == "S_c1"
-        assert s.sos_type == 1
+        assert t1_model.sos_type == 1
         assert s.members == (0, 1, 2)
         assert s.weights == (0.0, 1.0, 2.0)
         assert s.bids == (None, 0.40, 0.70)

@@ -56,37 +56,35 @@ class TestSatisfaction:
     def test_sos1_two_nonzeros(self, t1_model):
         s = t1_model.sos_sets[0]
         primal = (0.0, 6 / 11, 5 / 11)
-        assert not sos_satisfied(s, primal)
-        assert violation_measure(s, primal) == 1.0
+        assert not sos_satisfied(s, 1, primal)
+        assert violation_measure(s, 1, primal) == 1.0
 
     def test_sos2_adjacent_pair_ok(self, t1_model):
         s = t1_model.sos_sets[0]
-        s2 = relax_to_sos2(t1_model).sos_sets[0]
         primal = (0.0, 6 / 11, 5 / 11)
-        assert sos_satisfied(s2, primal)
-        assert violation_measure(s2, primal) == 0.0
-        assert s.sos_type == 1
+        assert sos_satisfied(s, 2, primal)
+        assert violation_measure(s, 2, primal) == 0.0
 
     def test_sos2_gap_counts(self, nonadjacent_instance):
         model = relax_to_sos2(build_model(nonadjacent_instance))
         s = model.sos_sets[0]
-        assert violation_measure(s, (0.0, 0.5, 0.0, 0.5)) == 1.0
+        assert violation_measure(s, 2, (0.0, 0.5, 0.0, 0.5)) == 1.0
         # a trio always spans more than one interval: excess count plus width
-        assert violation_measure(s, (0.0, 0.3, 0.3, 0.4)) == 2.0
-        assert violation_measure(s, (0.3, 0.3, 0.4, 0.0)) == 2.0
-        assert sos_satisfied(s, (0.0, 0.0, 0.4, 0.6))
+        assert violation_measure(s, 2, (0.0, 0.3, 0.3, 0.4)) == 2.0
+        assert violation_measure(s, 2, (0.3, 0.3, 0.4, 0.0)) == 2.0
+        assert sos_satisfied(s, 2, (0.0, 0.0, 0.4, 0.6))
 
     def test_zero_tol_hides_slivers(self, t1_model):
         s = t1_model.sos_sets[0]
-        assert sos_satisfied(s, (5e-7, 1.0 - 5e-7, 0.0))
-        assert not sos_satisfied(s, (5e-3, 1.0 - 5e-3, 0.0))
-        assert sos_satisfied(s, (5e-3, 1.0 - 5e-3, 0.0), zero_tol=1e-2)
+        assert sos_satisfied(s, 1, (5e-7, 1.0 - 5e-7, 0.0))
+        assert not sos_satisfied(s, 1, (5e-3, 1.0 - 5e-3, 0.0))
+        assert sos_satisfied(s, 1, (5e-3, 1.0 - 5e-3, 0.0), zero_tol=1e-2)
 
     def test_pick_violated_prefers_first_on_ties(self):
         cols = tuple(LpColumn(f"x{j}", 0.0, 0.0, 1.0) for j in range(4))
         sets = (
-            SosSet("A", 1, (0, 1), (0.0, 1.0)),
-            SosSet("B", 1, (2, 3), (0.0, 1.0)),
+            SosSet("A", (0, 1), (0.0, 1.0)),
+            SosSet("B", (2, 3), (0.0, 1.0)),
         )
         model = LpModel.from_tuples(columns=cols, rows=(), sos_sets=sets)
         primal = (0.5, 0.5, 0.5, 0.5)
@@ -173,13 +171,15 @@ class TestRollback:
         obj1, _ = enumerate_sos1(rollback_instance)
         assert report.incumbent_objective >= obj1 - 1e-9
         for s in model.sos_sets:
-            assert sos_satisfied(s, values)
+            assert sos_satisfied(s, 1, values)
 
 
 class TestRelaxAndInterval:
     def test_relax_flips_every_set(self, t1_model):
         relaxed = relax_to_sos2(t1_model)
-        assert all(s.sos_type == 2 for s in relaxed.sos_sets)
+        assert (t1_model.sos_type, relaxed.sos_type) == (1, 2)
+        assert relaxed.sos_sets is t1_model.sos_sets
+        assert relaxed.data is t1_model.data
         assert relaxed.columns == t1_model.columns
         assert relaxed.rows == t1_model.rows
 
@@ -238,7 +238,7 @@ class TestBranching:
         from bidopt.search import Node
 
         node = Node({}, math.inf, 0)
-        left, right = sos_branch(node, t1_model.sos_sets[0], root_lp, first_order=1)
+        left, right = sos_branch(node, t1_model.sos_sets[0], 1, root_lp, first_order=1)
         assert left.bounds == {2: (0.0, 0.0)}
         assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
         assert left.lp_bound == right.lp_bound == root_lp.objective
@@ -251,7 +251,7 @@ class TestBranching:
         from bidopt.search import Node
 
         node = Node({}, root_lp.objective, 0)
-        left, right = sos_branch(node, model.sos_sets[0], root_lp, first_order=1)
+        left, right = sos_branch(node, model.sos_sets[0], 2, root_lp, first_order=1)
         # split at position 2: left forbids above it, right forbids below it
         assert left.bounds == {3: (0.0, 0.0)}
         assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
@@ -261,7 +261,7 @@ class TestBranching:
 
         node = Node({}, 0.0, 0)
         with pytest.raises(ValueError, match="all-zero"):
-            sos_branch(node, t1_model.sos_sets[0], fake_lp((0.0, 0.0, 0.0)), 1)
+            sos_branch(node, t1_model.sos_sets[0], 1, fake_lp((0.0, 0.0, 0.0)), 1)
 
 
 class TestInterpolateBid:
@@ -382,7 +382,7 @@ class TestBranchAndBound:
         model = LpModel.from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 2.0, ((0, 1.0),)),),
-            sos_sets=(SosSet("S", 1, (0,), (0.0,)),),
+            sos_sets=(SosSet("S", (0,), (0.0,)),),
         )
         report, values = branch_and_bound(model, limits=PROVE)
         assert report.status == "infeasible"
@@ -504,7 +504,7 @@ class TestBranchAndBound:
             report, values = branch_and_bound(model, limits=PROVE)
             assert values is not None
             for s in model.sos_sets:
-                assert sos_satisfied(s, values)
+                assert sos_satisfied(s, sos_type, values)
 
 
 class SolveOnlyEngine:

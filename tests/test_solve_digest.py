@@ -1,21 +1,43 @@
-"""tools/solve_digest.py, run on the benchmark's scale workload."""
+"""tools/solve_digest.py, run on each of the benchmark's workloads."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
+NO_MASTERS = "masters 0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
-
-def test_scale_workload_digests():
-    done = subprocess.run(
-        [sys.executable, str(TOOL), "--workload", "scale-sos2-first"],
-        capture_output=True, text=True, timeout=300, check=True,
-    )
+DIGESTS = {
     # the search's two LP solves, the estimate's 78 master LPs and one
-    # solution file, each pinned bit for bit
-    assert done.stdout.splitlines() == [
+    # solution file
+    "scale-sos2-first": [
         "solutions 2 818f411e0dc41d80277cf810d39301b82b841f971a6728304f42f761467aa51d",
         "masters 78 f86a87efc6f11bcc6c64e92b4543f9704537c04c68aa7d095726d69a2bbffc51",
         "files 1 42b1f0b53efd6e370a6af1329b651b4afad95b50ee5c94596c2a4a5e2cfddc37",
-    ]
+    ],
+    # seven SOS1 trees proved optimal: every node LP and seven files
+    "tree-sos1-prove": [
+        "solutions 3927 9ff03dd1a1e0f49c5f1e291ea457ba9fe3619d7520198e8aa195ccdace36713d",
+        NO_MASTERS,
+        "files 7 26eb18f1178ffa67724744a8e8d0e8cac50fad41ea27b10741ebd8538ab8c5a0",
+    ],
+    # 252 models in five modes: SOS1 and SOS2 branching under all four
+    # strategies
+    "suite-many-small": [
+        "solutions 5497 47228a6889edfe3fe97ee1b0e2010d012fc5dfef8793ac1a10d20442f9718b1e",
+        NO_MASTERS,
+        "files 1260 c6aa5aec3a9842bddda25902074354d6ffe0a6ea12bdeb025f9ec0811ed95a95",
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", DIGESTS)
+def test_workload_digests(workload):
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", workload],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    # every answer pinned bit for bit
+    assert done.stdout.splitlines() == DIGESTS[workload]
