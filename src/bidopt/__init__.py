@@ -9,7 +9,6 @@ the model dataclasses; everything else lives in its submodule."""
 from .fileio import verify_solution
 from .generate import GenParams, generate_instance
 from .model import (
-    BidLevelData,
     Business,
     Campaign,
     Instance,
@@ -24,7 +23,6 @@ from .search import SearchLimits, branch_and_bound, relax_to_sos2
 __version__ = "0.1.0"
 
 __all__ = [
-    "BidLevelData",
     "Business",
     "Campaign",
     "GenParams",

@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from .model import (
-    BidLevelData,
     Business,
     Campaign,
     Instance,
@@ -54,13 +53,15 @@ def instance_to_json(instance: Instance) -> str:
                 "ctr": c.ctr,
                 "levels": [
                     {
-                        "level_index": lev.level_index,
-                        "ret": lev.ret,
-                        "ad_value": lev.ad_value,
-                        "impressions": lev.impressions,
-                        "bid": lev.bid,
+                        "level_index": j,
+                        "ret": ret,
+                        "ad_value": ad_value,
+                        "impressions": impressions,
+                        "bid": bid,
                     }
-                    for lev in c.levels
+                    for j, (ret, ad_value, impressions, bid) in enumerate(
+                        zip(c.ret, c.ad_value, c.impressions, c.bid)
+                    )
                 ],
             }
             for c in instance.campaigns
@@ -70,42 +71,42 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """The instance a document holds.  A business may list its campaigns
-    in ``campaign_ids``; the list must name exactly the campaigns that
-    reference it."""
+    """The instance a document holds.  Each campaign's ``level_index``
+    values must be its levels' positions, 0, 1, ...  A business may list
+    its campaigns in ``campaign_ids``; the list must name exactly the
+    campaigns that reference it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid instance JSON: {exc}") from exc
+    read_problems = []
     try:
-        campaigns = tuple(
-            Campaign(
-                id=str(c["id"]),
+        campaigns = []
+        for c in doc["campaigns"]:
+            cid, levels = str(c["id"]), c["levels"]
+            if [float(lev["level_index"]) for lev in levels] != list(range(len(levels))):
+                read_problems.append(
+                    f"campaign {cid}: level_index values must be 0..{len(levels) - 1} consecutive"
+                )
+            campaigns.append(Campaign(
+                id=cid,
                 business_id=str(c["business_id"]),
                 ctr=float(c["ctr"]),
-                levels=tuple(
-                    BidLevelData(
-                        level_index=int(lev["level_index"]),
-                        ret=float(lev["ret"]),
-                        ad_value=float(lev["ad_value"]),
-                        impressions=float(lev["impressions"]),
-                        bid=None if lev.get("bid") is None else float(lev["bid"]),
-                    )
-                    for lev in c["levels"]
-                ),
-            )
-            for c in doc["campaigns"]
-        )
+                ret=tuple(float(lev["ret"]) for lev in levels),
+                ad_value=tuple(float(lev["ad_value"]) for lev in levels),
+                impressions=tuple(float(lev["impressions"]) for lev in levels),
+                bid=tuple(None if lev.get("bid") is None else float(lev["bid"]) for lev in levels),
+            ))
+        campaigns = tuple(campaigns)
         businesses = tuple(
             Business(id=str(b["id"]), budget=float(b["budget"]), cpc=float(b["cpc"]))
             for b in doc["businesses"]
         )
-        listed = []
         for b, raw in zip(businesses, doc["businesses"]):
             if "campaign_ids" in raw and sorted(raw["campaign_ids"]) != sorted(
                 c.id for c in campaigns if c.business_id == b.id
             ):
-                listed.append(
+                read_problems.append(
                     f"business {b.id}: campaign_ids inconsistent with campaigns referencing it"
                 )
         instance = Instance(
@@ -115,7 +116,7 @@ def instance_from_json(text: str) -> Instance:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid instance JSON: missing or bad field {exc}") from exc
-    problems = validate_instance(instance) + listed
+    problems = validate_instance(instance) + read_problems
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
     return instance
@@ -442,6 +443,8 @@ def model_to_instance(model: LpModel) -> Instance:
     Recovered ad_value is spend/impressions, so rebuilt budget and
     click coefficients can differ from the originals in the last few
     bits.  Level bids are not stored in MPS and come back as None.
+    Raises ValueError when a set's weights are not its level indices
+    0, 1, ... or when the rebuilt instance fails ``validate_instance``.
     """
     row_at = {name: i for i, name in enumerate(model.row_names)}
     ptr, idx, val = model.indptr.tolist(), model.indices.tolist(), model.data.tolist()
@@ -450,13 +453,17 @@ def model_to_instance(model: LpModel) -> Instance:
     def entries(i: int):
         return zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]])
 
-    campaigns_meta: list[dict] = []
+    campaigns_meta: list[tuple[str, tuple[int, ...]]] = []
     for sos in model.sos_sets:
         cid = _campaign_id(sos)
         cvx = row_at.get(f"CVX_{cid}")
         if cvx is None or tuple(idx[ptr[cvx]:ptr[cvx + 1]]) != sos.members:
             raise ValueError(f"set {sos.name}: no matching convexity row CVX_{cid}")
-        campaigns_meta.append({"cid": cid, "members": sos.members, "weights": sos.weights})
+        if sos.weights != tuple(range(len(sos.weights))):
+            raise ValueError(
+                f"set {sos.name}: weights must be the level indices 0..{len(sos.weights) - 1}"
+            )
+        campaigns_meta.append((cid, sos.members))
 
     imp = row_at.get("IMP")
     if imp is None:
@@ -480,15 +487,14 @@ def model_to_instance(model: LpModel) -> Instance:
     # cpc*ctr per campaign from spend - click = P * cpc * ctr
     product: dict[str, float] = {}
     camp_business: dict[str, str] = {}
-    for meta in campaigns_meta:
-        cid = meta["cid"]
-        owners = {member_business.get(j) for j in meta["members"]}
+    for cid, members in campaigns_meta:
+        owners = {member_business.get(j) for j in members}
         owners.discard(None)
         if len(owners) != 1:
             raise ValueError(f"campaign {cid}: members span businesses {owners}")
         camp_business[cid] = owners.pop()
         q = 0.0
-        for j in meta["members"]:
+        for j in members:
             p = impressions.get(j, 0.0)
             if p > 0.0:
                 q = (spend.get(j, 0.0) - click.get(j, 0.0)) / p
@@ -504,32 +510,31 @@ def model_to_instance(model: LpModel) -> Instance:
 
     objective = model.objective.tolist()
     campaigns = []
-    for meta in campaigns_meta:
-        cid = meta["cid"]
+    for cid, members in campaigns_meta:
         cpc = cpc_of[camp_business[cid]]
         ctr = product[cid] / cpc if cpc > 0.0 else 0.0
-        levels = []
-        for pos, j in enumerate(meta["members"]):
-            p = impressions.get(j, 0.0)
-            av = spend.get(j, 0.0) / p if p > 0.0 else 0.0
-            levels.append(
-                BidLevelData(
-                    level_index=int(meta["weights"][pos]),
-                    ret=objective[j],
-                    ad_value=av,
-                    impressions=p,
-                )
-            )
-        campaigns.append(
-            Campaign(id=cid, business_id=camp_business[cid], ctr=ctr,
-                     levels=tuple(levels))
-        )
+        imps = tuple(impressions.get(j, 0.0) for j in members)
+        campaigns.append(Campaign(
+            id=cid,
+            business_id=camp_business[cid],
+            ctr=ctr,
+            ret=tuple(objective[j] for j in members),
+            ad_value=tuple(
+                spend.get(j, 0.0) / p if p > 0.0 else 0.0 for j, p in zip(members, imps)
+            ),
+            impressions=imps,
+            bid=(None,) * len(members),
+        ))
 
-    return Instance(
+    instance = Instance(
         businesses=tuple(businesses),
         campaigns=tuple(campaigns),
         impression_budget=rhs[imp],
     )
+    problems = validate_instance(instance)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -622,19 +627,14 @@ def verify_solution(
     condition is checked exactly against zero_tol.  Returns violation
     messages, empty when the solution verifies.
     """
-    expected: dict[str, tuple[str, int]] = {}
-    for c in instance.campaigns:
-        for lev in c.levels:
-            expected[f"D_{c.id}_{lev.level_index}"] = (c.id, lev.level_index)
+    expected = {
+        f"D_{c.id}_{j}": (c.id, j) for c in instance.campaigns for j in range(len(c.ret))
+    }
     problems = [
         f"unknown column {name!r}" for name in columns if name not in expected
     ]
 
-    value = {
-        (c.id, lev.level_index): columns.get(f"D_{c.id}_{lev.level_index}", 0.0)
-        for c in instance.campaigns
-        for lev in c.levels
-    }
+    value = {key: columns.get(name, 0.0) for name, key in expected.items()}
     for (cid, j), v in value.items():
         if v < -tol or v > 1.0 + tol:
             problems.append(f"column D_{cid}_{j}: value {v} outside [0, 1]")
@@ -648,7 +648,7 @@ def verify_solution(
             )
 
     for c in instance.campaigns:
-        terms = [value[(c.id, lev.level_index)] for lev in c.levels]
+        terms = [value[(c.id, j)] for j in range(len(c.ret))]
         total = math.fsum(terms)
         scale = max(1.0, math.fsum(abs(t) for t in terms))
         if abs(total - 1.0) > tol * scale:
@@ -661,25 +661,22 @@ def verify_solution(
         spend_terms = []
         click_terms = []
         for c in camps_of[b.id]:
-            for lev in c.levels:
-                v = value[(c.id, lev.level_index)]
-                spend_terms.append(lev.impressions * lev.ad_value * v)
-                click_terms.append(
-                    lev.impressions * (lev.ad_value - b.cpc * c.ctr) * v
-                )
+            for j, (ad_value, impressions) in enumerate(zip(c.ad_value, c.impressions)):
+                v = value[(c.id, j)]
+                spend_terms.append(impressions * ad_value * v)
+                click_terms.append(impressions * (ad_value - b.cpc * c.ctr) * v)
         check_le(f"BUD_{b.id}", spend_terms, b.budget)
         check_le(f"CLK_{b.id}", click_terms, 0.0)
 
     imp_terms = [
-        lev.impressions * value[(c.id, lev.level_index)]
+        impressions * value[(c.id, j)]
         for c in instance.campaigns
-        for lev in c.levels
+        for j, impressions in enumerate(c.impressions)
     ]
     check_le("IMP", imp_terms, instance.impression_budget)
 
     for c in instance.campaigns:
-        nz = [lev.level_index for lev in c.levels
-              if value[(c.id, lev.level_index)] > zero_tol]
+        nz = [j for j in range(len(c.ret)) if value[(c.id, j)] > zero_tol]
         if sos_type == 1:
             if len(nz) > 1:
                 problems.append(f"set S_{c.id}: {len(nz)} nonzero members (SOS1)")

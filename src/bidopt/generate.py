@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import BidLevelData, Business, Campaign, Instance
+from .model import Business, Campaign, Instance
 
 CURVE_SHAPES = ("uniform", "front-loaded", "back-loaded")
 
@@ -107,7 +107,6 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
 
         top_spend = 0.0
         top_click_weight = 0.0
-        bus_campaigns: list[tuple[str, float, list[BidLevelData]]] = []
         vpc = rng.uniform(0.5, 3.0)
 
         for i in range(n_campaigns):
@@ -129,18 +128,14 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
 
             bid = av * rng.uniform(0.9, 1.1, size=n_levels)
 
-            levels = [BidLevelData(0, 0.0, 0.0, 0.0)]
-            for j in range(n_levels):
-                levels.append(
-                    BidLevelData(
-                        level_index=j + 1,
-                        ret=float(ret[j]),
-                        ad_value=float(av[j]),
-                        impressions=float(imps[j]),
-                        bid=float(bid[j]),
-                    )
-                )
-            bus_campaigns.append((cid, ctr, levels))
+            # the slack level 0, then the bid levels
+            campaigns.append(Campaign(
+                cid, bus_id, ctr,
+                (0.0, *ret.tolist()),
+                (0.0, *av.tolist()),
+                (0.0, *imps.tolist()),
+                (None, *bid.tolist()),
+            ))
             top_spend += float(imps[-1] * av[-1])
             top_click_weight += float(ctr * imps[-1])
             top_impressions += float(imps[-1])
@@ -148,10 +143,6 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
         margin = rng.uniform(*params.click_margin)
         cpc = margin * top_spend / top_click_weight if top_click_weight > 0 else 1.0
         businesses.append(Business(bus_id, params.budget_tightness * top_spend, cpc))
-        for cid, ctr, levels in bus_campaigns:
-            campaigns.append(
-                Campaign(id=cid, business_id=bus_id, ctr=ctr, levels=tuple(levels))
-            )
 
     return Instance(
         businesses=tuple(businesses),

@@ -5,6 +5,9 @@ Each campaign bids at a small number of discrete levels; every level
 carries an expected gross return, an ad value (budget decrement per
 impression) and an expected impression count.  Level 0 is always the
 all-zero "do nothing" slack, so a campaign can opt out of bidding.
+A campaign holds its curve as four parallel tuples, ``ret``,
+``ad_value``, ``impressions`` and ``bid``: level j is position j of
+each, so a level is known by its position and carries no index.
 
 ``build_model`` expands an Instance into a sparse LP:
 
@@ -32,31 +35,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class BidLevelData:
-    """One discrete bid level of a campaign.
-
-    ``bid`` is pass-through metadata (the money bid that produces this
-    level); it never enters the constraint matrix.
-    """
-
-    level_index: int
-    ret: float
-    ad_value: float
-    impressions: float
-    bid: float | None = None
-
-
-@dataclass(frozen=True)
 class Campaign:
+    """A campaign and its bid-level curve, one entry per level in each
+    tuple.  ``bid`` is pass-through metadata (the money bid that
+    produces a level, None where absent); it never enters the
+    constraint matrix."""
+
     id: str
     business_id: str
     ctr: float
-    levels: tuple[BidLevelData, ...]
+    ret: tuple[float, ...]
+    ad_value: tuple[float, ...]
+    impressions: tuple[float, ...]
+    bid: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
@@ -234,35 +231,21 @@ def validate_instance(instance: Instance) -> list[str]:
             problems.append(f"campaign {c.id}: unknown business {c.business_id!r}")
         if not (0.0 <= c.ctr <= 1.0):
             problems.append(f"campaign {c.id}: ctr must be in [0, 1]")
-        if not c.levels:
+        if not (len(c.ad_value) == len(c.impressions) == len(c.bid) == len(c.ret)):
+            problems.append(f"campaign {c.id}: level tuples differ in length")
+            continue
+        if not c.ret:
             problems.append(f"campaign {c.id}: needs at least the slack level")
             continue
-        for j, lev in enumerate(c.levels):
-            if lev.level_index != j:
-                problems.append(
-                    f"campaign {c.id}: level_index values must be 0..{len(c.levels) - 1} consecutive"
-                )
-                break
-        lev0 = c.levels[0]
-        if lev0.ret != 0.0 or lev0.ad_value != 0.0 or lev0.impressions != 0.0:
+        if c.ret[0] != 0.0 or c.ad_value[0] != 0.0 or c.impressions[0] != 0.0:
             problems.append(f"campaign {c.id}: slack level must be all-zero")
-        for lev in c.levels:
-            # One test for a sound level; a level that fails it is
-            # checked again amount by amount for its messages.
-            bid = lev.bid
-            if (
-                0.0 <= lev.ret < math.inf
-                and 0.0 <= lev.ad_value < math.inf
-                and 0.0 <= lev.impressions < math.inf
-                and (bid is None or -math.inf < bid < math.inf)
-            ):
-                continue
-            where = f"campaign {c.id} level {lev.level_index}"
-            _check_amount(problems, where, "ret", lev.ret)
-            _check_amount(problems, where, "ad_value", lev.ad_value)
-            _check_amount(problems, where, "impressions", lev.impressions)
+        for name in ("ret", "ad_value", "impressions"):
+            for j, value in enumerate(getattr(c, name)):
+                if not 0.0 <= value < math.inf:
+                    _check_amount(problems, f"campaign {c.id} level {j}", name, value)
+        for j, bid in enumerate(c.bid):
             if bid is not None and not math.isfinite(bid):
-                problems.append(f"{where}: bid must be finite")
+                problems.append(f"campaign {c.id} level {j}: bid must be finite")
 
     return problems
 
@@ -270,23 +253,22 @@ def validate_instance(instance: Instance) -> list[str]:
 def build_model(instance: Instance) -> LpModel:
     """Expand a validated Instance into the LP/SOS matrix.
 
-    One pass over the levels gathers their names and amounts; the rows'
-    entries are then laid out with numpy, each row's in column order."""
+    The levels' names and amounts are gathered straight from the
+    campaigns' tuples; the rows' entries are then laid out with numpy,
+    each row's in column order."""
     problems = validate_instance(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     campaigns, businesses = instance.campaigns, instance.businesses
-    names = []
-    amounts = []
-    for c in campaigns:
-        for lev in c.levels:
-            names.append(f"D_{c.id}_{lev.level_index}")
-            amounts.append((lev.ret, lev.ad_value, lev.impressions))
+    sizes = np.array([len(c.ret) for c in campaigns], np.intp)
+    names = [f"D_{c.id}_{j}" for c in campaigns for j in range(len(c.ret))]
     n, nc, nb = len(names), len(campaigns), len(businesses)
     m = nc + 2 * nb + 1
-    ret, ad_value, impressions = np.array(amounts, float).reshape(n, 3).T.copy()
-    sizes = np.array([len(c.levels) for c in campaigns], np.intp)
+    ret, ad_value, impressions = (
+        np.fromiter(chain.from_iterable(getattr(c, key) for c in campaigns), float, n)
+        for key in ("ret", "ad_value", "impressions")
+    )
     business_of = {b.id: k for k, b in enumerate(businesses)}
     owner = np.array([business_of[c.business_id] for c in campaigns], np.intp)
     cpc_ctr = np.array([b.cpc for b in businesses], float)[owner] * np.array(
@@ -325,9 +307,9 @@ def build_model(instance: Instance) -> LpModel:
     sos_sets = tuple(
         SosSet(
             name=f"S_{c.id}",
-            members=tuple(range(first, first + len(c.levels))),
-            weights=tuple(float(lev.level_index) for lev in c.levels),
-            bids=tuple(lev.bid for lev in c.levels),
+            members=tuple(range(first, first + len(c.ret))),
+            weights=tuple(map(float, range(len(c.ret)))),
+            bids=c.bid,
         )
         for c, first in zip(campaigns, (sizes.cumsum() - sizes).tolist())
     )

@@ -37,14 +37,14 @@ def _row_slacks(instance: Instance) -> tuple[dict[str, float], dict[str, float],
     by_bus: dict[str, list] = {b.id: [] for b in instance.businesses}
     for c in instance.campaigns:
         by_bus[c.business_id].append(c)
-        imp_mass += max(lev.impressions for lev in c.levels)
+        imp_mass += max(c.impressions)
     for b in instance.businesses:
         spend_mass = 1.0 + abs(b.budget)
         click_mass = 1.0
         for c in by_bus[b.id]:
-            spend_mass += max(lev.impressions * lev.ad_value for lev in c.levels)
+            spend_mass += max(p * a for p, a in zip(c.impressions, c.ad_value))
             click_mass += max(
-                abs(lev.impressions * (lev.ad_value - b.cpc * c.ctr)) for lev in c.levels
+                abs(p * (a - b.cpc * c.ctr)) for p, a in zip(c.impressions, c.ad_value)
             )
         bud_tol[b.id] = _REL_SLACK * spend_mass
         clk_tol[b.id] = _REL_SLACK * click_mass
@@ -61,7 +61,7 @@ def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict
     feasible, so a solution always exists.
     """
     campaigns = instance.campaigns
-    sizes = [len(c.levels) for c in campaigns]
+    sizes = [len(c.ret) for c in campaigns]
     total = math.prod(sizes) if sizes else 1
     if total > cap:
         raise ValueError(f"enumeration size {total} exceeds cap {cap}")
@@ -70,14 +70,14 @@ def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict
     cpc = {b.id: b.cpc for b in instance.businesses}
     budget = {b.id: b.budget for b in instance.businesses}
 
-    ret_tab = [np.array([lev.ret for lev in c.levels]) for c in campaigns]
-    imp_tab = [np.array([lev.impressions for lev in c.levels]) for c in campaigns]
+    ret_tab = [np.array(c.ret) for c in campaigns]
+    imp_tab = [np.array(c.impressions) for c in campaigns]
     spend_tab = [
-        np.array([lev.impressions * lev.ad_value for lev in c.levels]) for c in campaigns
+        np.array([p * a for p, a in zip(c.impressions, c.ad_value)]) for c in campaigns
     ]
     click_tab = [
         np.array(
-            [lev.impressions * (lev.ad_value - cpc[c.business_id] * c.ctr) for lev in c.levels]
+            [p * (a - cpc[c.business_id] * c.ctr) for p, a in zip(c.impressions, c.ad_value)]
         )
         for c in campaigns
     ]
@@ -140,7 +140,7 @@ def enumerate_sos2(
     by more than 1e-9 are skipped (sound: the bound dominates the LP).
     """
     campaigns = instance.campaigns
-    n_pat = [max(len(c.levels) - 1, 1) for c in campaigns]
+    n_pat = [max(len(c.ret) - 1, 1) for c in campaigns]
     total = math.prod(n_pat) if n_pat else 1
     if total > cap:
         raise ValueError(f"enumeration size {total} exceeds cap {cap}")
@@ -154,21 +154,19 @@ def enumerate_sos2(
     # (slack only) contribute the slack level as a constant and carry the
     # degenerate interval (0, 0).
     def quantities(c, j):
-        lev = c.levels[j]
-        spend = lev.impressions * lev.ad_value
-        click = lev.impressions * (lev.ad_value - cpc[c.business_id] * c.ctr)
-        return lev.ret, spend, click, lev.impressions
+        p, a = c.impressions[j], c.ad_value[j]
+        return c.ret[j], p * a, p * (a - cpc[c.business_id] * c.ctr), p
 
     intervals: list[list[dict]] = []
     for c in campaigns:
         pats = []
-        if len(c.levels) == 1:
+        if len(c.ret) == 1:
             r, s, k, p = quantities(c, 0)
             pats.append(
                 {"pair": (0, 0), "base": (r, s, k, p), "delta": (0.0, 0.0, 0.0, 0.0)}
             )
         else:
-            for j in range(len(c.levels) - 1):
+            for j in range(len(c.ret) - 1):
                 rl, sl, kl, pl = quantities(c, j)
                 rh, sh, kh, ph = quantities(c, j + 1)
                 pats.append(

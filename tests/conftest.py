@@ -1,7 +1,7 @@
 import pytest
 
 from bidopt.generate import GenParams, scale_suite
-from bidopt.model import BidLevelData, Business, Campaign, Instance
+from bidopt.model import Business, Campaign, Instance
 
 
 def make_t1() -> Instance:
@@ -11,14 +11,16 @@ def make_t1() -> Instance:
     50x + 160y <= 100 and x + y <= 1, optimum 900/11 at x = 6/11,
     y = 5/11.
     """
-    levels = (
-        BidLevelData(0, 0.0, 0.0, 0.0),
-        BidLevelData(1, 50.0, 0.5, 100.0, bid=0.40),
-        BidLevelData(2, 120.0, 0.8, 200.0, bid=0.70),
+    c1 = Campaign(
+        "c1", "k1", 0.4,
+        ret=(0.0, 50.0, 120.0),
+        ad_value=(0.0, 0.5, 0.8),
+        impressions=(0.0, 100.0, 200.0),
+        bid=(None, 0.40, 0.70),
     )
     return Instance(
         businesses=(Business("k1", 100.0, 2.0),),
-        campaigns=(Campaign("c1", "k1", 0.4, levels),),
+        campaigns=(c1,),
         impression_budget=1000.0,
     )
 
@@ -31,13 +33,11 @@ def make_rollback_instance() -> Instance:
     below zero_tol, so strategy 2 rounds both sets; the rounded LP then
     violates the click row and the fixes must be withdrawn.
     """
-    lev_a = (BidLevelData(0, 0.0, 0.0, 0.0), BidLevelData(1, 100.0, 0.1, 100.0))
-    lev_b = (BidLevelData(0, 0.0, 0.0, 0.0), BidLevelData(1, 1.0, 1.0, 1e7))
     return Instance(
         businesses=(Business("k1", 15.0, 1.2),),
         campaigns=(
-            Campaign("ca", "k1", 0.075, lev_a),
-            Campaign("cb", "k1", 1.0, lev_b),
+            Campaign("ca", "k1", 0.075, (0.0, 100.0), (0.0, 0.1), (0.0, 100.0), (None, None)),
+            Campaign("cb", "k1", 1.0, (0.0, 1.0), (0.0, 1.0), (0.0, 1e7), (None, None)),
         ),
         impression_budget=1e9,
     )
@@ -51,15 +51,16 @@ def make_nonadjacent_instance() -> Instance:
     optimum splits half-half between levels 1 and 3 (objective 21).
     The best SOS2 point is all of level 2, objective 13.
     """
-    levels = (
-        BidLevelData(0, 0.0, 0.0, 0.0),
-        BidLevelData(1, 12.0, 0.1, 100.0),
-        BidLevelData(2, 13.0, 0.2, 100.0),
-        BidLevelData(3, 30.0, 0.3, 100.0),
+    c1 = Campaign(
+        "c1", "k1", 0.5,
+        ret=(0.0, 12.0, 13.0, 30.0),
+        ad_value=(0.0, 0.1, 0.2, 0.3),
+        impressions=(0.0, 100.0, 100.0, 100.0),
+        bid=(None,) * 4,
     )
     return Instance(
         businesses=(Business("k1", 20.0, 1.0),),
-        campaigns=(Campaign("c1", "k1", 0.5, levels),),
+        campaigns=(c1,),
         impression_budget=1e6,
     )
 

@@ -378,6 +378,28 @@ class TestConvert:
                 assert ja == jb
                 assert math.isclose(va, vb, rel_tol=1e-12, abs_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("    D_c1_2              2.0\n", "    D_c1_2              5.0\n",
+             "set S_c1: weights must be the level indices 0..2"),
+            ("COST                50.0", "COST                -50.0",
+             "campaign c1 level 1: ret must be >= 0"),
+        ],
+    )
+    def test_mps_that_no_instance_builds_is_input_error(
+        self, tmp_path, capsys, old, new, message
+    ):
+        text = write_mps(build_model(make_t1()))
+        assert old in text
+        p = tmp_path / "model.mps"
+        p.write_text(text.replace(old, new))
+        out = tmp_path / "back.json"
+        code, _, stderr = run(capsys, "convert", str(p), "-o", str(out))
+        assert code == EXIT_INPUT
+        assert message in stderr
+        assert not out.exists()
+
     def test_unknown_extension(self, tmp_path, capsys):
         p = tmp_path / "model.txt"
         p.write_text("x")

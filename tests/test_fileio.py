@@ -66,6 +66,49 @@ SOS
 ENDATA
 """
 
+T1_JSON = """\
+{
+  "impression_budget": 1000.0,
+  "businesses": [
+    {
+      "id": "k1",
+      "budget": 100.0,
+      "cpc": 2.0
+    }
+  ],
+  "campaigns": [
+    {
+      "id": "c1",
+      "business_id": "k1",
+      "ctr": 0.4,
+      "levels": [
+        {
+          "level_index": 0,
+          "ret": 0.0,
+          "ad_value": 0.0,
+          "impressions": 0.0,
+          "bid": null
+        },
+        {
+          "level_index": 1,
+          "ret": 50.0,
+          "ad_value": 0.5,
+          "impressions": 100.0,
+          "bid": 0.4
+        },
+        {
+          "level_index": 2,
+          "ret": 120.0,
+          "ad_value": 0.8,
+          "impressions": 200.0,
+          "bid": 0.7
+        }
+      ]
+    }
+  ]
+}
+"""
+
 T1_SOLUTION = """\
 STATUS optimal
 OBJECTIVE 50.000000000000
@@ -81,6 +124,9 @@ BID c1 0.400000000000
 
 
 class TestInstanceJson:
+    def test_t1_golden(self, t1_instance):
+        assert instance_to_json(t1_instance) == T1_JSON
+
     def test_round_trip(self, t1_instance):
         text = instance_to_json(t1_instance)
         assert text.endswith("\n")
@@ -121,6 +167,22 @@ class TestInstanceJson:
         doc["impression_budget"] = -5.0
         with pytest.raises(ValueError, match="invalid instance"):
             instance_from_json(json.dumps(doc))
+
+    def test_nonconsecutive_level_index(self, t1_instance):
+        doc = json.loads(instance_to_json(t1_instance))
+        doc["campaigns"][0]["levels"][2]["level_index"] = 5
+        with pytest.raises(ValueError, match="c1: level_index values must be 0..2 consecutive"):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("index, ok", [(1, True), (1.0, True), ("1", True), (1.5, False)])
+    def test_level_index_is_the_position(self, t1_instance, index, ok):
+        doc = json.loads(instance_to_json(t1_instance))
+        doc["campaigns"][0]["levels"][1]["level_index"] = index
+        if ok:
+            assert instance_from_json(json.dumps(doc)) == t1_instance
+        else:
+            with pytest.raises(ValueError, match="level_index values must be 0..2 consecutive"):
+                instance_from_json(json.dumps(doc))
 
     def test_path_helpers(self, t1_instance, tmp_path):
         p = tmp_path / "inst.json"
@@ -246,11 +308,13 @@ class TestModelToInstance:
         assert inst.impression_budget == 1000.0
         # cpc and ctr are recovered only up to their product
         assert math.isclose(bus.cpc * camp.ctr, 0.8, rel_tol=1e-12)
-        for got, exp in zip(camp.levels, make_t1().campaigns[0].levels):
-            assert got.level_index == exp.level_index
-            assert math.isclose(got.ret, exp.ret, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(got.impressions, exp.impressions, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(got.ad_value, exp.ad_value, rel_tol=1e-12, abs_tol=1e-12)
+        exp = make_t1().campaigns[0]
+        for field in ("ret", "impressions", "ad_value"):
+            got, want = getattr(camp, field), getattr(exp, field)
+            assert len(got) == len(want) == 3
+            for a, b in zip(got, want):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), field
+        assert camp.bid == (None, None, None)
 
     def test_rebuild_matches_coefficients(self):
         inst = generate_instance(GenParams(businesses=2, campaigns_per_business=3, seed=0))
@@ -320,10 +384,8 @@ class TestVerifySolution:
     def columns_for(instance, assignment):
         cols = {}
         for c in instance.campaigns:
-            for lev in c.levels:
-                cols[f"D_{c.id}_{lev.level_index}"] = (
-                    1.0 if assignment.get(c.id) == lev.level_index else 0.0
-                )
+            for j in range(len(c.ret)):
+                cols[f"D_{c.id}_{j}"] = 1.0 if assignment.get(c.id) == j else 0.0
         return cols
 
     def test_clean_solution(self, t1_instance):

@@ -49,9 +49,7 @@ class TestCurveProperties:
             GenParams(businesses=2, campaigns_per_business=3, levels_per_campaign=5, seed=11)
         )
         for c in inst.campaigns:
-            ret = [lev.ret for lev in c.levels]
-            av = [lev.ad_value for lev in c.levels]
-            imp = [lev.impressions for lev in c.levels]
+            ret, av, imp = list(c.ret), list(c.ad_value), list(c.impressions)
             assert ret == sorted(ret) and len(set(ret)) == len(ret)
             assert av == sorted(av) and len(set(av)) == len(av)
             assert imp == sorted(imp) and len(set(imp)) == len(imp)
@@ -59,10 +57,9 @@ class TestCurveProperties:
     def test_level_zero_is_all_zero(self):
         inst = generate_instance(GenParams(seed=5))
         for c in inst.campaigns:
-            lev0 = c.levels[0]
-            assert (lev0.ret, lev0.ad_value, lev0.impressions) == (0.0, 0.0, 0.0)
-            assert lev0.bid is None
-            assert all(lev.bid is not None for lev in c.levels[1:])
+            assert (c.ret[0], c.ad_value[0], c.impressions[0]) == (0.0, 0.0, 0.0)
+            assert c.bid[0] is None
+            assert all(bid is not None for bid in c.bid[1:])
 
     def test_rates_in_range(self):
         inst = generate_instance(GenParams(businesses=3, seed=9))
@@ -75,7 +72,7 @@ class TestCurveProperties:
         inst = generate_instance(
             GenParams(campaigns_per_business=20, levels_per_campaign=(2, 6), seed=13)
         )
-        sizes = {len(c.levels) for c in inst.campaigns}
+        sizes = {len(c.ret) for c in inst.campaigns}
         # slack included: 2..6 real levels means 3..7 members
         assert sizes <= set(range(3, 8))
         assert len(sizes) > 1
@@ -91,7 +88,7 @@ class TestCurveProperties:
                 )
             )
             for c in inst.campaigns:
-                av = np.array([lev.ad_value for lev in c.levels[1:]])
+                av = np.array(c.ad_value[1:])
                 steps = np.diff(np.concatenate([[0.0], av]))
                 # first step includes the random base offset, so compare
                 # among the increments past level 1
@@ -107,13 +104,13 @@ class TestBudgetFormulas:
         top_imps = 0.0
         for b in inst.businesses:
             spend = sum(
-                c.levels[-1].impressions * c.levels[-1].ad_value
+                c.impressions[-1] * c.ad_value[-1]
                 for c in inst.campaigns
                 if c.business_id == b.id
             )
             assert math.isclose(b.budget, 0.6 * spend, rel_tol=1e-12)
             top_imps += sum(
-                c.levels[-1].impressions
+                c.impressions[-1]
                 for c in inst.campaigns
                 if c.business_id == b.id
             )
@@ -130,12 +127,12 @@ class TestBudgetFormulas:
                 seed=100 + seed,
             )
             inst = generate_instance(p)
-            greedy = sum(max(lev.ret for lev in c.levels) for c in inst.campaigns)
+            greedy = sum(max(c.ret) for c in inst.campaigns)
             obj, choice = enumerate_sos1(inst)
             assert math.isclose(obj, greedy, rel_tol=1e-12), f"seed {100 + seed}"
             # the argmax of a strictly increasing curve is the top level
             assert all(
-                choice[c.id] == len(c.levels) - 1 for c in inst.campaigns
+                choice[c.id] == len(c.ret) - 1 for c in inst.campaigns
             )
 
     def test_tight_budget_binds_at_lp_optimum(self):

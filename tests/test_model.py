@@ -5,7 +5,6 @@ import pytest
 
 from bidopt.generate import scale_suite
 from bidopt.model import (
-    BidLevelData,
     Business,
     Campaign,
     Instance,
@@ -26,11 +25,11 @@ def tuple_build(instance: Instance) -> LpModel:
     build."""
     columns, col_of = [], {}
     for c in instance.campaigns:
-        for lev in c.levels:
-            col_of[(c.id, lev.level_index)] = len(columns)
-            columns.append(LpColumn(f"D_{c.id}_{lev.level_index}", lev.ret, 0.0, 1.0))
+        for j, ret in enumerate(c.ret):
+            col_of[(c.id, j)] = len(columns)
+            columns.append(LpColumn(f"D_{c.id}_{j}", ret, 0.0, 1.0))
     rows = [
-        LpRow(f"CVX_{c.id}", "E", 1.0, tuple((col_of[(c.id, lev.level_index)], 1.0) for lev in c.levels))
+        LpRow(f"CVX_{c.id}", "E", 1.0, tuple((col_of[(c.id, j)], 1.0) for j in range(len(c.ret))))
         for c in instance.campaigns
     ]
     for b in instance.businesses:
@@ -38,24 +37,24 @@ def tuple_build(instance: Instance) -> LpModel:
         for c in instance.campaigns:
             if c.business_id != b.id:
                 continue
-            for lev in c.levels:
-                j = col_of[(c.id, lev.level_index)]
-                bud.append((j, lev.impressions * lev.ad_value))
-                clk.append((j, lev.impressions * (lev.ad_value - b.cpc * c.ctr)))
+            for j in range(len(c.ret)):
+                p, a = c.impressions[j], c.ad_value[j]
+                bud.append((col_of[(c.id, j)], p * a))
+                clk.append((col_of[(c.id, j)], p * (a - b.cpc * c.ctr)))
         rows.append(LpRow(f"BUD_{b.id}", "L", b.budget, tuple(sorted(bud))))
         rows.append(LpRow(f"CLK_{b.id}", "L", 0.0, tuple(sorted(clk))))
     imp = tuple(
-        (col_of[(c.id, lev.level_index)], lev.impressions)
+        (col_of[(c.id, j)], c.impressions[j])
         for c in instance.campaigns
-        for lev in c.levels
+        for j in range(len(c.ret))
     )
     rows.append(LpRow("IMP", "L", instance.impression_budget, imp))
     sos_sets = tuple(
         SosSet(
             f"S_{c.id}",
-            tuple(col_of[(c.id, lev.level_index)] for lev in c.levels),
-            tuple(float(lev.level_index) for lev in c.levels),
-            tuple(lev.bid for lev in c.levels),
+            tuple(col_of[(c.id, j)] for j in range(len(c.ret))),
+            tuple(float(j) for j in range(len(c.ret))),
+            tuple(c.bid[j] for j in range(len(c.ret))),
         )
         for c in instance.campaigns
     )
@@ -81,9 +80,7 @@ class TestValidateInstance:
         assert any("impression_budget" in p for p in validate_instance(bad))
 
     def test_slack_level_with_return(self, t1_instance):
-        levels = list(t1_instance.campaigns[0].levels)
-        levels[0] = BidLevelData(0, 5.0, 0.0, 0.0)
-        bad = replace_campaign(t1_instance, "c1", levels=tuple(levels))
+        bad = replace_campaign(t1_instance, "c1", ret=(5.0, 50.0, 120.0))
         assert any("slack level must be all-zero" in p for p in validate_instance(bad))
 
     def test_negative_budget(self, t1_instance):
@@ -96,11 +93,13 @@ class TestValidateInstance:
         bad = replace_campaign(t1_instance, "c1", ctr=1.5)
         assert any("ctr must be in [0, 1]" in p for p in validate_instance(bad))
 
-    def test_nonconsecutive_level_index(self, t1_instance):
-        levels = list(t1_instance.campaigns[0].levels)
-        levels[2] = dataclasses.replace(levels[2], level_index=5)
-        bad = replace_campaign(t1_instance, "c1", levels=tuple(levels))
-        assert any("consecutive" in p for p in validate_instance(bad))
+    @pytest.mark.parametrize("field", ["ret", "ad_value", "impressions", "bid"])
+    def test_level_tuples_differ_in_length(self, t1_instance, field):
+        short = getattr(t1_instance.campaigns[0], field)[:2]
+        bad = replace_campaign(t1_instance, "c1", **{field: short})
+        assert validate_instance(bad) == ["campaign c1: level tuples differ in length"]
+        with pytest.raises(ValueError, match="level tuples differ in length"):
+            build_model(bad)
 
     def test_unknown_business(self, t1_instance):
         bad = replace_campaign(t1_instance, "c1", business_id="ghost")
@@ -119,9 +118,7 @@ class TestValidateInstance:
         assert any("duplicate id" in p for p in validate_instance(dup_cmp))
 
     def test_negative_level_fields(self, t1_instance):
-        levels = list(t1_instance.campaigns[0].levels)
-        levels[1] = BidLevelData(1, -1.0, 0.5, 100.0)
-        bad = replace_campaign(t1_instance, "c1", levels=tuple(levels))
+        bad = replace_campaign(t1_instance, "c1", ret=(0.0, -1.0, 120.0))
         assert any("ret must be >= 0" in p for p in validate_instance(bad))
 
 
@@ -205,16 +202,13 @@ class TestBuildModel:
 
     def test_counts_two_business(self):
         t1 = make_t1()
-        lev = (
-            BidLevelData(0, 0.0, 0.0, 0.0),
-            BidLevelData(1, 7.0, 0.2, 30.0),
-        )
+        curve = ((0.0, 7.0), (0.0, 0.2), (0.0, 30.0), (None, None))
         inst = Instance(
             businesses=t1.businesses + (Business("k2", 10.0, 1.0),),
             campaigns=t1.campaigns
             + (
-                Campaign("c2", "k2", 0.1, lev),
-                Campaign("c3", "k2", 0.1, lev),
+                Campaign("c2", "k2", 0.1, *curve),
+                Campaign("c3", "k2", 0.1, *curve),
             ),
             impression_budget=500.0,
         )

@@ -5,7 +5,7 @@ import pytest
 
 from bidopt.fileio import verify_solution
 from bidopt.generate import GenParams, generate_instance
-from bidopt.model import BidLevelData, Business, Campaign, Instance
+from bidopt.model import Business, Campaign, Instance
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 
 FRAC = 900.0 / 11.0
@@ -29,10 +29,9 @@ class TestT1:
 
 class TestEdgeCases:
     def test_all_slack_is_zero(self):
-        levels = (BidLevelData(0, 0.0, 0.0, 0.0),)
         inst = Instance(
             businesses=(Business("k", 10.0, 1.0),),
-            campaigns=(Campaign("c", "k", 0.1, levels),),
+            campaigns=(Campaign("c", "k", 0.1, (0.0,), (0.0,), (0.0,), (None,)),),
             impression_budget=100.0,
         )
         assert enumerate_sos1(inst) == (0.0, {"c": 0})
@@ -58,10 +57,8 @@ class TestEdgeCases:
         _, choice = enumerate_sos1(t1_instance)
         columns = {}
         for c in t1_instance.campaigns:
-            for lev in c.levels:
-                columns[f"D_{c.id}_{lev.level_index}"] = (
-                    1.0 if lev.level_index == choice[c.id] else 0.0
-                )
+            for j in range(len(c.ret)):
+                columns[f"D_{c.id}_{j}"] = 1.0 if j == choice[c.id] else 0.0
         assert verify_solution(t1_instance, columns, sos_type=1) == []
 
     def test_sos2_assignment_passes_verifier(self, t1_instance):
@@ -69,8 +66,8 @@ class TestEdgeCases:
         columns = {}
         for c in t1_instance.campaigns:
             lv, wt = assign[c.id]
-            for lev in c.levels:
-                columns[f"D_{c.id}_{lev.level_index}"] = 0.0
+            for j in range(len(c.ret)):
+                columns[f"D_{c.id}_{j}"] = 0.0
             for j, w in zip(lv, wt):
                 columns[f"D_{c.id}_{j}"] = w
         assert verify_solution(t1_instance, columns, sos_type=2) == []

@@ -54,16 +54,17 @@ MODES = (
 
 def _degenerate_campaign(draw, campaign):
     kind = draw(st.sampled_from(["keep", "slack-only", "zero-impressions", "equal-neighbours"]))
-    levels = list(campaign.levels)
+    curve = {f: list(getattr(campaign, f)) for f in ("ret", "ad_value", "impressions", "bid")}
     if kind == "slack-only":
-        levels = levels[:1]
+        curve = {f: t[:1] for f, t in curve.items()}
     elif kind == "zero-impressions":
-        k = draw(st.integers(1, len(levels) - 1))
-        levels[k] = dataclasses.replace(levels[k], impressions=0.0)
+        k = draw(st.integers(1, len(campaign.ret) - 1))
+        curve["impressions"][k] = 0.0
     elif kind == "equal-neighbours":
-        k = draw(st.integers(0, len(levels) - 2))
-        levels[k + 1] = dataclasses.replace(levels[k], level_index=k + 1)
-    return dataclasses.replace(campaign, levels=tuple(levels))
+        k = draw(st.integers(0, len(campaign.ret) - 2))
+        for t in curve.values():
+            t[k + 1] = t[k]
+    return dataclasses.replace(campaign, **{f: tuple(t) for f, t in curve.items()})
 
 
 @st.composite

@@ -16,12 +16,14 @@ DIGESTS = {
         "solutions 2 818f411e0dc41d80277cf810d39301b82b841f971a6728304f42f761467aa51d",
         "masters 78 f86a87efc6f11bcc6c64e92b4543f9704537c04c68aa7d095726d69a2bbffc51",
         "files 1 42b1f0b53efd6e370a6af1329b651b4afad95b50ee5c94596c2a4a5e2cfddc37",
+        "instances 1 793ce186765ec11a20a2ee59de4c14f731ab55c75f7d046ba5cee37efd036115",
     ],
     # seven SOS1 trees proved optimal: every node LP and seven files
     "tree-sos1-prove": [
         "solutions 3927 9ff03dd1a1e0f49c5f1e291ea457ba9fe3619d7520198e8aa195ccdace36713d",
         NO_MASTERS,
         "files 7 26eb18f1178ffa67724744a8e8d0e8cac50fad41ea27b10741ebd8538ab8c5a0",
+        "instances 7 942df9cb48961916bb101ccbb01ab2a962077f8cd2ec7f5b9169c9ddaeb651b6",
     ],
     # 252 models in five modes: SOS1 and SOS2 branching under all four
     # strategies
@@ -29,6 +31,7 @@ DIGESTS = {
         "solutions 5497 47228a6889edfe3fe97ee1b0e2010d012fc5dfef8793ac1a10d20442f9718b1e",
         NO_MASTERS,
         "files 1260 c6aa5aec3a9842bddda25902074354d6ffe0a6ea12bdeb025f9ec0811ed95a95",
+        "instances 252 1dccf0a57ba7001a5e711d936c83a3c1092649e7145495c43e66b737abf408d8",
     ],
 }
 
@@ -39,5 +42,5 @@ def test_workload_digests(workload):
         [sys.executable, str(TOOL), "--workload", workload],
         capture_output=True, text=True, timeout=300, check=True,
     )
-    # every answer pinned bit for bit
+    # every answer and every instance file pinned bit for bit
     assert done.stdout.splitlines() == DIGESTS[workload]

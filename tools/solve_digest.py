@@ -9,7 +9,7 @@ workload (default: all three) is generated at its default generator
 seed, and every instance and solve mode goes through the benchmark's
 timed path: ``read_instance``, ``build_model`` (relaxed to SOS2 in SOS2
 modes), ``SimplexEngine``, ``branch_and_bound`` and ``write_solution``
-without its timing line.  Three SHA-256 digests are printed, one line
+without its timing line.  Four SHA-256 digests are printed, one line
 each with the count of what it covers:
 
     solutions  every LpSolution a search receives: status (UTF-8),
@@ -18,6 +18,8 @@ each with the count of what it covers:
     masters    every solve nested inside another solve (the Lagrangian
                estimate's master LPs): status, primal, iterations, basis
     files      every solution file
+    instances  every instance JSON file, as ``workloads.write_instances``
+               writes and digests it
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _floats(values) -> bytes:
 
 
 def digest_workloads(names: list[str]) -> dict[str, Digest]:
-    digests = {key: Digest() for key in ("solutions", "masters", "files")}
+    digests = {key: Digest() for key in ("solutions", "masters", "files", "instances")}
     solve = simplex.SimplexEngine.solve
     depth = 0
 
@@ -91,8 +93,10 @@ def digest_workloads(names: list[str]) -> dict[str, Digest]:
             with tempfile.TemporaryDirectory() as work_dir:
                 workloads.write_instances(instances, work_dir)
                 for number in range(len(instances)):
+                    path = workloads.instance_path(work_dir, number)
+                    digests["instances"].add(Path(path).read_bytes())
                     for mode in workload.modes:
-                        instance = fileio.read_instance(workloads.instance_path(work_dir, number))
+                        instance = fileio.read_instance(path)
                         model = build_model(instance)
                         if mode.sos == 2:
                             model = relax_to_sos2(model)
