@@ -311,7 +311,7 @@ def run_benchmark(
             writer.writerow(
                 [
                     number,
-                    report.sos_count,
+                    len(model.sos_sets),
                     strat,
                     deg(report.first_solution_degradation_pct),
                     secs,

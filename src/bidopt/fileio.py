@@ -12,19 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
-from .model import (
-    Business,
-    Campaign,
-    Instance,
-    LpColumn,
-    LpModel,
-    LpRow,
-    SosSet,
-    validate_instance,
-)
+from .model import Business, Campaign, Instance, LpModel, SosSet
 from .search import SolveReport, interpolate_bid
 
 VERIFY_TOL = 1e-6
@@ -70,56 +63,79 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_NUMBER_TYPES = frozenset((int, float))
+_BID_TYPES = _NUMBER_TYPES | {type(None)}
+
+
+def _numbers(values: list, what: str, types=_NUMBER_TYPES) -> list:
+    """``values`` as floats, None kept where ``types`` allows it.  Their
+    types are checked in one pass, so a JSON bool or string is no number."""
+    seen = set(map(type, values))
+    if not seen <= types:
+        bad = json.dumps(next(v for v in values if type(v) not in types))
+        raise ValueError(f"invalid instance JSON: {what} must be a JSON number, not {bad}")
+    return [v if v is None else float(v) for v in values] if int in seen else values
+
+
 def instance_from_json(text: str) -> Instance:
-    """The instance a document holds.  Each campaign's ``level_index``
-    values must be its levels' positions, 0, 1, ...  A business may list
-    its campaigns in ``campaign_ids``; the list must name exactly the
-    campaigns that reference it."""
+    """The instance a document holds.  Amounts must be JSON numbers; a
+    bid may also be null.  Each campaign's ``level_index`` values must be
+    its levels' positions, 0, 1, ...  A business may list its campaigns
+    in ``campaign_ids``; the list must name exactly the campaigns that
+    reference it.  These problems raise before the instance is made, and
+    the instance then checks itself.  Each field is read for the whole
+    document at once: the levels in one flat list, cut per campaign."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid instance JSON: {exc}") from exc
-    read_problems = []
     try:
-        campaigns = []
-        for c in doc["campaigns"]:
-            cid, levels = str(c["id"]), c["levels"]
-            if [float(lev["level_index"]) for lev in levels] != list(range(len(levels))):
-                read_problems.append(
-                    f"campaign {cid}: level_index values must be 0..{len(levels) - 1} consecutive"
-                )
-            campaigns.append(Campaign(
-                id=cid,
-                business_id=str(c["business_id"]),
-                ctr=float(c["ctr"]),
-                ret=tuple(float(lev["ret"]) for lev in levels),
-                ad_value=tuple(float(lev["ad_value"]) for lev in levels),
-                impressions=tuple(float(lev["impressions"]) for lev in levels),
-                bid=tuple(None if lev.get("bid") is None else float(lev["bid"]) for lev in levels),
-            ))
-        campaigns = tuple(campaigns)
-        businesses = tuple(
-            Business(id=str(b["id"]), budget=float(b["budget"]), cpc=float(b["cpc"]))
-            for b in doc["businesses"]
-        )
-        for b, raw in zip(businesses, doc["businesses"]):
+        cdocs, bdocs = doc["campaigns"], doc["businesses"]
+        ids = [str(c["id"]) for c in cdocs]
+        owners = [str(c["business_id"]) for c in cdocs]
+        levels = [c["levels"] for c in cdocs]
+        flat = [*chain.from_iterable(levels)]
+        cuts = [0, *accumulate(map(len, levels))]
+
+        def curve(values: list, key: str, types=_NUMBER_TYPES) -> list[tuple]:
+            values = _numbers(values, key, types)
+            return [tuple(values[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+        # level_index is checked for the whole document, and campaign by
+        # campaign only to name the ones that fail
+        index = [lev["level_index"] for lev in flat]
+        read_problems = []
+        if bool in set(map(type, index)) or [*map(float, index)] != [
+            *chain.from_iterable(map(range, map(len, levels)))
+        ]:
+            read_problems = [
+                f"campaign {cid}: level_index values must be 0..{b - a - 1} consecutive"
+                for cid, a, b in zip(ids, cuts, cuts[1:])
+                if bool in map(type, index[a:b]) or [*map(float, index[a:b])] != [*range(b - a)]
+            ]
+        campaigns = [*map(
+            Campaign, ids, owners, _numbers([c["ctr"] for c in cdocs], "ctr"),
+            *(curve([lev[key] for lev in flat], key) for key in ("ret", "ad_value", "impressions")),
+            curve([lev.get("bid") for lev in flat], "bid", _BID_TYPES),
+        )]
+        businesses = [*map(
+            Business, [str(b["id"]) for b in bdocs],
+            _numbers([b["budget"] for b in bdocs], "budget"),
+            _numbers([b["cpc"] for b in bdocs], "cpc"),
+        )]
+        for b, raw in zip(businesses, bdocs):
             if "campaign_ids" in raw and sorted(raw["campaign_ids"]) != sorted(
-                c.id for c in campaigns if c.business_id == b.id
+                cid for cid, owner in zip(ids, owners) if owner == b.id
             ):
                 read_problems.append(
                     f"business {b.id}: campaign_ids inconsistent with campaigns referencing it"
                 )
-        instance = Instance(
-            businesses=businesses,
-            campaigns=campaigns,
-            impression_budget=float(doc["impression_budget"]),
-        )
-    except (KeyError, TypeError) as exc:
+        impression_budget = _numbers([doc["impression_budget"]], "impression_budget")[0]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"invalid instance JSON: missing or bad field {exc}") from exc
-    problems = validate_instance(instance) + read_problems
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-    return instance
+    if read_problems:
+        raise ValueError("invalid instance: " + "; ".join(read_problems))
+    return Instance(tuple(businesses), tuple(campaigns), impression_budget)
 
 
 def read_instance(path: str) -> Instance:
@@ -226,28 +242,20 @@ def read_mps(text: str) -> LpModel:
     reads as SOS1.
     """
     section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    col_order: list[str] = []
-    col_obj: dict[str, float] = {}
-    col_bounds: dict[str, list[float]] = {}
-    row_coeffs: dict[str, list[tuple[int, float]]] = {}
-    rhs: dict[str, float] = {}
+    # Position-indexed: rows and columns in order of first appearance,
+    # each row's (column, value) entries in file order.
+    row_index: dict[str, int] = {}
+    senses: list[str] = []
+    rhs: list[float] = []
+    row_cols: list[list[int]] = []
+    row_vals: list[list[float]] = []
+    col_index: dict[str, int] = {}
+    objective: list[float] = []
+    lower: list[float] = []
+    upper: list[float] = []
     sos_raw: list[dict] = []
     sos_type = None
     saw_endata = False
-
-    col_index: dict[str, int] = {}
-
-    def col_id(name: str) -> int:
-        idx = col_index.get(name)
-        if idx is None:
-            idx = len(col_order)
-            col_index[name] = idx
-            col_order.append(name)
-            col_obj[name] = 0.0
-            col_bounds[name] = [0.0, math.inf]
-        return idx
 
     def parse_float(tok: str, ln: int) -> float:
         try:
@@ -294,30 +302,37 @@ def read_mps(text: str) -> LpModel:
                 continue
             if sense == "G":
                 raise MpsParseError(ln, "G rows are not part of the format subset")
-            if rname in row_sense:
+            if rname in row_index:
                 raise MpsParseError(ln, f"duplicate row {rname!r}")
-            row_sense[rname] = sense
-            row_order.append(rname)
-            row_coeffs[rname] = []
+            row_index[rname] = len(senses)
+            senses.append(sense)
+            rhs.append(0.0)
+            row_cols.append([])
+            row_vals.append([])
         elif section == "COLUMNS":
             if len(tokens) != 3:
                 raise MpsParseError(ln, "expected '<column> <row> <value>'")
             cname, rname, vtok = tokens
             val = parse_float(vtok, ln)
-            j = col_id(cname)
+            j = col_index.setdefault(cname, len(objective))
+            if j == len(objective):  # a new column
+                objective.append(0.0)
+                lower.append(0.0)
+                upper.append(math.inf)
             if rname == "COST":
-                col_obj[cname] = val
-            elif rname in row_coeffs:
-                row_coeffs[rname].append((j, val))
+                objective[j] = val
+            elif rname in row_index:
+                row_cols[row_index[rname]].append(j)
+                row_vals[row_index[rname]].append(val)
             else:
                 raise MpsParseError(ln, f"unknown row {rname!r}")
         elif section == "RHS":
             if len(tokens) != 3:
                 raise MpsParseError(ln, "expected 'RHS <row> <value>'")
             _, rname, vtok = tokens
-            if rname not in row_sense:
+            if rname not in row_index:
                 raise MpsParseError(ln, f"unknown row {rname!r}")
-            rhs[rname] = parse_float(vtok, ln)
+            rhs[row_index[rname]] = parse_float(vtok, ln)
         elif section == "RANGES":
             raise MpsParseError(ln, "RANGES entries are not part of the format subset")
         elif section == "BOUNDS":
@@ -332,22 +347,21 @@ def read_mps(text: str) -> LpModel:
                     raise MpsParseError(ln, "expected '<UP|LO|FX|FR|MI|PL> <set> <column> [value]'")
                 cname = tokens[2]
                 vtok = tokens[3]
-            if cname not in col_index:
+            j = col_index.get(cname)
+            if j is None:
                 raise MpsParseError(ln, f"unknown column {cname!r}")
-            b = col_bounds[cname]
             if kind == "FR":
-                b[0], b[1] = -math.inf, math.inf
+                lower[j], upper[j] = -math.inf, math.inf
             elif kind == "MI":
-                b[0] = -math.inf
+                lower[j] = -math.inf
             elif kind == "PL":
-                b[1] = math.inf
+                upper[j] = math.inf
             elif kind == "LO":
-                b[0] = parse_float(vtok, ln)
+                lower[j] = parse_float(vtok, ln)
             elif kind == "UP":
-                b[1] = parse_float(vtok, ln)
+                upper[j] = parse_float(vtok, ln)
             else:  # FX
-                v = parse_float(vtok, ln)
-                b[0] = b[1] = v
+                lower[j] = upper[j] = parse_float(vtok, ln)
         elif section == "SOS":
             if tokens[0] in ("S1", "S2"):
                 if len(tokens) != 2:
@@ -380,34 +394,15 @@ def read_mps(text: str) -> LpModel:
     if not saw_endata:
         raise MpsParseError(len(text.splitlines()) + 1, "missing ENDATA")
 
-    columns = tuple(
-        LpColumn(
-            name=nm,
-            objective=col_obj[nm],
-            lower=col_bounds[nm][0],
-            upper=col_bounds[nm][1],
-        )
-        for nm in col_order
+    return LpModel(
+        tuple(col_index), *(np.array(a, float) for a in (objective, lower, upper)),
+        tuple(row_index), "".join(senses), np.array(rhs, float),
+        np.cumsum([0, *map(len, row_cols)], dtype=np.intp),
+        np.array([*chain.from_iterable(row_cols)], np.intp),
+        np.array([*chain.from_iterable(row_vals)], float),
+        tuple(SosSet(s["name"], tuple(s["members"]), tuple(s["weights"])) for s in sos_raw),
+        sos_type or 1,
     )
-    rows = tuple(
-        LpRow(
-            name=nm,
-            sense=row_sense[nm],
-            rhs=rhs.get(nm, 0.0),
-            coeffs=tuple(row_coeffs[nm]),
-        )
-        for nm in row_order
-    )
-    sos_sets = tuple(
-        SosSet(
-            name=s["name"],
-            members=tuple(s["members"]),
-            weights=tuple(s["weights"]),
-            bids=None,
-        )
-        for s in sos_raw
-    )
-    return LpModel.from_tuples(columns, rows, sos_sets, sos_type or 1)
 
 
 def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
@@ -444,7 +439,7 @@ def model_to_instance(model: LpModel) -> Instance:
     click coefficients can differ from the originals in the last few
     bits.  Level bids are not stored in MPS and come back as None.
     Raises ValueError when a set's weights are not its level indices
-    0, 1, ... or when the rebuilt instance fails ``validate_instance``.
+    0, 1, ... or when the rebuilt instance is not valid.
     """
     row_at = {name: i for i, name in enumerate(model.row_names)}
     ptr, idx, val = model.indptr.tolist(), model.indices.tolist(), model.data.tolist()
@@ -526,15 +521,7 @@ def model_to_instance(model: LpModel) -> Instance:
             bid=(None,) * len(members),
         ))
 
-    instance = Instance(
-        businesses=tuple(businesses),
-        campaigns=tuple(campaigns),
-        impression_budget=rhs[imp],
-    )
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-    return instance
+    return Instance(tuple(businesses), tuple(campaigns), rhs[imp])
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +548,7 @@ def write_solution(
         f"LP_BOUND {_fmt(report.lp_relaxation_objective)}",
         f"DEGRADATION_PCT {_fmt(report.degradation_pct)}",
         f"STRATEGY {report.strategy}",
-        f"SOS_TYPE {report.sos_type_used}",
+        f"SOS_TYPE {model.sos_type}",
         f"SECONDS {'-' if omit_timing else _fmt(report.total_seconds)}",
         f"NODES {report.nodes}",
     ]

@@ -12,10 +12,9 @@ Distributions are generator policy, not data anybody measured:
   all-top-level assignment, and the impression budget is
   ``impression_tightness`` times its impression count,
 * cost per click is calibrated so the all-top-level assignment meets
-  the click-balance row with a margin drawn from ``click_margin``.
-  Margins >= 1 (the default) keep that row slack by construction, which
-  is what makes generous budgets reduce to per-campaign greedy argmax;
-  pass a margin below 1 to generate click-constrained instances.
+  the click-balance row with a margin drawn from ``CLICK_MARGIN``.
+  Margins >= 1 keep that row slack by construction, which is what makes
+  generous budgets reduce to per-campaign greedy argmax.
 
 Everything is drawn from one seeded stream in a fixed order, so equal
 params produce identical instances.
@@ -30,6 +29,7 @@ import numpy as np
 from .model import Business, Campaign, Instance
 
 CURVE_SHAPES = ("uniform", "front-loaded", "back-loaded")
+CLICK_MARGIN = (1.05, 1.4)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class GenParams:
     impression_tightness: float = 1.5
     curve_shape: str = "uniform"
     seed: int = 0
-    click_margin: tuple[float, float] = (1.05, 1.4)
 
 
 def _check(params: GenParams) -> None:
@@ -68,9 +67,6 @@ def _check(params: GenParams) -> None:
         raise ValueError("tightness values must be positive")
     if params.curve_shape not in CURVE_SHAPES:
         raise ValueError(f"curve_shape must be one of {CURVE_SHAPES}")
-    lo, hi = params.click_margin
-    if not (0 < lo <= hi):
-        raise ValueError("click_margin must be a positive (low, high) range")
 
 
 def _draw_count(rng: np.random.Generator, v) -> int:
@@ -140,7 +136,7 @@ def _generate(params: GenParams, campaign_counts: list[int] | None) -> Instance:
             top_click_weight += float(ctr * imps[-1])
             top_impressions += float(imps[-1])
 
-        margin = rng.uniform(*params.click_margin)
+        margin = rng.uniform(*CLICK_MARGIN)
         cpc = margin * top_spend / top_click_weight if top_click_weight > 0 else 1.0
         businesses.append(Business(bus_id, params.budget_tightness * top_spend, cpc))
 

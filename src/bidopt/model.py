@@ -23,11 +23,11 @@ each, so a level is known by its position and carries no index.
 
 The LP is an ``LpModel`` held as arrays, the layout LP solvers work on:
 names, the objective and bound vectors, row senses and right-hand
-sides, and the matrix in CSR (compressed sparse rows).  The simplex
-engine and the file writers read these arrays as they are.  Per-column
-``LpColumn`` and per-row ``LpRow`` tuples are a view built on first use,
-and the input of ``LpModel.from_tuples``, through which ``read_mps``
-and hand-written models come in.
+sides, and the matrix in CSR (compressed sparse rows).  It is made from
+those arrays only; the simplex engine and the file readers and writers
+use them as they are.  Per-column ``LpColumn`` and per-row ``LpRow``
+tuples are a view built on first use, for inspection and for the
+benchmark's traced counts.
 """
 
 from __future__ import annotations
@@ -68,9 +68,18 @@ class Business:
 
 @dataclass(frozen=True)
 class Instance:
+    """Businesses, their campaigns and the impression budget they share.
+    An instance checks itself when it is made, however it is made, and
+    raises ``ValueError`` naming every problem ``validate_instance`` finds."""
+
     businesses: tuple[Business, ...]
     campaigns: tuple[Campaign, ...]
     impression_budget: float
+
+    def __post_init__(self) -> None:
+        problems = validate_instance(self)
+        if problems:
+            raise ValueError("invalid instance: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,8 @@ class LpModel:
     member, 2 at most two and they must be adjacent.
 
     ``columns`` and ``rows`` show the same model as ``LpColumn`` and
-    ``LpRow`` tuples, built on first use, and ``from_tuples`` builds a
-    model from such tuples.  Models compare by identity;
+    ``LpRow`` tuples, built on first use, for inspection and for the
+    benchmark's traced counts.  Models compare by identity;
     ``fileio.models_structurally_equal`` compares their contents.
     """
 
@@ -148,32 +157,6 @@ class LpModel:
         for a in (self.objective, self.lower, self.upper, self.rhs,
                   self.indptr, self.indices, self.data):
             a.flags.writeable = False
-
-    @classmethod
-    def from_tuples(
-        cls,
-        columns: tuple[LpColumn, ...],
-        rows: tuple[LpRow, ...],
-        sos_sets: tuple[SosSet, ...] = (),
-        sos_type: int = 1,
-    ) -> LpModel:
-        """The model whose ``columns`` and ``rows`` are these."""
-        indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
-        entries = [e for r in rows for e in r.coeffs]
-        return cls(
-            tuple(c.name for c in columns),
-            np.array([c.objective for c in columns], float),
-            np.array([c.lower for c in columns], float),
-            np.array([c.upper for c in columns], float),
-            tuple(r.name for r in rows),
-            "".join(r.sense for r in rows),
-            np.array([r.rhs for r in rows], float),
-            indptr,
-            np.array([j for j, _ in entries], np.intp),
-            np.array([v for _, v in entries], float),
-            tuple(sos_sets),
-            sos_type,
-        )
 
     @cached_property
     def columns(self) -> tuple[LpColumn, ...]:
@@ -203,8 +186,8 @@ def _check_amount(problems: list[str], where: str, name: str, value: float) -> N
 def validate_instance(instance: Instance) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
-    An empty list means the instance is well formed.  Nothing is raised;
-    callers that require validity (build_model) raise on a nonempty result.
+    An empty list means the instance is well formed.  Nothing is raised
+    here; ``Instance`` raises on a nonempty result when it is made.
     """
     problems: list[str] = []
 
@@ -251,15 +234,12 @@ def validate_instance(instance: Instance) -> list[str]:
 
 
 def build_model(instance: Instance) -> LpModel:
-    """Expand a validated Instance into the LP/SOS matrix.
+    """Expand an Instance (valid, as every Instance is) into the LP/SOS
+    matrix.
 
     The levels' names and amounts are gathered straight from the
     campaigns' tuples; the rows' entries are then laid out with numpy,
     each row's in column order."""
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-
     campaigns, businesses = instance.campaigns, instance.businesses
     sizes = np.array([len(c.ret) for c in campaigns], np.intp)
     names = [f"D_{c.id}_{j}" for c in campaigns for j in range(len(c.ret))]

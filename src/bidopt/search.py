@@ -84,9 +84,7 @@ class SolveReport:
     first_solution_seconds: float | None
     total_seconds: float
     nodes: int
-    sos_count: int
     strategy: str
-    sos_type_used: int
     first_incumbent_objective: float | None = None
     first_solution_degradation_pct: float | None = None
 
@@ -359,9 +357,7 @@ def branch_and_bound(
             first_solution_seconds=first_secs,
             total_seconds=time.perf_counter() - t_start,
             nodes=nodes,
-            sos_count=len(model.sos_sets),
             strategy=strategy,
-            sos_type_used=model.sos_type,
             first_incumbent_objective=first_obj,
             first_solution_degradation_pct=degr(first_obj),
         )

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from bidopt.generate import GenParams, scale_suite
-from bidopt.model import Business, Campaign, Instance
+from bidopt.model import Business, Campaign, Instance, LpModel
 
 
 def make_t1() -> Instance:
@@ -62,6 +63,27 @@ def make_nonadjacent_instance() -> Instance:
         businesses=(Business("k1", 20.0, 1.0),),
         campaigns=(c1,),
         impression_budget=1e6,
+    )
+
+
+def from_tuples(columns, rows, sos_sets=(), sos_type=1) -> LpModel:
+    """The model whose ``columns`` and ``rows`` views are these
+    ``LpColumn`` and ``LpRow`` tuples, for models written by hand."""
+    indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
+    entries = [e for r in rows for e in r.coeffs]
+    return LpModel(
+        tuple(c.name for c in columns),
+        np.array([c.objective for c in columns], float),
+        np.array([c.lower for c in columns], float),
+        np.array([c.upper for c in columns], float),
+        tuple(r.name for r in rows),
+        "".join(r.sense for r in rows),
+        np.array([r.rhs for r in rows], float),
+        indptr,
+        np.array([j for j, _ in entries], np.intp),
+        np.array([v for _, v in entries], float),
+        tuple(sos_sets),
+        sos_type,
     )
 
 

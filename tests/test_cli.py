@@ -155,6 +155,19 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "invalid instance JSON" in stderr
 
+    @pytest.mark.parametrize(
+        "field, value", [("ret", True), ("ctr", "0.4"), ("budget", "100"), ("level_index", True)]
+    )
+    def test_non_number_is_input_error(self, tmp_path, capsys, field, value):
+        doc = json.loads(instance_to_json(make_t1()))
+        owner = {"ctr": doc["campaigns"][0], "budget": doc["businesses"][0]}
+        owner.get(field, doc["campaigns"][0]["levels"][1])[field] = value
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", str(p))
+        assert code == EXIT_INPUT
+        assert f"{field} " in stderr
+
     def test_limit_without_incumbent(self, t1_path, tmp_path, capsys):
         out = tmp_path / "sol.txt"
         code, _, stderr = run(

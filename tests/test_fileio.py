@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 
 import pytest
 
@@ -174,7 +176,9 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match="c1: level_index values must be 0..2 consecutive"):
             instance_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("index, ok", [(1, True), (1.0, True), ("1", True), (1.5, False)])
+    @pytest.mark.parametrize(
+        "index, ok", [(1, True), (1.0, True), ("1", True), (1.5, False), (True, False)]
+    )
     def test_level_index_is_the_position(self, t1_instance, index, ok):
         doc = json.loads(instance_to_json(t1_instance))
         doc["campaigns"][0]["levels"][1]["level_index"] = index
@@ -183,6 +187,51 @@ class TestInstanceJson:
         else:
             with pytest.raises(ValueError, match="level_index values must be 0..2 consecutive"):
                 instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("campaigns", 0, "levels", 1, "ret"), True, "ret must be a JSON number, not true"),
+            (("campaigns", 0, "levels", 1, "ad_value"), "0.5", 'ad_value .*, not "0.5"'),
+            (("campaigns", 0, "levels", 2, "impressions"), False, "impressions .*, not false"),
+            (("campaigns", 0, "levels", 1, "bid"), "0.4", 'bid must be a JSON number, not "0.4"'),
+            (("campaigns", 0, "ctr"), "0.4", 'ctr must be a JSON number, not "0.4"'),
+            (("businesses", 0, "budget"), "100", 'budget must be a JSON number, not "100"'),
+            (("businesses", 0, "cpc"), True, "cpc must be a JSON number, not true"),
+            (("impression_budget",), "1000", 'impression_budget .*, not "1000"'),
+        ],
+        ids=["ret", "ad_value", "impressions", "bid", "ctr", "budget", "cpc", "impression_budget"],
+    )
+    def test_amounts_must_be_json_numbers(self, t1_instance, keys, value, message):
+        doc = json.loads(instance_to_json(t1_instance))
+        functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+        with pytest.raises(ValueError, match=f"^invalid instance JSON: {message}$"):
+            instance_from_json(json.dumps(doc))
+
+    def test_integers_read_as_floats(self, t1_instance):
+        doc = json.loads(instance_to_json(t1_instance))
+        doc["impression_budget"] = 1000
+        doc["businesses"][0]["budget"] = 100
+        doc["campaigns"][0]["levels"][1].update(ret=50, impressions=100)
+        inst = instance_from_json(json.dumps(doc))
+        assert instance_to_json(inst) == T1_JSON
+
+    def test_integer_too_large_for_a_float(self, t1_instance):
+        text = instance_to_json(t1_instance).replace('"ret": 50.0', '"ret": ' + "9" * 400)
+        with pytest.raises(ValueError, match="bad field int too large to convert to float"):
+            instance_from_json(text)
+
+    def test_reader_problems_come_before_the_instance_checks(self, t1_instance):
+        # a bad level_index and a negative budget: the reader raises first,
+        # naming only its own problem
+        doc = json.loads(instance_to_json(t1_instance))
+        doc["campaigns"][0]["levels"][2]["level_index"] = 5
+        doc["businesses"][0]["budget"] = -1.0
+        with pytest.raises(
+            ValueError,
+            match="^invalid instance: campaign c1: level_index values must be 0..2 consecutive$",
+        ):
+            instance_from_json(json.dumps(doc))
 
     def test_path_helpers(self, t1_instance, tmp_path):
         p = tmp_path / "inst.json"

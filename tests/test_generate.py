@@ -194,8 +194,6 @@ class TestParamValidation:
             {"budget_tightness": 0.0},
             {"impression_tightness": -1.0},
             {"curve_shape": "sideways"},
-            {"click_margin": (0.0, 1.0)},
-            {"click_margin": (1.4, 1.05)},
         ],
     )
     def test_bad_params_raise(self, kwargs):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
+import bidopt.fileio
+import bidopt.model
 from bidopt.generate import scale_suite
 from bidopt.model import (
     Business,
@@ -15,8 +18,9 @@ from bidopt.model import (
     build_model,
     validate_instance,
 )
+from bidopt.search import relax_to_sos2
 
-from conftest import make_t1
+from conftest import from_tuples, make_t1
 
 
 def tuple_build(instance: Instance) -> LpModel:
@@ -58,7 +62,7 @@ def tuple_build(instance: Instance) -> LpModel:
         )
         for c in instance.campaigns
     )
-    return LpModel.from_tuples(tuple(columns), tuple(rows), sos_sets)
+    return from_tuples(tuple(columns), tuple(rows), sos_sets)
 
 
 ARRAYS = ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
@@ -76,50 +80,72 @@ class TestValidateInstance:
         assert validate_instance(t1_instance) == []
 
     def test_negative_impression_budget(self, t1_instance):
-        bad = dataclasses.replace(t1_instance, impression_budget=-1.0)
-        assert any("impression_budget" in p for p in validate_instance(bad))
+        with pytest.raises(ValueError, match="impression_budget"):
+            dataclasses.replace(t1_instance, impression_budget=-1.0)
 
     def test_slack_level_with_return(self, t1_instance):
-        bad = replace_campaign(t1_instance, "c1", ret=(5.0, 50.0, 120.0))
-        assert any("slack level must be all-zero" in p for p in validate_instance(bad))
+        with pytest.raises(ValueError, match="slack level must be all-zero"):
+            replace_campaign(t1_instance, "c1", ret=(5.0, 50.0, 120.0))
 
     def test_negative_budget(self, t1_instance):
         bus = (dataclasses.replace(t1_instance.businesses[0], budget=-1.0),)
-        bad = dataclasses.replace(t1_instance, businesses=bus)
-        msgs = validate_instance(bad)
-        assert any("budget must be >= 0" in p for p in msgs)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            dataclasses.replace(t1_instance, businesses=bus)
 
     def test_ctr_out_of_range(self, t1_instance):
-        bad = replace_campaign(t1_instance, "c1", ctr=1.5)
-        assert any("ctr must be in [0, 1]" in p for p in validate_instance(bad))
+        with pytest.raises(ValueError, match=re.escape("ctr must be in [0, 1]")):
+            replace_campaign(t1_instance, "c1", ctr=1.5)
 
     @pytest.mark.parametrize("field", ["ret", "ad_value", "impressions", "bid"])
     def test_level_tuples_differ_in_length(self, t1_instance, field):
         short = getattr(t1_instance.campaigns[0], field)[:2]
-        bad = replace_campaign(t1_instance, "c1", **{field: short})
-        assert validate_instance(bad) == ["campaign c1: level tuples differ in length"]
-        with pytest.raises(ValueError, match="level tuples differ in length"):
-            build_model(bad)
+        with pytest.raises(
+            ValueError, match="^invalid instance: campaign c1: level tuples differ in length$"
+        ):
+            replace_campaign(t1_instance, "c1", **{field: short})
 
     def test_unknown_business(self, t1_instance):
-        bad = replace_campaign(t1_instance, "c1", business_id="ghost")
-        msgs = validate_instance(bad)
-        assert any("unknown business" in p for p in msgs)
+        with pytest.raises(ValueError, match="unknown business"):
+            replace_campaign(t1_instance, "c1", business_id="ghost")
 
     def test_duplicate_ids(self, t1_instance):
         inst = t1_instance
-        dup_bus = dataclasses.replace(
-            inst, businesses=inst.businesses + (inst.businesses[0],)
-        )
-        assert any("duplicate id" in p for p in validate_instance(dup_bus))
-        dup_cmp = dataclasses.replace(
-            inst, campaigns=inst.campaigns + (inst.campaigns[0],)
-        )
-        assert any("duplicate id" in p for p in validate_instance(dup_cmp))
+        with pytest.raises(ValueError, match="duplicate id"):
+            dataclasses.replace(inst, businesses=inst.businesses + (inst.businesses[0],))
+        with pytest.raises(ValueError, match="duplicate id"):
+            dataclasses.replace(inst, campaigns=inst.campaigns + (inst.campaigns[0],))
 
     def test_negative_level_fields(self, t1_instance):
-        bad = replace_campaign(t1_instance, "c1", ret=(0.0, -1.0, 120.0))
-        assert any("ret must be >= 0" in p for p in validate_instance(bad))
+        with pytest.raises(ValueError, match="ret must be >= 0"):
+            replace_campaign(t1_instance, "c1", ret=(0.0, -1.0, 120.0))
+
+    def test_instance_checks_itself_when_made(self, t1_instance):
+        with pytest.raises(ValueError, match=(
+            r"^invalid instance: business k1: budget must be >= 0; "
+            r"campaign c1: ctr must be in \[0, 1\]$"
+        )):
+            Instance(
+                businesses=(Business("k1", -1.0, 2.0),),
+                campaigns=(dataclasses.replace(t1_instance.campaigns[0], ctr=1.5),),
+                impression_budget=1000.0,
+            )
+
+    def test_runs_once_from_file_to_relaxed_model(self, t1_instance, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(check):
+            def wrapper(instance):
+                calls.append(instance)
+                return check(instance)
+            return wrapper
+
+        for module in (bidopt.model, bidopt.fileio):
+            if hasattr(module, "validate_instance"):
+                monkeypatch.setattr(module, "validate_instance", counting(module.validate_instance))
+        path = tmp_path / "t1.json"
+        path.write_text(bidopt.fileio.instance_to_json(t1_instance))
+        relax_to_sos2(build_model(bidopt.fileio.read_instance(str(path))))
+        assert len(calls) == 1
 
 
 class TestBuildModel:
@@ -171,9 +197,9 @@ class TestBuildModel:
             assert positions == sorted(positions)
 
     def test_invalid_instance_raises(self, t1_instance):
-        bad = dataclasses.replace(t1_instance, impression_budget=-1.0)
+        # the instance raises when it is made, before build_model sees it
         with pytest.raises(ValueError, match="invalid instance"):
-            build_model(bad)
+            build_model(dataclasses.replace(t1_instance, impression_budget=-1.0))
 
     def test_arrays_match_the_loop_build_bit_for_bit(self, suite1, scale_base):
         for inst in [make_t1(), *suite1, scale_suite(scale_base, [300])[0]]:
@@ -188,7 +214,7 @@ class TestBuildModel:
             assert (got.columns, got.rows) == (want.columns, want.rows)
 
     def test_tuple_views_round_trip(self, t1_model):
-        twin = LpModel.from_tuples(t1_model.columns, t1_model.rows, t1_model.sos_sets)
+        twin = from_tuples(t1_model.columns, t1_model.rows, t1_model.sos_sets)
         assert (twin.columns, twin.rows) == (t1_model.columns, t1_model.rows)
         for name in ARRAYS:
             assert getattr(twin, name).tobytes() == getattr(t1_model, name).tobytes()

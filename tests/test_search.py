@@ -8,7 +8,7 @@ import pytest
 
 from bidopt import simplex
 from bidopt.generate import GenParams, generate_instance, scale_suite
-from bidopt.model import LpColumn, LpModel, LpRow, SosSet, build_model
+from bidopt.model import LpColumn, LpRow, SosSet, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
     SearchLimits,
@@ -26,7 +26,7 @@ from bidopt.search import (
 )
 from bidopt.simplex import INFEASIBLE, OPTIMAL, LpSolution, SimplexEngine
 
-from conftest import make_nonadjacent_instance, make_rollback_instance, make_t1
+from conftest import from_tuples, make_nonadjacent_instance, make_rollback_instance, make_t1
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
@@ -86,7 +86,7 @@ class TestSatisfaction:
             SosSet("A", (0, 1), (0.0, 1.0)),
             SosSet("B", (2, 3), (0.0, 1.0)),
         )
-        model = LpModel.from_tuples(columns=cols, rows=(), sos_sets=sets)
+        model = from_tuples(columns=cols, rows=(), sos_sets=sets)
         primal = (0.5, 0.5, 0.5, 0.5)
         assert _pick_violated(model, primal, 1e-6) is sets[0]
         assert _pick_violated(model, (0.0, 1.0, 0.5, 0.5), 1e-6) is sets[1]
@@ -307,17 +307,18 @@ class TestBranchAndBound:
         assert math.isclose(report.incumbent_objective, 50.0, rel_tol=1e-9)
         assert math.isclose(report.lp_relaxation_objective, FRAC, rel_tol=1e-12)
         assert math.isclose(report.degradation_pct, 350.0 / 9.0, rel_tol=1e-9)
-        assert report.sos_type_used == 1
+        assert t1_model.sos_type == 1
         assert report.strategy == strategy
         assert values is not None
         assert math.isclose(values[1], 1.0, rel_tol=1e-9)
 
     def test_t1_sos2_root_already_feasible(self):
-        report, values = branch_and_bound(t1_sos2_model(), limits=PROVE)
+        model = t1_sos2_model()
+        report, values = branch_and_bound(model, limits=PROVE)
         assert report.status == "optimal"
         assert math.isclose(report.incumbent_objective, FRAC, rel_tol=1e-9)
         assert report.degradation_pct == 0.0
-        assert report.sos_type_used == 2
+        assert model.sos_type == 2
         assert report.nodes == 1
 
     def test_strategy3_needs_sos2(self, t1_model):
@@ -379,7 +380,7 @@ class TestBranchAndBound:
         assert math.isclose(report.incumbent_objective, 50.0, rel_tol=1e-9)
 
     def test_infeasible_model(self):
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 2.0, ((0, 1.0),)),),
             sos_sets=(SosSet("S", (0,), (0.0,)),),
@@ -407,9 +408,7 @@ class TestBranchAndBound:
             "lp_relaxation_objective",
             "degradation_pct",
             "nodes",
-            "sos_count",
             "strategy",
-            "sos_type_used",
             "first_incumbent_objective",
         ):
             assert getattr(r1, field) == getattr(r2, field), field

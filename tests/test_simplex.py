@@ -29,6 +29,8 @@ from bidopt.simplex import (
     _gub_blocks,
 )
 
+from conftest import from_tuples
+
 FRAC = 900.0 / 11.0
 
 
@@ -71,7 +73,7 @@ def random_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, tuple(coeffs)))
-    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
 def random_sparse_model(rng: np.random.Generator) -> LpModel:
@@ -112,7 +114,7 @@ def random_sparse_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, coeffs))
-    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
 def random_bid_model(rng: np.random.Generator) -> LpModel:
@@ -287,7 +289,7 @@ class TestEngineSetup:
         models += [build_model(inst) for inst in suite1]
         for model in models:
             want = tuple_setup(model)
-            twin = LpModel.from_tuples(model.columns, model.rows, model.sos_sets)
+            twin = from_tuples(model.columns, model.rows, model.sos_sets)
             for engine in (SimplexEngine(model), SimplexEngine(twin)):
                 got = {
                     "data": engine._aug.data,
@@ -309,7 +311,7 @@ class TestEngineSetup:
             ))
             for r in t1_model.rows
         )
-        model = LpModel.from_tuples(columns=t1_model.columns, rows=split, sos_sets=())
+        model = from_tuples(columns=t1_model.columns, rows=split, sos_sets=())
         engine = SimplexEngine(model)
         # the same entries, up to each row's power-of-two scale
         n = len(t1_model.columns)
@@ -324,14 +326,14 @@ class TestEngineSetup:
 
     def test_coefficient_of_a_missing_column_raises(self, t1_model):
         row = LpRow("r", "L", 1.0, ((len(t1_model.columns), 1.0),))
-        model = LpModel.from_tuples(columns=t1_model.columns, rows=(row,), sos_sets=())
+        model = from_tuples(columns=t1_model.columns, rows=(row,), sos_sets=())
         with pytest.raises(ValueError, match="column"):
             SimplexEngine(model)
 
 
 class TestStates:
     def test_unbounded(self):
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, math.inf),),
             rows=(LpRow("r", "L", 1.0, ((0, -1.0),)),),
             sos_sets=(),
@@ -339,7 +341,7 @@ class TestStates:
         assert SimplexEngine(model).solve().status == UNBOUNDED
 
     def test_infeasible_rows(self):
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(
                 LpRow("lo", "E", 2.0, ((0, 1.0),)),
@@ -506,7 +508,7 @@ class TestDeterminismAndWarm:
 class TestSingularBasis:
     def test_dependent_warm_basis_falls_back_to_cold(self, monkeypatch):
         # columns (1, 1) and (2, 2) are parallel, so no basis holds both
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 10.0), LpColumn("y", 1.0, 0.0, 10.0)),
             rows=(
                 LpRow("a", "L", 4.0, ((0, 1.0), (1, 2.0))),
@@ -743,7 +745,7 @@ class TestGubFactor:
                 LpRow(r.name, r.sense, r.rhs, tuple(sorted({0: 1.0, **dict(r.coeffs)}.items())))
                 for r in model.rows
             )
-            model = LpModel.from_tuples(columns=model.columns, rows=rows, sos_sets=())
+            model = from_tuples(columns=model.columns, rows=rows, sos_sets=())
             engine = SimplexEngine(model)
             assert engine._blocks.gub_rows.size == 0
             sol = engine.solve()
@@ -792,7 +794,7 @@ class TestGubFactor:
     def test_stored_zero_is_not_a_key(self):
         # a: x0 (+ 0 x1) = 1 and b: x1 + x2 = 1 are disjoint once the
         # stored zero is dropped; c links all three columns
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(3)),
             rows=(
                 LpRow("a", "E", 1.0, ((0, 1.0), (1, 0.0))),
@@ -815,7 +817,7 @@ class TestGubFactor:
     def test_key_is_the_largest_entry_then_the_lowest_position(self):
         # a: x0 + 4 x1 = 1 (scaled to 0.25 and 1), b: x2 + x3 = 1, and c
         # links all four columns
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(4)),
             rows=(
                 LpRow("a", "E", 1.0, ((0, 1.0), (1, 4.0))),
@@ -1004,7 +1006,7 @@ class TestDualSimplex:
     def test_ratio_ties_go_to_the_largest_pivot_then_the_lowest_index(self, dual_log):
         # x1 - x2 - 2 x3 - 2 x4 <= 4 at zero cost: raising x1 to 6 leaves
         # the row 2 short, and x2, x3 and x4 tie at ratio 0
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=tuple(LpColumn(f"x{j}", 0.0, 0.0, 10.0) for j in range(1, 5)),
             rows=(LpRow("r", "L", 4.0, ((0, 1.0), (1, -1.0), (2, -2.0), (3, -2.0))),),
             sos_sets=(),
@@ -1020,7 +1022,7 @@ class TestDualSimplex:
         # its upper bound, and no column can repair the row, but the row
         # itself puts x at 1.  The dual phase hands over instead of
         # calling the LP infeasible.
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 1.0, ((0, 1.0),)),),
             sos_sets=(),
@@ -1115,7 +1117,7 @@ class TestCrash:
         objs = (2.0, 6.0, 3.0, 1.0, 5.0, -100.0, 1.0)
         bounds = [(0.0, 1.0)] * 7
         bounds[4] = (0.0, 0.0)
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=tuple(
                 LpColumn(f"x{j}", obj, lo, hi)
                 for j, (obj, (lo, hi)) in enumerate(zip(objs, bounds))
@@ -1206,7 +1208,7 @@ class TestCrash:
         # maximize -x0 - 2 x1 with x0 + x1 >= 3 and x0 + 3 x1 >= 4: the rows
         # overlap, so there are no GUB rows, and every column sits at its
         # lower bound with a nonpositive profit
-        model = LpModel.from_tuples(
+        model = from_tuples(
             columns=(LpColumn("x0", -1.0, 0.0, 10.0), LpColumn("x1", -2.0, 0.0, 10.0)),
             rows=(
                 LpRow("a", "L", -3.0, ((0, -1.0), (1, -1.0))),
@@ -1289,7 +1291,7 @@ def unmeetable_link_model(sense: str) -> LpModel:
     weights = rng.uniform(1.0, 2.0, len(cols)).tolist()
     rhs = -1.0 if sense == "L" else 200.0  # every activity is in [40, 80]
     rows.append(LpRow("link", sense, rhs, tuple(enumerate(weights))))
-    return LpModel.from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
 
 
 def master_solves(monkeypatch, model: LpModel) -> list:
