@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 from operator import itemgetter
 
 import numpy as np
 
-from .model import Business, Campaign, Instance, LpModel, SosSet
+from .model import Business, Campaign, Instance, LpModel, SosSet, build_model
 from .search import SolveReport, interpolate_bid
 
 VERIFY_TOL = 1e-6
@@ -65,21 +65,42 @@ def instance_to_json(instance: Instance) -> str:
 
 _NUMBER_TYPES = frozenset((int, float))
 _BID_TYPES = _NUMBER_TYPES | {type(None)}
+_ID_TYPES = frozenset((str, int))
 
 
-def _numbers(values: list, what: str, types=_NUMBER_TYPES) -> list:
-    """``values`` as floats, None kept where ``types`` allows it.  Their
-    types are checked in one pass, so a JSON bool or string is no number."""
+def _check(values: list, what: str, types: frozenset, kind: str = "number") -> set:
+    """The types of ``values``, checked in one pass: a JSON bool is no number and no id."""
     seen = set(map(type, values))
     if not seen <= types:
         bad = json.dumps(next(v for v in values if type(v) not in types))
-        raise ValueError(f"invalid instance JSON: {what} must be a JSON number, not {bad}")
+        raise ValueError(f"invalid instance JSON: {what} must be a JSON {kind}, not {bad}")
+    return seen
+
+
+def _numbers(values: list, what: str, types=_NUMBER_TYPES) -> list:
+    """``values`` as floats, None kept where ``types`` allows it."""
+    seen = _check(values, what, types)
     return [v if v is None else float(v) for v in values] if int in seen else values
+
+
+def _ids(values: list, what: str) -> list[str]:
+    """``values``, JSON strings or integers, as strings."""
+    _check(values, what, _ID_TYPES, "string or integer")
+    return [*map(str, values)]
+
+
+def _positions(index: list, expected: list[int]) -> bool:
+    """Whether ``level_index`` values name the positions ``expected``."""
+    try:
+        return bool not in set(map(type, index)) and [*map(float, index)] == expected
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def instance_from_json(text: str) -> Instance:
     """The instance a document holds.  Amounts must be JSON numbers; a
-    bid may also be null.  Each campaign's ``level_index`` values must be
+    bid may also be null.  Ids must be JSON strings or integers, and read
+    as strings.  Each campaign's ``level_index`` values must be
     its levels' positions, 0, 1, ...  A business may list its campaigns
     in ``campaign_ids``; the list must name exactly the campaigns that
     reference it.  These problems raise before the instance is made, and
@@ -91,8 +112,8 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"invalid instance JSON: {exc}") from exc
     try:
         cdocs, bdocs = doc["campaigns"], doc["businesses"]
-        ids = [str(c["id"]) for c in cdocs]
-        owners = [str(c["business_id"]) for c in cdocs]
+        ids = _ids([c["id"] for c in cdocs], "id")
+        owners = _ids([c["business_id"] for c in cdocs], "business_id")
         levels = [c["levels"] for c in cdocs]
         flat = [*chain.from_iterable(levels)]
         cuts = [0, *accumulate(map(len, levels))]
@@ -105,13 +126,11 @@ def instance_from_json(text: str) -> Instance:
         # campaign only to name the ones that fail
         index = [lev["level_index"] for lev in flat]
         read_problems = []
-        if bool in set(map(type, index)) or [*map(float, index)] != [
-            *chain.from_iterable(map(range, map(len, levels)))
-        ]:
+        if not _positions(index, [*chain.from_iterable(map(range, map(len, levels)))]):
             read_problems = [
                 f"campaign {cid}: level_index values must be 0..{b - a - 1} consecutive"
                 for cid, a, b in zip(ids, cuts, cuts[1:])
-                if bool in map(type, index[a:b]) or [*map(float, index[a:b])] != [*range(b - a)]
+                if not _positions(index[a:b], [*range(b - a)])
             ]
         campaigns = [*map(
             Campaign, ids, owners, _numbers([c["ctr"] for c in cdocs], "ctr"),
@@ -119,7 +138,7 @@ def instance_from_json(text: str) -> Instance:
             curve([lev.get("bid") for lev in flat], "bid", _BID_TYPES),
         )]
         businesses = [*map(
-            Business, [str(b["id"]) for b in bdocs],
+            Business, _ids([b["id"] for b in bdocs], "id"),
             _numbers([b["budget"] for b in bdocs], "budget"),
             _numbers([b["cpc"] for b in bdocs], "cpc"),
         )]
@@ -154,26 +173,23 @@ def _pad(name: str) -> str:
     return name.ljust(_NAME_W)
 
 
-def write_mps(model: LpModel, name: str = "BIDOPT") -> str:
+def write_mps(model: LpModel) -> str:
     """Fixed-layout MPS text.
 
-    Sections NAME/ROWS/COLUMNS/RHS/BOUNDS/SOS/ENDATA.  Data lines are
-    indented four spaces with name fields padded to 20 columns; one
+    Sections NAME (always BIDOPT)/ROWS/COLUMNS/RHS/BOUNDS/SOS/ENDATA.  Data
+    lines are indented four spaces with name fields padded to 20 columns; one
     (row, value) pair per COLUMNS/RHS line.  The objective row is COST;
     a leading comment records that it is maximized.  Stored coefficients
     (including explicit zeros) are written verbatim, column-major, so a
     read reproduces the model exactly.
     """
-    for nm in (
-        [name, *model.column_names, *model.row_names]
-        + [s.name for s in model.sos_sets]
-    ):
+    for nm in (*model.column_names, *model.row_names, *(s.name for s in model.sos_sets)):
         if not nm or any(ch.isspace() for ch in nm):
             raise ValueError(f"name {nm!r} is empty or contains whitespace")
 
     out: list[str] = []
     out.append("* OBJSENSE: MAXIMIZE")
-    out.append(f"NAME          {name}")
+    out.append("NAME          BIDOPT")
     out.append("ROWS")
     out.append(" N  COST")
     for row_name, sense in zip(model.row_names, model.senses):
@@ -409,15 +425,42 @@ def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
     """Equality on names, senses, every array, the set type and the SOS
     structure; level-bid metadata (absent from MPS) is ignored."""
     strip = lambda m: tuple(replace(s, bids=None) for s in m.sos_sets)
-    return (
-        (a.column_names, a.row_names, a.senses) == (b.column_names, b.row_names, b.senses)
-        and all(
-            np.array_equal(getattr(a, f), getattr(b, f))
-            for f in ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
-        )
-        and a.sos_type == b.sos_type
-        and strip(a) == strip(b)
-    )
+    return _model_difference(a, b) is None and a.sos_type == b.sos_type and strip(a) == strip(b)
+
+
+def _model_difference(a: LpModel, b: LpModel, round_off: float = 0.0) -> str | None:
+    """The first difference of ``b`` from ``a``, or None.  Names, senses,
+    bounds, right-hand sides and the sparsity must be equal; the objective
+    and the coefficients may differ by ``round_off`` times the largest
+    |value| of the objective, or of their row.  Sets are not compared."""
+    col, row = a.column_names, a.row_names
+    for kind, ours, theirs in (("column", col, b.column_names), ("row", row, b.row_names)):
+        for k, (x, y) in enumerate(zip_longest(ours, theirs)):
+            if x != y:
+                return f"{kind} {k} {x!r} against {y!r}"
+    entry_row = np.arange(len(row)).repeat(np.diff(a.indptr))
+    row_max = np.zeros(len(row))
+    np.maximum.at(row_max, entry_row, np.abs(a.data))
+    names = np.array(col)
+    at_row, at_col = (lambda k: f"row {row[k]}"), (lambda k: f"column {col[k]}")
+    at_entry = lambda k: f"row {row[entry_row[k]]} entry {k - a.indptr[entry_row[k]]}"
+    for where, what, ours, theirs, scale in (
+        (at_row, "sense", np.array([*a.senses]), np.array([*b.senses]), None),
+        (at_row, "right-hand side", a.rhs, b.rhs, None),
+        (at_col, "lower bound", a.lower, b.lower, None),
+        (at_col, "upper bound", a.upper, b.upper, None),
+        (at_row, "entry count", np.diff(a.indptr), np.diff(b.indptr), None),
+        (at_entry, "column", names[a.indices], names[b.indices], None),
+        (at_col, "objective", a.objective, b.objective, np.abs(a.objective).max(initial=0.0)),
+        (at_entry, "coefficient", a.data, b.data, row_max[entry_row]),
+    ):
+        bad = ours != theirs
+        if scale is not None:
+            bad &= ~(np.abs(ours - theirs) <= round_off * scale)
+        if bad.any():
+            k = int(bad.argmax())
+            return f"{where(k)} {what} {ours[k].item()!r} against {theirs[k].item()!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +482,8 @@ def model_to_instance(model: LpModel) -> Instance:
     click coefficients can differ from the originals in the last few
     bits.  Level bids are not stored in MPS and come back as None.
     Raises ValueError when a set's weights are not its level indices
-    0, 1, ... or when the rebuilt instance is not valid.
+    0, 1, ..., when the rebuilt instance is not valid, or when
+    ``build_model`` of it is not this model up to 1e-12 round-off.
     """
     row_at = {name: i for i, name in enumerate(model.row_names)}
     ptr, idx, val = model.indptr.tolist(), model.indices.tolist(), model.data.tolist()
@@ -450,15 +494,11 @@ def model_to_instance(model: LpModel) -> Instance:
 
     campaigns_meta: list[tuple[str, tuple[int, ...]]] = []
     for sos in model.sos_sets:
-        cid = _campaign_id(sos)
-        cvx = row_at.get(f"CVX_{cid}")
-        if cvx is None or tuple(idx[ptr[cvx]:ptr[cvx + 1]]) != sos.members:
-            raise ValueError(f"set {sos.name}: no matching convexity row CVX_{cid}")
         if sos.weights != tuple(range(len(sos.weights))):
             raise ValueError(
                 f"set {sos.name}: weights must be the level indices 0..{len(sos.weights) - 1}"
             )
-        campaigns_meta.append((cid, sos.members))
+        campaigns_meta.append((_campaign_id(sos), sos.members))
 
     imp = row_at.get("IMP")
     if imp is None:
@@ -521,7 +561,11 @@ def model_to_instance(model: LpModel) -> Instance:
             bid=(None,) * len(members),
         ))
 
-    return Instance(tuple(businesses), tuple(campaigns), rhs[imp])
+    instance = Instance(tuple(businesses), tuple(campaigns), rhs[imp])
+    difference = _model_difference(model, build_model(instance), 1e-12)
+    if difference:
+        raise ValueError(f"no instance gives this model (file against rebuilt): {difference}")
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +645,14 @@ def read_solution(text: str) -> dict:
 
 
 def verify_solution(
-    instance: Instance,
-    columns: dict[str, float],
-    sos_type: int = 1,
-    tol: float = VERIFY_TOL,
-    zero_tol: float = VERIFY_ZERO_TOL,
+    instance: Instance, columns: dict[str, float], sos_type: int = 1
 ) -> list[str]:
     """Independent feasibility check from raw instance data.
 
     Row activities are recomputed here (not via build_model) and each
-    row is allowed tol * max(1, |rhs|, sum |term|) of slack; the SOS
-    condition is checked exactly against zero_tol.  Returns violation
-    messages, empty when the solution verifies.
+    row is allowed ``VERIFY_TOL * max(1, |rhs|, sum |term|)`` of slack;
+    the SOS condition is checked exactly against ``VERIFY_ZERO_TOL``.
+    Returns violation messages, empty when the solution verifies.
     """
     expected = {
         f"D_{c.id}_{j}": (c.id, j) for c in instance.campaigns for j in range(len(c.ret))
@@ -623,13 +663,13 @@ def verify_solution(
 
     value = {key: columns.get(name, 0.0) for name, key in expected.items()}
     for (cid, j), v in value.items():
-        if v < -tol or v > 1.0 + tol:
+        if v < -VERIFY_TOL or v > 1.0 + VERIFY_TOL:
             problems.append(f"column D_{cid}_{j}: value {v} outside [0, 1]")
 
     def check_le(name: str, terms: list[float], rhs: float) -> None:
         activity = math.fsum(terms)
         scale = max(1.0, abs(rhs), math.fsum(abs(t) for t in terms))
-        if activity > rhs + tol * scale:
+        if activity > rhs + VERIFY_TOL * scale:
             problems.append(
                 f"row {name}: activity {activity} exceeds {rhs} beyond tolerance"
             )
@@ -638,7 +678,7 @@ def verify_solution(
         terms = [value[(c.id, j)] for j in range(len(c.ret))]
         total = math.fsum(terms)
         scale = max(1.0, math.fsum(abs(t) for t in terms))
-        if abs(total - 1.0) > tol * scale:
+        if abs(total - 1.0) > VERIFY_TOL * scale:
             problems.append(f"row CVX_{c.id}: member sum {total} is not 1")
 
     camps_of: dict[str, list[Campaign]] = {b.id: [] for b in instance.businesses}
@@ -663,7 +703,7 @@ def verify_solution(
     check_le("IMP", imp_terms, instance.impression_budget)
 
     for c in instance.campaigns:
-        nz = [j for j in range(len(c.ret)) if value[(c.id, j)] > zero_tol]
+        nz = [j for j in range(len(c.ret)) if value[(c.id, j)] > VERIFY_ZERO_TOL]
         if sos_type == 1:
             if len(nz) > 1:
                 problems.append(f"set S_{c.id}: {len(nz)} nonzero members (SOS1)")

@@ -15,17 +15,16 @@ first real step.  Rows are equilibrated by power-of-two factors, exact
 in floating point; columns' reduced costs need no mapping back.
 
 The basis is factorized through generalized upper bounding (Dantzig &
-Van Slyke, "Generalized upper bounding techniques", JCSS 1967).  Rows
-whose supports are pairwise disjoint, found once per engine, are GUB
-rows; on the models ``build_model`` makes they are the convexity rows,
-except that a business with one campaign gives its budget row (which
-skips the do-nothing level) in place of that campaign's.
-Each GUB row gets one key basic column, and only the Schur complement
-on the other (linking) rows takes a dense LU: 7x7 for a 43-row tree
-model.  A model without two disjoint rows has no GUB rows, and the LU
-covers the whole basis.  Between refactorizations the factor is updated
-with product-form eta vectors.  When pricing stalls, two residuals
-decide whether the etas can be trusted:
+Van Slyke, "Generalized upper bounding techniques", JCSS 1967).  The
+GUB rows are the model's equality rows when there are at least two and
+their supports are pairwise disjoint: on the models ``build_model``
+makes, the convexity rows.  Each GUB row gets one key basic column, and
+only the Schur complement on the other (linking) rows takes a dense LU:
+7x7 for a 43-row tree model.  Any other model, such as a Lagrangian
+master (only <= rows), has no GUB rows, and the LU covers the whole
+basis.  Between refactorizations the factor is updated with
+product-form eta vectors.  When pricing stalls, two residuals decide
+whether the etas can be trusted:
 the rows' ``r = rhs - A x`` against ``feas_tol`` and the basic columns'
 ``A_B^T y - c_B`` against ``opt_tol``.  If either is past its tolerance
 the basis is refactorized and priced again.  Otherwise the stall is
@@ -92,15 +91,14 @@ rows.  With the linking rows' duals u at 0, the LP splits into one
 multiple-choice problem per GUB row (Sinha & Zoltners, "The
 multiple-choice knapsack problem", Oper. Res. 1979), whose best column
 is the one with the lowest cost per unit of its GUB entry.  So each GUB
-row whose logical is fixed at [0, 0] (an equality row) takes as its basic
-column the Lagrangian's best column at u (u = 0 when no estimate runs;
-see below): among the movable columns with a positive entry, the lowest
-priced per unit, ties to the lowest index.  The row's logical leaves at
-its bound, and every other row keeps its logical basic.  On a model
-``build_model`` makes whose GUB rows are all its convexity rows, the
-u = 0 basis is dual feasible, so the cold root LP runs dual steps; the
-primal loop from the all-logical basis spent most of its pivots finding
-each campaign's level.  The crash uses the solve's own bounds, and it
+row takes as its basic column the Lagrangian's best column at u (u = 0
+when no estimate runs; see below): among the movable columns with a
+positive entry, the lowest priced per unit, ties to the lowest index.
+The row's logical, fixed at [0, 0], leaves at its bound, and every other
+row keeps its logical basic.  On a model ``build_model`` makes, the u = 0
+basis is dual feasible, so the cold root LP runs dual steps; the primal
+loop from the all-logical basis spent most of its pivots finding each
+campaign's level.  The crash uses the solve's own bounds, and it
 goes through the dual phase like a warm start, which runs only if the
 basis passes its dual-feasibility check.  A model with fewer than two
 GUB rows has no crash: its cold start is the all-logical basis, and a
@@ -197,8 +195,9 @@ class _Blocks(NamedTuple):
     """The augmented matrix split once per engine for ``_Factor``.
 
     GUB rows (generalized upper bounding; Dantzig & Van Slyke, JCSS
-    1967) have pairwise disjoint nonzero supports, so every column has at
-    most one nonzero entry among them; the other rows are linking rows.
+    1967) are equality rows with pairwise disjoint nonzero supports, so
+    every column has at most one nonzero entry among them; the other rows
+    are linking rows.
     """
 
     gub_rows: np.ndarray  # the row of each GUB slot, ascending
@@ -212,59 +211,19 @@ class _Blocks(NamedTuple):
     data: np.ndarray
 
 
-def _disjoint_rows(rows: np.ndarray, cols: np.ndarray, m: int, ncols: int) -> np.ndarray:
-    """A mask of the GUB rows for the entries at (``rows``, ``cols``),
-    given column by column.
-
-    The rows are taken greedily, smallest first with ties to the lower
-    index, each one whose support misses every row taken before it.  A
-    round takes each open row that comes first in every one of its
-    columns among the rows not yet refused, then refuses every open row
-    that meets a taken one.  The first open row always comes first in
-    its columns, so each round takes at least one row; on the models
-    ``build_model`` makes, the first round decides every row.
-    """
-    rank = np.empty(m, np.intp)
-    rank[np.bincount(rows, minlength=m).argsort(kind="stable")] = np.arange(m)
-    rank = rank[rows]
-    head = np.ones(cols.size, bool)
-    np.not_equal(cols[1:], cols[:-1], out=head[1:])
-    group = head.cumsum() - 1
-    starts = head.nonzero()[0]
-    state = np.zeros(m, np.int8)  # 0 open, 1 taken, 2 refused
-    while not state.all():
-        live = state[rows] != 2
-        lead = np.minimum.reduceat(np.where(live, rank, m), starts)[group]
-        open_rows = state == 0
-        open_rows[rows[live & (lead != rank)]] = False
-        state[open_rows] = 1
-        taken = np.zeros(ncols, bool)
-        taken[cols[state[rows] == 1]] = True
-        meets = np.zeros(m, bool)
-        meets[rows[taken[cols]]] = True
-        state[(state == 0) & meets] = 2
-    return state == 1
-
-
-def _gub_blocks(aug: scipy.sparse.csc_matrix) -> _Blocks:
-    """Find the GUB rows of ``aug`` and split its columns by row kind.
-
-    Stored zeros are not entries.  A lone GUB row would save one row of
-    the LU at the price of a pivot chosen without looking at the other
-    rows, so a model without two disjoint rows gets none.  That is known
-    at once when a column has an entry in every one of two or more rows,
-    as the Lagrangian masters' t does."""
+def _gub_blocks(aug: scipy.sparse.csc_matrix, equality: np.ndarray) -> _Blocks:
+    """Split the columns of ``aug`` by row kind.  The GUB rows are the
+    rows flagged in ``equality`` when there are at least two and their
+    supports are pairwise disjoint, and otherwise there are none: a lone
+    GUB row would save one row of the LU at the price of a pivot chosen
+    without looking at the other rows.  Stored zeros are not entries."""
     m, ncols = aug.shape
     nz = aug.data != 0.0
     rows = aug.indices[nz]
     cols = np.arange(ncols).repeat(np.diff(aug.indptr))[nz]
     data = aug.data[nz]
-    if m >= 2 and np.bincount(cols, minlength=ncols).max() == m:
-        is_gub = np.zeros(m, bool)
-    else:
-        is_gub = _disjoint_rows(rows, cols, m, ncols)
-        if np.count_nonzero(is_gub) < 2:
-            is_gub[:] = False
+    disjoint = np.bincount(cols[equality[rows]], minlength=ncols).max(initial=0) <= 1
+    is_gub = equality & (disjoint and np.count_nonzero(equality) >= 2)
     gub_rows = is_gub.nonzero()[0]
     link_rows = (~is_gub).nonzero()[0]
     perm = np.concatenate((gub_rows, link_rows))
@@ -536,7 +495,6 @@ class SimplexEngine:
         data = np.concatenate((vals, np.ones(m)))
         self._aug = scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, n + m))
         self._aug_t = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + m, m))
-        self._blocks = _gub_blocks(self._aug)
         self.rhs = model.rhs * scale
 
         self._obj = model.objective
@@ -548,6 +506,7 @@ class SimplexEngine:
         self.base_lower[:n] = model.lower
         self.base_upper[:n] = model.upper
         self.base_upper[n:] = [math.inf if s == "L" else 0.0 for s in model.senses]
+        self._blocks = _gub_blocks(self._aug, self.base_upper[n:] == 0.0)
 
         # The basic columns of the last nonsingular start, as bytes, their
         # factor and, once a dual phase asked for them, their -d (None
@@ -598,17 +557,15 @@ class SimplexEngine:
         return best
 
     def _crash_vstat(self, lower, upper, u=None) -> np.ndarray:
-        """The all-logical basis, except that each GUB row whose logical is
-        fixed at [0, 0] takes its best column (``_best_columns``) as its
-        basic column, and the row's logical leaves at its bound.  The
-        prices are the costs, or, with linking-row multipliers ``u``,
-        ``cost + A_L^T u``: the Lagrangian's choice at u."""
+        """The all-logical basis, except that each GUB row takes its best
+        column (``_best_columns``) as its basic column, and the row's
+        logical leaves at its bound.  The prices are the costs, or, with
+        linking-row multipliers ``u``, ``cost + A_L^T u``: the Lagrangian's
+        choice at u."""
         vstat = self._cold_vstat(lower, upper)
         best = self._best_columns(lower, upper)(self.cost if u is None else self._priced(u))
-        logical = self.n + self._blocks.gub_rows[self._blocks.slot[best]]
-        fixed = (lower[logical] == 0.0) & (upper[logical] == 0.0)
-        vstat[best[fixed]] = BASIC
-        vstat[logical[fixed]] = AT_LOWER
+        vstat[best] = BASIC
+        vstat[self.n + self._blocks.gub_rows[self._blocks.slot[best]]] = AT_LOWER
         return vstat
 
     def _priced(self, u: np.ndarray) -> np.ndarray:
@@ -626,9 +583,8 @@ class SimplexEngine:
         on the linking rows, ``L(u) = u^T b_L + max (c - A_L^T u)^T x``
         over the GUB rows and the column bounds.  Each GUB row g gives
         ``rhs_g`` to its best column at the prices ``cost + A_L^T u``
-        (``_best_columns``; a <= row's logical, at profit 0, is among the
-        candidates), and every column outside the GUB rows sits at the
-        bound its profit favours.  Fixed columns in GUB rows are skipped,
+        (``_best_columns``), and every column outside the GUB rows sits at
+        the bound its profit favours.  Fixed columns in GUB rows are skipped,
         as in the crash, and so are the GUB columns' upper bounds.  When
         every lower bound is 0 and every GUB entry and right-hand side is
         nonnegative, L(u) is at least ``max c^T x`` for every u >= 0.  The
@@ -695,7 +651,7 @@ class SimplexEngine:
         The master is an LP in the step v = u - centre and the model's
         excess t over L at the centre: maximize -t subject to one row
         ``g_k^T v - t <= L(centre) - L(u_k) - g_k^T (centre - u_k)`` per cut,
-        with v in the box and u >= 0 on rows whose logical is unbounded.
+        with v in the box and u >= 0: every linking row is a <= row.
         Its matrix is the dense block of the cuts' subgradients beside a
         column of -1s for t.  It is solved by a nested engine, warm from
         the last master's optimal basis plus the new row's logical: that
@@ -703,9 +659,7 @@ class SimplexEngine:
         so the dual phase re-solves it.
         """
         evaluate, floor = self._lagrangian(lower, upper)
-        link = self._blocks.perm[self._blocks.gub_rows.size:]
-        l = link.size
-        u_min = np.where(np.isinf(upper[self.n + link]), 0.0, -math.inf)
+        l = self.m - self._blocks.gub_rows.size
         u = centre = np.zeros(l)
         value, grad = evaluate(u)
         top = value
@@ -723,7 +677,8 @@ class SimplexEngine:
             cut_names.append(f"cut{k}")
             cuts = np.array(grads)
             excess = top - np.array(intercepts) - cuts @ centre
-            low = np.maximum(u_min - centre, -box)
+            # 0.0 - centre, not -centre, whose -0.0 bounds change the masters' solutions
+            low = np.maximum(0.0 - centre, -box)
             master = LpModel(
                 column_names, objective,
                 np.append(low, -math.inf), np.append(np.full(l, box), math.inf),

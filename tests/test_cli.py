@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -167,6 +169,28 @@ class TestSolve:
         code, _, stderr = run(capsys, "solve", str(p))
         assert code == EXIT_INPUT
         assert f"{field} " in stderr
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("campaigns", 0, "levels", 1, "level_index"), "abc", "c1: level_index values"),
+            (("campaigns", 0, "levels", 1, "level_index"), None, "c1: level_index values"),
+            (("campaigns", 0, "levels", 1, "level_index"), [], "c1: level_index values"),
+            (("campaigns", 0, "id"), {"x": 1},
+             'id must be a JSON string or integer, not {"x": 1}'),
+            (("campaigns", 0, "business_id"), True, "business_id must be a JSON string"),
+            (("businesses", 0, "id"), True, "id must be a JSON string or integer, not true"),
+        ],
+        ids=["index-abc", "index-null", "index-list", "campaign-id", "owner-id", "business-id"],
+    )
+    def test_bad_level_index_or_id_is_input_error(self, tmp_path, capsys, keys, value, message):
+        doc = json.loads(instance_to_json(make_t1()))
+        functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "solve", str(p))
+        assert code == EXIT_INPUT
+        assert message in stderr
 
     def test_limit_without_incumbent(self, t1_path, tmp_path, capsys):
         out = tmp_path / "sol.txt"
@@ -398,6 +422,11 @@ class TestConvert:
              "set S_c1: weights must be the level indices 0..2"),
             ("COST                50.0", "COST                -50.0",
              "campaign c1 level 1: ret must be >= 0"),
+            (" UP BND                 D_c1_1              1.0",
+             " UP BND                 D_c1_1              0.5",
+             "no instance gives this model (file against rebuilt): "
+             "column D_c1_1 upper bound 0.5 against 1.0"),
+            (" E  CVX_c1", " L  CVX_c1", "row CVX_c1 sense 'L' against 'E'"),
         ],
     )
     def test_mps_that_no_instance_builds_is_input_error(

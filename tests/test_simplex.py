@@ -542,7 +542,7 @@ class TestSingularBasis:
         pivots = np.abs(lu.U.diagonal())
         assert 0.0 < pivots.min() < 1e-12 * pivots.max()
         with pytest.raises(RuntimeError, match="singular"):
-            _Factor(_gub_blocks(bmat), np.arange(2))
+            _Factor(_gub_blocks(bmat, np.zeros(2, bool)), np.arange(2))
 
 
 def _drift(solve):
@@ -649,7 +649,11 @@ class TestFactorUpdates:
         bmat = np.eye(m) * 4.0
         for i, j in rng.integers(0, m, size=(40, 2)):
             bmat[i, j] += rng.normal()
-        factor = _Factor(_gub_blocks(scipy.sparse.csc_matrix(bmat)), np.arange(m))
+        # the rows with only their diagonal entry are pairwise disjoint:
+        # they are the GUB rows
+        blocks = _gub_blocks(scipy.sparse.csc_matrix(bmat), (bmat != 0.0).sum(axis=1) == 1)
+        assert blocks.gub_rows.size >= 2
+        factor = _Factor(blocks, np.arange(m))
         eye = np.eye(m)
         for _ in range(25):
             col = np.zeros(m)
@@ -667,19 +671,6 @@ class TestFactorUpdates:
                     factor.btran(b), np.linalg.solve(bmat.T, b), rtol=0, atol=1e-10
                 )
         assert len(factor.etas) == 25
-
-
-def greedy_disjoint_rows(aug: scipy.sparse.csc_matrix) -> list[int]:
-    """The GUB rows by the plain loop: rows smallest first, ties to the
-    lower index, each kept when it misses every row kept before; fewer
-    than two kept rows count as none."""
-    dense = aug.toarray() != 0.0
-    kept, covered = [], np.zeros(dense.shape[1], bool)
-    for i in sorted(range(dense.shape[0]), key=lambda i: (dense[i].sum(), i)):
-        if not (covered & dense[i]).any():
-            kept.append(i)
-            covered |= dense[i]
-    return sorted(kept) if len(kept) >= 2 else []
 
 
 def assert_solves_match(engine: SimplexEngine, basis: np.ndarray, rng) -> None:
@@ -713,7 +704,22 @@ class TestGubFactor:
             engine = SimplexEngine(model)
             names = [model.rows[i].name for i in engine._blocks.gub_rows]
             assert names == [r.name for r in model.rows if r.name.startswith("CVX_")]
-            assert engine._blocks.gub_rows.tolist() == greedy_disjoint_rows(engine._aug)
+
+    def test_convexity_rows_are_the_gub_rows_of_a_lone_campaign(self, suite1):
+        # a business with one campaign has a budget row no larger than that
+        # campaign's convexity row; only the convexity row is an equality,
+        # and the crash from the convexity rows is dual feasible
+        lone = 0
+        for inst in suite1:
+            model = build_model(inst)
+            engine = SimplexEngine(model)
+            names = [model.row_names[i] for i in engine._blocks.gub_rows]
+            assert names == [name for name in model.row_names if name.startswith("CVX_")]
+            crash = engine._crash_vstat(engine.base_lower, engine.base_upper)
+            assert dual_infeasibility(engine, crash.tobytes()) <= engine.opt_tol
+            owners = [c.business_id for c in inst.campaigns]
+            lone += any(owners.count(b.id) == 1 for b in inst.businesses)
+        assert lone == 72
 
     def test_solves_on_generated_bases(self):
         # cold, root-optimal and warm children's bases
@@ -754,42 +760,51 @@ class TestGubFactor:
                 checked += 1
         assert checked >= 10
 
-    def test_greedy_rows_match_the_plain_loop(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 20))
-            amat = scipy.sparse.random(m, n, density=float(rng.uniform(0.02, 0.4)), rng=rng)
-            amat.data[rng.random(amat.data.size) < 0.2] = 0.0  # stored zeros
-            aug = scipy.sparse.hstack(
-                [amat, scipy.sparse.identity(m)], format="csc"
-            )
-            assert _gub_blocks(aug).gub_rows.tolist() == greedy_disjoint_rows(aug)
-
-    def test_a_column_in_every_row_leaves_no_gub_rows_at_once(self, monkeypatch):
-        # as the Lagrangian masters' t: the blocks of no GUB rows, with no
-        # greedy round
-        rng = np.random.default_rng(17)
-        monkeypatch.setattr(simplex, "_disjoint_rows", None)
-        for _ in range(50):
-            m, n = int(rng.integers(2, 12)), int(rng.integers(1, 20))
-            amat = scipy.sparse.random(m, n, density=float(rng.uniform(0.02, 0.4)), rng=rng)
-            amat.data[rng.random(amat.data.size) < 0.2] = 0.0  # stored zeros
-            full = rng.uniform(-2.0, 2.0, (m, 1))
-            full[full == 0.0] = 1.0
-            aug = scipy.sparse.hstack(
-                [amat, full, scipy.sparse.identity(m)], format="csc"
-            )
-            assert greedy_disjoint_rows(aug) == []
-            blocks = _gub_blocks(aug)
-            assert blocks.gub_rows.size == 0
-            assert blocks.perm.tolist() == blocks.unperm.tolist() == list(range(m))
-            assert (blocks.slot == -1).all() and not blocks.gval.any()
-            dense = aug.toarray()
-            for j in range(aug.shape[1]):
-                lo, hi = blocks.indptr[j], blocks.indptr[j + 1]
-                rows = np.flatnonzero(dense[:, j])
-                assert blocks.indices[lo:hi].tolist() == rows.tolist()
-                assert blocks.data[lo:hi].tolist() == dense[rows, j].tolist()
+    @pytest.mark.parametrize("case", ["master", "overlapping", "disjoint"])
+    def test_gub_rows_are_disjoint_equality_rows(self, case):
+        # master: a Lagrangian master's <= cuts, t in every row;
+        # overlapping: a and b are equality rows that share x1;
+        # disjoint: a and b are GUB rows, c is disjoint but a <= row, and a
+        # stored zero of b in x0 is not an entry
+        cols = tuple(LpColumn(f"x{j}", 1.0, 0.0, 1.0) for j in range(5))
+        link = LpRow("d", "L", 3.0, tuple((j, 1.0) for j in range(5)))
+        rows, gub = {
+            "master": ((
+                LpRow("cut0", "L", 1.0, ((0, 1.0), (1, 2.0), (4, -1.0))),
+                LpRow("cut1", "L", 0.0, ((0, -1.0), (4, -1.0))),
+                LpRow("cut2", "L", 2.0, ((2, 1.0), (3, 1.0), (4, -1.0))),
+            ), []),
+            "overlapping": ((
+                LpRow("a", "E", 1.0, ((0, 1.0), (1, 1.0))),
+                LpRow("b", "E", 1.0, ((1, 1.0), (2, 1.0), (3, 1.0))),
+                link,
+            ), []),
+            "disjoint": ((
+                LpRow("a", "E", 1.0, ((0, 1.0), (1, 1.0))),
+                LpRow("b", "E", 1.0, ((0, 0.0), (2, 1.0), (3, 1.0))),
+                LpRow("c", "L", 1.0, ((4, 1.0),)),
+                link,
+            ), [0, 1]),
+        }[case]
+        engine = SimplexEngine(from_tuples(columns=cols, rows=rows, sos_sets=()))
+        blocks = engine._blocks
+        assert blocks.gub_rows.tolist() == gub
+        links = [i for i in range(engine.m) if i not in gub]
+        assert blocks.perm.tolist() == gub + links
+        assert blocks.unperm[blocks.perm].tolist() == list(range(engine.m))
+        dense = engine._aug.toarray()
+        for j in range(engine.n + engine.m):
+            hit = [slot for slot, i in enumerate(gub) if dense[i, j] != 0.0]
+            assert blocks.slot[j] == (hit[0] if hit else -1)
+            assert blocks.gval[j] == (dense[gub[hit[0]], j] if hit else 0.0)
+            lo, hi = blocks.indptr[j], blocks.indptr[j + 1]
+            rows_j = [k for k, i in enumerate(links) if dense[i, j] != 0.0]
+            assert blocks.indices[lo:hi].tolist() == rows_j
+            assert blocks.data[lo:hi].tolist() == [dense[links[k], j] for k in rows_j]
+        sol = engine.solve()
+        ref = scipy_reference(engine.model)
+        assert sol.status == OPTIMAL and ref.status == 0
+        assert abs(sol.objective + ref.fun) <= 1e-9
 
     def test_stored_zero_is_not_a_key(self):
         # a: x0 (+ 0 x1) = 1 and b: x1 + x2 = 1 are disjoint once the
@@ -1102,18 +1117,17 @@ class TestDualSimplex:
 
 
 class TestCrash:
-    """A cold solve starts from the crash basis: in each GUB row whose
-    logical is fixed at zero, the movable column with the lowest cost per
-    unit of its positive entry is basic; every other row keeps its
-    logical.  With the linking rows' duals at zero that basis is dual
-    feasible when every column lies in such a row, and the dual phase
-    runs from it."""
+    """A cold solve starts from the crash basis: in each GUB row, the
+    movable column with the lowest cost per unit of its positive entry is
+    basic; every other row keeps its logical.  With the linking rows'
+    duals at zero that basis is dual feasible when every column lies in a
+    GUB row, and the dual phase runs from it."""
 
     def test_lowest_cost_per_unit_then_the_lowest_index(self):
         # maximize; a: x0 + 2 x1 + x2 = 1 (scaled by 1/2) where x1 and x2
         # tie at 6 per unit; b: x3 + x4 - x5 = 1 where x4 is fixed and x5
-        # has a negative entry; c: x6 <= 1 is disjoint but not an equality;
-        # d links every column
+        # has a negative entry; c: x6 <= 1 is disjoint but not an equality,
+        # so it is no GUB row and keeps its logical; d links every column
         objs = (2.0, 6.0, 3.0, 1.0, 5.0, -100.0, 1.0)
         bounds = [(0.0, 1.0)] * 7
         bounds[4] = (0.0, 0.0)
@@ -1131,7 +1145,7 @@ class TestCrash:
             sos_sets=(),
         )
         engine = SimplexEngine(model)
-        assert engine._blocks.gub_rows.tolist() == [0, 1, 2]
+        assert engine._blocks.gub_rows.tolist() == [0, 1]
         vstat = engine._crash_vstat(engine.base_lower, engine.base_upper)
         assert np.flatnonzero(vstat == BASIC).tolist() == [1, 3, 9, 10]
         assert vstat[7:9].tolist() == [AT_LOWER, AT_LOWER]
@@ -1390,7 +1404,7 @@ class TestLagrangianEstimate:
         SimplexEngine(gated_model(0)).solve()
         assert len(estimates) == 1
 
-    @pytest.mark.parametrize("sense", ["L", "E"])
+    @pytest.mark.parametrize("sense", ["L"])
     def test_unmeetable_linking_rows_fall_back_to_u_zero(self, sense, estimates, monkeypatch):
         # L at the centre falls below the lowest objective of the
         # convexity rows' choices within three rounds (200 without that stop)
@@ -1407,6 +1421,18 @@ class TestLagrangianEstimate:
         assert time.perf_counter() - t0 < 10.0
         assert len(masters) == 3
         assert estimates == [None]
+        assert sol.status == INFEASIBLE
+        assert scipy_reference(model).status == 2
+
+    def test_an_equality_linking_row_leaves_no_gub_rows(self, estimates, monkeypatch):
+        # the same model with its linking row an equality: the equality
+        # rows overlap, so there are no GUB rows and nothing to estimate
+        model = unmeetable_link_model("E")
+        masters = master_solves(monkeypatch, model)
+        engine = SimplexEngine(model)
+        assert engine._blocks.gub_rows.size == 0
+        sol = engine.solve()
+        assert masters == [] and estimates == []
         assert sol.status == INFEASIBLE
         assert scipy_reference(model).status == 2
 

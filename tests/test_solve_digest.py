@@ -28,9 +28,9 @@ DIGESTS = {
     # 252 models in five modes: SOS1 and SOS2 branching under all four
     # strategies
     "suite-many-small": [
-        "solutions 5497 47228a6889edfe3fe97ee1b0e2010d012fc5dfef8793ac1a10d20442f9718b1e",
+        "solutions 5499 0621ac9990fbbcae9c349116635bf58481ce9a223e09aa014473cb6d4a2e7d50",
         NO_MASTERS,
-        "files 1260 c6aa5aec3a9842bddda25902074354d6ffe0a6ea12bdeb025f9ec0811ed95a95",
+        "files 1260 d6bc4adc40c8d8121984a9f26ea119202306268d77d705993592d04a7d7129eb",
         "instances 252 1dccf0a57ba7001a5e711d936c83a3c1092649e7145495c43e66b737abf408d8",
     ],
 }
