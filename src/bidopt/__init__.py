@@ -15,7 +15,6 @@ from .model import (
     LpColumn,
     LpModel,
     LpRow,
-    SosSet,
     build_model,
 )
 from .search import SearchLimits, branch_and_bound, relax_to_sos2
@@ -31,7 +30,6 @@ __all__ = [
     "LpModel",
     "LpRow",
     "SearchLimits",
-    "SosSet",
     "branch_and_bound",
     "build_model",
     "generate_instance",

@@ -311,7 +311,7 @@ def run_benchmark(
             writer.writerow(
                 [
                     number,
-                    len(model.sos_sets),
+                    len(model.sos_names),
                     strat,
                     deg(report.first_solution_degradation_pct),
                     secs,

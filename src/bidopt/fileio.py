@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from itertools import accumulate, chain, zip_longest
 from operator import itemgetter
 
 import numpy as np
 
-from .model import Business, Campaign, Instance, LpModel, SosSet, build_model
-from .search import SolveReport, interpolate_bid
+from .model import Business, Campaign, Instance, LpModel, build_model
+from .search import SolveReport, interpolate_bids
 
 VERIFY_TOL = 1e-6
 VERIFY_ZERO_TOL = 1e-6
@@ -108,7 +107,7 @@ def instance_from_json(text: str) -> Instance:
     document at once: the levels in one flat list, cut per campaign."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or a number too long to convert
         raise ValueError(f"invalid instance JSON: {exc}") from exc
     try:
         cdocs, bdocs = doc["campaigns"], doc["businesses"]
@@ -143,7 +142,8 @@ def instance_from_json(text: str) -> Instance:
             _numbers([b["cpc"] for b in bdocs], "cpc"),
         )]
         for b, raw in zip(businesses, bdocs):
-            if "campaign_ids" in raw and sorted(raw["campaign_ids"]) != sorted(
+            listed = raw.get("campaign_ids")
+            if listed is not None and sorted(_ids(listed, "campaign_ids")) != sorted(
                 cid for cid, owner in zip(ids, owners) if owner == b.id
             ):
                 read_problems.append(
@@ -183,7 +183,7 @@ def write_mps(model: LpModel) -> str:
     (including explicit zeros) are written verbatim, column-major, so a
     read reproduces the model exactly.
     """
-    for nm in (*model.column_names, *model.row_names, *(s.name for s in model.sos_sets)):
+    for nm in (*model.column_names, *model.row_names, *model.sos_names):
         if not nm or any(ch.isspace() for ch in nm):
             raise ValueError(f"name {nm!r} is empty or contains whitespace")
 
@@ -232,12 +232,13 @@ def write_mps(model: LpModel) -> str:
         if hi != math.inf:
             out.append(f" UP {_pad('BND')}{_pad(col_name)}{_num(hi)}")
 
-    if model.sos_sets:
+    if model.sos_names:
         out.append("SOS")
-        for sos in model.sos_sets:
-            out.append(f" S{model.sos_type} {sos.name}")
-            for j, w in zip(sos.members, sos.weights):
-                out.append(f"    {_pad(model.column_names[j])}{_num(w)}")
+        starts = model.sos_starts.tolist()
+        for name, a, b in zip(model.sos_names, starts, starts[1:]):
+            out.append(f" S{model.sos_type} {name}")
+            for p, col_name in enumerate(model.column_names[a:b]):
+                out.append(f"    {_pad(col_name)}{_num(p)}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -253,9 +254,11 @@ def read_mps(text: str) -> LpModel:
 
     Raises MpsParseError with a line number for malformed sections,
     an objective sense other than MAXIMIZE, unknown row or column
-    references, non-finite numbers, non-increasing SOS weights and a set
-    header whose type differs from the first one's.  A file without sets
-    reads as SOS1.
+    references, non-finite numbers and a set header whose type differs
+    from the first one's, and for a set that is no run of columns: each
+    member must be the next column, from column 0 on across the sets,
+    weighted by its position 0, 1, ... in its set, and each set needs a
+    member.  A file without sets reads as SOS1.
     """
     section = None
     # Position-indexed: rows and columns in order of first appearance,
@@ -269,7 +272,10 @@ def read_mps(text: str) -> LpModel:
     objective: list[float] = []
     lower: list[float] = []
     upper: list[float] = []
-    sos_raw: list[dict] = []
+    sos_names: list[str] = []
+    sos_starts: list[int] = []
+    sos_line = 0  # the last set header's line
+    members = 0  # the SOS members read so far: the next member's column
     sos_type = None
     saw_endata = False
 
@@ -385,23 +391,26 @@ def read_mps(text: str) -> LpModel:
                 sos_type = sos_type or int(tokens[0][1])
                 if tokens[0] != f"S{sos_type}":
                     raise MpsParseError(ln, f"{tokens[0]} set in an S{sos_type} model")
-                sos_raw.append({"name": tokens[1], "members": [], "weights": []})
+                if sos_starts and sos_starts[-1] == members:
+                    raise MpsParseError(sos_line, f"set {sos_names[-1]!r} has no members")
+                sos_names.append(tokens[1])
+                sos_starts.append(members)
+                sos_line = ln
             else:
-                if not sos_raw:
+                if not sos_names:
                     raise MpsParseError(ln, "SOS member before any set header")
                 if len(tokens) != 2:
                     raise MpsParseError(ln, "expected '<column> <weight>'")
                 cname, wtok = tokens
                 if cname not in col_index:
                     raise MpsParseError(ln, f"unknown column {cname!r}")
-                w = parse_float(wtok, ln)
-                cur = sos_raw[-1]
-                if cur["weights"] and w <= cur["weights"][-1]:
-                    raise MpsParseError(
-                        ln, "reference weights must be strictly increasing"
-                    )
-                cur["members"].append(col_index[cname])
-                cur["weights"].append(w)
+                if col_index[cname] != members:
+                    expected = [*col_index][members] if members < len(col_index) else None
+                    raise MpsParseError(ln, f"member {cname!r} is not the next column {expected!r}")
+                at = members - sos_starts[-1]  # the member's position in its set
+                if parse_float(wtok, ln) != at:
+                    raise MpsParseError(ln, f"weight {wtok} of {cname!r} is not its position {at}")
+                members += 1
         elif section is None:
             raise MpsParseError(ln, "data line outside any section")
         else:
@@ -409,6 +418,8 @@ def read_mps(text: str) -> LpModel:
 
     if not saw_endata:
         raise MpsParseError(len(text.splitlines()) + 1, "missing ENDATA")
+    if sos_starts and sos_starts[-1] == members:
+        raise MpsParseError(sos_line, f"set {sos_names[-1]!r} has no members")
 
     return LpModel(
         tuple(col_index), *(np.array(a, float) for a in (objective, lower, upper)),
@@ -416,16 +427,20 @@ def read_mps(text: str) -> LpModel:
         np.cumsum([0, *map(len, row_cols)], dtype=np.intp),
         np.array([*chain.from_iterable(row_cols)], np.intp),
         np.array([*chain.from_iterable(row_vals)], float),
-        tuple(SosSet(s["name"], tuple(s["members"]), tuple(s["weights"])) for s in sos_raw),
-        sos_type or 1,
+        sos_names=tuple(sos_names),
+        sos_starts=np.array([*sos_starts, members], np.intp),
+        sos_type=sos_type or 1,
     )
 
 
 def models_structurally_equal(a: LpModel, b: LpModel) -> bool:
-    """Equality on names, senses, every array, the set type and the SOS
-    structure; level-bid metadata (absent from MPS) is ignored."""
-    strip = lambda m: tuple(replace(s, bids=None) for s in m.sos_sets)
-    return _model_difference(a, b) is None and a.sos_type == b.sos_type and strip(a) == strip(b)
+    """Equality on names, senses, every array, the set names, starts and
+    type; level bids (absent from MPS) are ignored."""
+    return (
+        _model_difference(a, b) is None
+        and (a.sos_names, a.sos_type) == (b.sos_names, b.sos_type)
+        and np.array_equal(a.sos_starts, b.sos_starts)
+    )
 
 
 def _model_difference(a: LpModel, b: LpModel, round_off: float = 0.0) -> str | None:
@@ -466,9 +481,9 @@ def _model_difference(a: LpModel, b: LpModel, round_off: float = 0.0) -> str | N
 # ---------------------------------------------------------------------------
 # model -> instance inversion (for MPS -> JSON conversion)
 
-def _campaign_id(sos: SosSet) -> str:
+def _campaign_id(set_name: str) -> str:
     """The campaign of a set: its name less ``build_model``'s "S_" prefix."""
-    return sos.name[2:] if sos.name.startswith("S_") else sos.name
+    return set_name[2:] if set_name.startswith("S_") else set_name
 
 
 def model_to_instance(model: LpModel) -> Instance:
@@ -481,87 +496,65 @@ def model_to_instance(model: LpModel) -> Instance:
     Recovered ad_value is spend/impressions, so rebuilt budget and
     click coefficients can differ from the originals in the last few
     bits.  Level bids are not stored in MPS and come back as None.
-    Raises ValueError when a set's weights are not its level indices
-    0, 1, ..., when the rebuilt instance is not valid, or when
+    Raises ValueError when the rebuilt instance is not valid, or when
     ``build_model`` of it is not this model up to 1e-12 round-off.
     """
     row_at = {name: i for i, name in enumerate(model.row_names)}
-    ptr, idx, val = model.indptr.tolist(), model.indices.tolist(), model.data.tolist()
-    rhs = model.rhs.tolist()
-
-    def entries(i: int):
-        return zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]])
-
-    campaigns_meta: list[tuple[str, tuple[int, ...]]] = []
-    for sos in model.sos_sets:
-        if sos.weights != tuple(range(len(sos.weights))):
-            raise ValueError(
-                f"set {sos.name}: weights must be the level indices 0..{len(sos.weights) - 1}"
-            )
-        campaigns_meta.append((_campaign_id(sos), sos.members))
-
-    imp = row_at.get("IMP")
-    if imp is None:
+    if "IMP" not in row_at:
         raise ValueError("model has no IMP row")
-    impressions = dict(entries(imp))
-
     business_ids = [name[4:] for name in model.row_names if name.startswith("BUD_")]
-    member_business: dict[int, str] = {}
-    spend: dict[int, float] = {}
-    click: dict[int, float] = {}
-    for bid_ in business_ids:
-        clk = row_at.get(f"CLK_{bid_}")
-        if clk is None:
+    n = len(model.column_names)
+    impressions, spend, click = np.zeros(n), np.zeros(n), np.zeros(n)
+    owner = np.full(n, -1)  # the business whose BUD row holds the column
+
+    def put(out: np.ndarray, name: str) -> np.ndarray:
+        """Row ``name``'s entries written into ``out`` by column; their columns."""
+        a, b = model.indptr[row_at[name]:row_at[name] + 2]
+        out[model.indices[a:b]] = model.data[a:b]
+        return model.indices[a:b]
+
+    put(impressions, "IMP")
+    for k, bid_ in enumerate(business_ids):
+        if f"CLK_{bid_}" not in row_at:
             raise ValueError(f"business {bid_}: BUD row without CLK row")
-        for j, v in entries(row_at[f"BUD_{bid_}"]):
-            member_business[j] = bid_
-            spend[j] = v
-        for j, v in entries(clk):
-            click[j] = v
+        owner[put(spend, f"BUD_{bid_}")] = k
+        put(click, f"CLK_{bid_}")
+    imps, spend, click = impressions.tolist(), spend.tolist(), click.tolist()
 
-    # cpc*ctr per campaign from spend - click = P * cpc * ctr
-    product: dict[str, float] = {}
-    camp_business: dict[str, str] = {}
-    for cid, members in campaigns_meta:
-        owners = {member_business.get(j) for j in members}
-        owners.discard(None)
+    # A set is a campaign.  Its cpc*ctr comes from spend - click = P * cpc
+    # * ctr at its first level with impressions.
+    starts = model.sos_starts.tolist()
+    runs = [*zip(map(_campaign_id, model.sos_names), starts, starts[1:])]
+    camp_business, product = [], []
+    for cid, a, b in runs:
+        owners = set(owner[a:b].tolist()) - {-1}
         if len(owners) != 1:
-            raise ValueError(f"campaign {cid}: members span businesses {owners}")
-        camp_business[cid] = owners.pop()
-        q = 0.0
-        for j in members:
-            p = impressions.get(j, 0.0)
-            if p > 0.0:
-                q = (spend.get(j, 0.0) - click.get(j, 0.0)) / p
-                break
-        product[cid] = q
+            raise ValueError(
+                f"campaign {cid}: members span businesses {[business_ids[k] for k in owners]}"
+            )
+        camp_business.append(business_ids[owners.pop()])
+        j = next((j for j in range(a, b) if imps[j] > 0.0), None)
+        product.append(0.0 if j is None else (spend[j] - click[j]) / imps[j])
 
-    businesses = []
-    for bid_ in business_ids:
-        qs = [product[c] for c in product if camp_business[c] == bid_]
-        cpc = max(qs) if qs else 0.0
-        businesses.append(Business(id=bid_, budget=rhs[row_at[f"BUD_{bid_}"]], cpc=cpc))
-    cpc_of = {b.id: b.cpc for b in businesses}
-
-    objective = model.objective.tolist()
-    campaigns = []
-    for cid, members in campaigns_meta:
-        cpc = cpc_of[camp_business[cid]]
-        ctr = product[cid] / cpc if cpc > 0.0 else 0.0
-        imps = tuple(impressions.get(j, 0.0) for j in members)
-        campaigns.append(Campaign(
-            id=cid,
-            business_id=camp_business[cid],
-            ctr=ctr,
-            ret=tuple(objective[j] for j in members),
-            ad_value=tuple(
-                spend.get(j, 0.0) / p if p > 0.0 else 0.0 for j, p in zip(members, imps)
-            ),
-            impressions=imps,
-            bid=(None,) * len(members),
-        ))
-
-    instance = Instance(tuple(businesses), tuple(campaigns), rhs[imp])
+    cpc_of = {
+        bid_: max((q for q, of in zip(product, camp_business) if of == bid_), default=0.0)
+        for bid_ in business_ids
+    }
+    rhs, objective = model.rhs.tolist(), model.objective.tolist()
+    instance = Instance(
+        tuple(Business(bid_, rhs[row_at[f"BUD_{bid_}"]], cpc_of[bid_]) for bid_ in business_ids),
+        tuple(
+            Campaign(
+                cid, bid_, q / cpc_of[bid_] if cpc_of[bid_] > 0.0 else 0.0,
+                ret=tuple(objective[a:b]),
+                ad_value=tuple(s / p if p > 0.0 else 0.0 for s, p in zip(spend[a:b], imps[a:b])),
+                impressions=tuple(imps[a:b]),
+                bid=(None,) * (b - a),
+            )
+            for (cid, a, b), bid_, q in zip(runs, camp_business, product)
+        ),
+        rhs[row_at["IMP"]],
+    )
     difference = _model_difference(model, build_model(instance), 1e-12)
     if difference:
         raise ValueError(f"no instance gives this model (file against rebuilt): {difference}")
@@ -597,13 +590,12 @@ def write_solution(
         f"NODES {report.nodes}",
     ]
     if solution is not None:
-        for name, v in zip(model.column_names, solution):
+        for name, v in zip(model.column_names, solution.tolist()):
             if abs(v) >= 5e-13:
                 lines.append(f"COLUMN {name} {v:.12f}")
-        for sos in model.sos_sets:
-            bid = interpolate_bid(sos, solution, zero_tol)
+        for name, bid in zip(model.sos_names, interpolate_bids(model, solution, zero_tol)):
             if bid is not None:
-                lines.append(f"BID {_campaign_id(sos)} {bid:.12f}")
+                lines.append(f"BID {_campaign_id(name)} {bid:.12f}")
     return "\n".join(lines) + "\n"
 
 

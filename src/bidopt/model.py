@@ -18,12 +18,13 @@ each, so a level is known by its position and carries no index.
 * a click-balance row per business in homogeneous form (spend minus
   click value at most 0),
 * one global impression row,
-* one special ordered set per campaign with reference weights equal to
-  the level indices, all SOS1 (``search.relax_to_sos2`` makes them SOS2).
+* one special ordered set per campaign, its run of columns, all SOS1
+  (``search.relax_to_sos2`` makes them SOS2).
 
 The LP is an ``LpModel`` held as arrays, the layout LP solvers work on:
 names, the objective and bound vectors, row senses and right-hand
-sides, and the matrix in CSR (compressed sparse rows).  It is made from
+sides, the matrix in CSR (compressed sparse rows), and the sets as
+offsets into the columns, the way CSR holds rows.  It is made from
 those arrays only; the simplex engine and the file readers and writers
 use them as they are.  Per-column ``LpColumn`` and per-row ``LpRow``
 tuples are a view built on first use, for inspection and for the
@@ -33,7 +34,7 @@ benchmark's traced counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -104,21 +105,6 @@ class LpRow:
     coeffs: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
-class SosSet:
-    """Ordered set of columns with strictly increasing reference weights.
-
-    The model's ``sos_type`` says how many members may be nonzero.
-    ``bids`` mirrors the members' bid metadata (None where absent) for
-    bid interpolation on output.
-    """
-
-    name: str
-    members: tuple[int, ...]
-    weights: tuple[float, ...]
-    bids: tuple[float | None, ...] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class LpModel:
     """An LP with SOS sets, held as names and read-only numpy arrays.  It
@@ -130,9 +116,12 @@ class LpModel:
     ``rhs``.  The matrix is CSR: row i's entries are positions
     ``indptr[i]:indptr[i + 1]`` of ``indices`` (column positions) and
     ``data``, every stored entry kept in its given order, explicit zeros
-    and repeated columns included (the engine sums repeats).  Every set
-    in ``sos_sets`` has type ``sos_type``: 1 allows at most one nonzero
-    member, 2 at most two and they must be adjacent.
+    and repeated columns included (the engine sums repeats).  Set k,
+    ``sos_names[k]``, is the column run ``sos_starts[k]:sos_starts[k + 1]``
+    (the first from column 0), a member's reference weight its position in
+    it; every set has type ``sos_type``: 1 allows at most one nonzero
+    member, 2 at most two and they must be adjacent.  ``bids`` holds each
+    column's level bid, NaN where there is none or none is given.
 
     ``columns`` and ``rows`` show the same model as ``LpColumn`` and
     ``LpRow`` tuples, built on first use, for inspection and for the
@@ -150,12 +139,16 @@ class LpModel:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    sos_sets: tuple[SosSet, ...] = ()
+    sos_names: tuple[str, ...] = ()
+    sos_starts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.intp))
     sos_type: int = 1
+    bids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.bids is None:
+            object.__setattr__(self, "bids", np.full(len(self.column_names), math.nan))
         for a in (self.objective, self.lower, self.upper, self.rhs,
-                  self.indptr, self.indices, self.data):
+                  self.indptr, self.indices, self.data, self.sos_starts, self.bids):
             a.flags.writeable = False
 
     @cached_property
@@ -284,16 +277,6 @@ def build_model(instance: Instance) -> LpModel:
     row_names.append("IMP")
     rhs.append(instance.impression_budget)
 
-    sos_sets = tuple(
-        SosSet(
-            name=f"S_{c.id}",
-            members=tuple(range(first, first + len(c.ret))),
-            weights=tuple(map(float, range(len(c.ret)))),
-            bids=c.bid,
-        )
-        for c, first in zip(campaigns, (sizes.cumsum() - sizes).tolist())
-    )
-
     return LpModel(
         column_names=tuple(names),
         objective=ret,
@@ -305,5 +288,7 @@ def build_model(instance: Instance) -> LpModel:
         indptr=indptr,
         indices=order % n,
         data=entry_val[order],
-        sos_sets=sos_sets,
+        sos_names=tuple(f"S_{c.id}" for c in campaigns),
+        sos_starts=np.concatenate(([0], sizes.cumsum())),
+        bids=np.array([math.nan if b is None else b for c in campaigns for b in c.bid], float),
     )

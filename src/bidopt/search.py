@@ -1,5 +1,9 @@
 """SOS1/SOS2 branch and bound with hot-start variable fixing.
 
+A set is a run of columns, and a member's reference weight its position
+in the run.  ``sos_scan`` reads an LP point for every set at once; the
+branching, strategies 2 and 3 and the solution file's bids start from it.
+
 Three fixing strategies read the root LP and pin columns before the
 tree search starts.  Fixes are bounds dicts, column -> (lower, upper),
 the same overrides ``SimplexEngine.solve`` and ``Node`` take:
@@ -12,7 +16,7 @@ the same overrides ``SimplexEngine.solve`` and ``Node`` take:
    otherwise members outside the span of nonzero members are zeroed;
 3. (SOS2 models) members outside each set's nonzero span are zeroed;
    unsatisfied sets are then also narrowed to the adjacent pair
-   bracketing the weighted-average reference weight, the LP is
+   bracketing the weighted-average position, the LP is
    resolved, and a feasible resolve becomes the first incumbent.  The
    narrowing is not kept for the search.  When the search stops at the
    first solution, that incumbent is returned before the fixes are
@@ -24,7 +28,7 @@ proceeds from the unfixed root.  That LP is not solved when the root's
 primal already lies within every fixed column's bounds: the root is
 then feasible for the fixed LP and optimal for a looser one, so it is
 the fixed LP's solution as it stands.  Branching splits the most violated
-set at the weighted-average reference weight; nodes are explored
+set at its weighted-average position; nodes are explored
 depth-first until the first incumbent and best-bound after.  A node LP
 that stops short of optimality before the time limit (an iteration
 limit) is solved once more from the cold basis; if that fails too, the
@@ -39,7 +43,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .model import LpModel, SosSet
+import numpy as np
+
+from .model import LpModel
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -57,6 +63,7 @@ GAP = 1e-4
 STRATEGIES = ("none", "1", "2", "3")
 
 Bounds = dict[int, tuple[float, float]]
+Scan = tuple[np.ndarray, np.ndarray, np.ndarray]  # what sos_scan returns
 
 
 @dataclass(frozen=True)
@@ -89,55 +96,67 @@ class SolveReport:
     first_solution_degradation_pct: float | None = None
 
 
-def _nonzero_positions(sos: SosSet, primal, zero_tol: float) -> list[int]:
-    return [p for p, j in enumerate(sos.members) if abs(primal[j]) > zero_tol]
+def sos_scan(model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL) -> Scan:
+    """Every set's nonzero count, first nonzero position and last nonzero
+    position, as three arrays from one pass over ``primal``.  A member is
+    nonzero when its |value| exceeds ``zero_tol``.  A set with no nonzero
+    member has a first position past its end and a last one below 0."""
+    starts = model.sos_starts
+    a, end = starts[:-1], starts[-1]
+    col = np.arange(end)
+    nonzero = np.abs(primal[:end]) > zero_tol
+    count = np.add.reduceat(nonzero, a, dtype=np.intp)
+    first = np.minimum.reduceat(np.where(nonzero, col, end), a) - a
+    last = np.maximum.reduceat(np.where(nonzero, col, -1), a) - a
+    return count, first, last
 
 
-def _zero_outside(sos: SosSet, lo: int, hi: int) -> Bounds:
-    """Fix to zero every member outside positions lo..hi."""
-    return {j: (0.0, 0.0) for p, j in enumerate(sos.members) if p < lo or p > hi}
-
-
-def _round_to(sos: SosSet, pos: int) -> Bounds:
-    """Fix the member at ``pos`` to one and every other member to zero."""
-    return {
-        j: (1.0, 1.0) if p == pos else (0.0, 0.0) for p, j in enumerate(sos.members)
-    }
-
-
-def violation_measure(sos: SosSet, sos_type: int, primal, zero_tol: float = ZERO_TOL) -> float:
-    """Nonzero count beyond the allowed one, plus one for an SOS2 span
-    wider than an adjacent pair.  Zero exactly when the set is satisfied."""
-    nz = _nonzero_positions(sos, primal, zero_tol)
+def violation_measure(sos_type: int, scan: Scan) -> np.ndarray:
+    """Each set's nonzero count beyond the allowed one, plus one for an
+    SOS2 span wider than an adjacent pair.  Zero exactly where the set is
+    satisfied."""
+    count, first, last = scan
     if sos_type == 1:
-        return max(len(nz) - 1, 0)
-    if len(nz) <= 1:
-        return 0
-    return (len(nz) - 2) + (1 if nz[-1] - nz[0] > 1 else 0)
+        return np.maximum(count - 1, 0)
+    return np.where(count <= 1, 0, count - 2 + (last - first > 1))
 
 
-def sos_satisfied(sos: SosSet, sos_type: int, primal, zero_tol: float = ZERO_TOL) -> bool:
-    return violation_measure(sos, sos_type, primal, zero_tol) == 0
+def sos_satisfied(model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
+    return not violation_measure(model.sos_type, sos_scan(model, primal, zero_tol)).any()
 
 
-def _weighted_average(sos: SosSet, primal) -> float:
-    total = 0.0
-    acc = 0.0
-    for w, j in zip(sos.weights, sos.members):
-        v = max(primal[j], 0.0)
+def _pick_violated(model: LpModel, scan: Scan) -> int | None:
+    """The most violated set, the lowest-numbered on ties; None when every
+    set is satisfied."""
+    measure = violation_measure(model.sos_type, scan)
+    return int(measure.argmax()) if measure.any() else None
+
+
+def _runs(model: LpModel, scan: Scan):
+    """Each set's first and end column and its ``scan`` entries, as ints."""
+    starts = model.sos_starts.tolist()
+    return zip(starts, starts[1:], *(x.tolist() for x in scan))
+
+
+def _zero_outside(a: int, b: int, lo: int, hi: int) -> Bounds:
+    """Fix to zero every column of ``a:b`` outside ``lo..hi``."""
+    return {j: (0.0, 0.0) for j in range(a, b) if j < lo or j > hi}
+
+
+def _round_to(a: int, b: int, col: int) -> Bounds:
+    """Fix column ``col`` to one and every other column of ``a:b`` to zero."""
+    return {j: (1.0, 1.0) if j == col else (0.0, 0.0) for j in range(a, b)}
+
+
+def _split_position(primal: np.ndarray, a: int, b: int) -> int:
+    """The last position at or below the weighted-average position of
+    the set on columns ``a:b``, 0 when no member is positive."""
+    total = acc = 0.0
+    for p, v in enumerate(primal[a:b].tolist()):
+        v = max(v, 0.0)
         total += v
-        acc += w * v
-    if total <= 0.0:
-        return sos.weights[0]
-    return acc / total
-
-
-def _split_position(sos: SosSet, wbar: float) -> int:
-    r = 0
-    for p, w in enumerate(sos.weights):
-        if w <= wbar:
-            r = p
-    return r
+        acc += p * v
+    return min(math.floor(acc / total), b - a - 1) if total > 0.0 else 0
 
 
 def strategy1_fix(
@@ -148,21 +167,16 @@ def strategy1_fix(
 ) -> Bounds:
     """Round near-one sets to their dominant member."""
     fixes: Bounds = {}
-    for sos in model.sos_sets:
-        near = [p for p, j in enumerate(sos.members) if lp.primal[j] >= near_one_tol]
-        if not near:
+    primal, reduced = lp.primal.tolist(), lp.reduced_costs.tolist()
+    starts = model.sos_starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        star = next((j for j in range(a, b) if primal[j] >= near_one_tol), None)
+        if star is None:
             continue
-        p_star = near[0]
-        if p_star != 0:
-            # Raising any sibling must strictly worsen the objective.
-            ok = all(
-                lp.reduced_costs[j] < -rc_tol
-                for p, j in enumerate(sos.members)
-                if p != p_star
-            )
-            if not ok:
-                continue
-        fixes.update(_round_to(sos, p_star))
+        # Unless it is the slack, raising any sibling must strictly
+        # worsen the objective.
+        if star == a or all(reduced[j] < -rc_tol for j in range(a, b) if j != star):
+            fixes.update(_round_to(a, b, star))
     return fixes
 
 
@@ -170,12 +184,11 @@ def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) ->
     """Round exactly-one-nonzero sets; zero outside the nonzero span
     otherwise."""
     fixes: Bounds = {}
-    for sos in model.sos_sets:
-        nz = _nonzero_positions(sos, lp.primal, zero_tol)
-        if len(nz) == 1:
-            fixes.update(_round_to(sos, nz[0]))
-        elif nz:
-            fixes.update(_zero_outside(sos, nz[0], nz[-1]))
+    for a, b, count, first, last in _runs(model, sos_scan(model, lp.primal, zero_tol)):
+        if count == 1:
+            fixes.update(_round_to(a, b, a + first))
+        elif count:
+            fixes.update(_zero_outside(a, b, a + first, a + last))
     return fixes
 
 
@@ -186,11 +199,12 @@ def relax_to_sos2(model: LpModel) -> LpModel:
     return replace(model, sos_type=2)
 
 
-def current_interval(sos: SosSet, primal) -> tuple[int, int]:
-    """Adjacent member pair bracketing the weighted-average weight."""
-    last = len(sos.members) - 1
-    r = _split_position(sos, _weighted_average(sos, primal))
-    r = min(max(r, 0), last - 1) if last >= 1 else 0
+def current_interval(model: LpModel, k: int, primal: np.ndarray) -> tuple[int, int]:
+    """The positions of the adjacent member pair of set ``k`` bracketing
+    its weighted-average position."""
+    a, b = model.sos_starts[k:k + 2].tolist()
+    last = b - a - 1
+    r = min(_split_position(primal, a, b), max(last - 1, 0))
     return r, min(r + 1, last)
 
 
@@ -221,15 +235,17 @@ def strategy3_hotstart(
     if model.sos_type != 2:
         raise ValueError("strategy 3 requires an SOS2 model")
 
+    scan = sos_scan(model, lp.primal, zero_tol)
+    violated = violation_measure(2, scan).tolist()
     zero_flags: Bounds = {}
     narrowing: Bounds = {}
-    for sos in model.sos_sets:
-        nz = _nonzero_positions(sos, lp.primal, zero_tol)
-        if not nz:
+    for k, (a, b, count, first, last) in enumerate(_runs(model, scan)):
+        if not count:
             continue
-        zero_flags.update(_zero_outside(sos, nz[0], nz[-1]))
-        if not sos_satisfied(sos, model.sos_type, lp.primal, zero_tol):
-            narrowing.update(_zero_outside(sos, *current_interval(sos, lp.primal)))
+        zero_flags.update(_zero_outside(a, b, a + first, a + last))
+        if violated[k]:
+            lo, hi = current_interval(model, k, lp.primal)
+            narrowing.update(_zero_outside(a, b, a + lo, a + hi))
 
     trial = _solve(
         engine, deadline, bounds={**zero_flags, **narrowing}, warm=lp.basis
@@ -238,10 +254,10 @@ def strategy3_hotstart(
 
 
 def sos_branch(
-    node: Node, sos: SosSet, sos_type: int, lp: LpSolution, first_order: int = 0,
-    zero_tol: float = ZERO_TOL,
+    node: Node, model: LpModel, k: int, scan: Scan, lp: LpSolution, first_order: int = 0
 ) -> tuple[Node, Node]:
-    """Split a violated set at the weighted-average reference weight.
+    """Split violated set ``k`` at its weighted-average position; ``scan``
+    is ``sos_scan`` of ``lp.primal``.
 
     The left child zeroes members above the split, the right child
     zeroes members at or below it (strictly below for SOS2, so the
@@ -251,57 +267,51 @@ def sos_branch(
     take ``lp``'s objective as their bound and its basis as their warm
     start.
     """
-    nz = _nonzero_positions(sos, lp.primal, zero_tol)
-    if not nz:
+    count, first, last = (int(x[k]) for x in scan)
+    if not count:
         raise ValueError("cannot branch on an all-zero set")
-    r = _split_position(sos, _weighted_average(sos, lp.primal))
-    if sos_type == 1:
-        r = min(max(r, nz[0]), nz[-1] - 1)
+    a, b = model.sos_starts[k:k + 2].tolist()
+    r = _split_position(lp.primal, a, b)
+    if model.sos_type == 1:
+        r = min(max(r, first), last - 1)
     else:
-        r = min(max(r, nz[0] + 1), nz[-1] - 1)
+        r = min(max(r, first + 1), last - 1)
 
-    cut_right = r if sos_type == 2 else r + 1
-    left = {**node.bounds, **_zero_outside(sos, 0, r)}
-    right = {**node.bounds, **_zero_outside(sos, cut_right, len(sos.members) - 1)}
+    cut_right = r if model.sos_type == 2 else r + 1
+    left = {**node.bounds, **_zero_outside(a, b, a, a + r)}
+    right = {**node.bounds, **_zero_outside(a, b, a + cut_right, b - 1)}
     return (
         Node(left, lp.objective, first_order, lp.basis),
         Node(right, lp.objective, first_order + 1, lp.basis),
     )
 
 
-def interpolate_bid(sos: SosSet, primal, zero_tol: float = ZERO_TOL) -> float | None:
-    """Bid implied by an SOS2-satisfied set: the single nonzero member's
-    bid, or the value-weighted mix of an adjacent pair's bids.  None for
-    a slack-only set or missing bid metadata."""
-    nz = _nonzero_positions(sos, primal, zero_tol)
-    if not nz:
-        return None
-    if len(nz) == 1:
-        if nz[0] == 0:
-            return None
-        bid = sos.bids[nz[0]] if sos.bids else None
-        return bid
-    if len(nz) != 2 or nz[1] - nz[0] != 1:
-        raise ValueError(f"set {sos.name} is not SOS2-satisfied")
-    if not sos.bids:
-        return None
-    b_a, b_b = sos.bids[nz[0]], sos.bids[nz[1]]
-    if b_a is None or b_b is None:
-        return None
-    v_a = primal[sos.members[nz[0]]]
-    v_b = primal[sos.members[nz[1]]]
-    return (v_a * b_a + v_b * b_b) / (v_a + v_b)
-
-
-def _pick_violated(model: LpModel, primal, zero_tol: float) -> SosSet | None:
-    best = None
-    best_measure = 0.0
-    for sos in model.sos_sets:
-        measure = violation_measure(sos, model.sos_type, primal, zero_tol)
-        if measure > best_measure:
-            best = sos
-            best_measure = measure
-    return best
+def interpolate_bids(
+    model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL
+) -> list[float | None]:
+    """The bid each set implies, in set order: its single nonzero
+    member's bid, or the value-weighted mix of an adjacent nonzero pair's
+    bids.  None for an all-zero or slack-only set or a missing bid.
+    Raises ``ValueError`` at the first set that is not SOS2-satisfied."""
+    bids, values = model.bids.tolist(), primal.tolist()
+    out: list[float | None] = []
+    for name, (a, _, count, first, last) in zip(
+        model.sos_names, _runs(model, sos_scan(model, primal, zero_tol))
+    ):
+        if count > 2 or (count == 2 and last - first != 1):
+            raise ValueError(f"set {name} is not SOS2-satisfied")
+        if not count or (count == 1 and not first):
+            out.append(None)
+            continue
+        b_a, b_b = bids[a + first], bids[a + last]  # one member: the same bid
+        if math.isnan(b_a) or math.isnan(b_b):
+            out.append(None)
+        elif count == 1:
+            out.append(b_a)
+        else:
+            v_a, v_b = values[a + first], values[a + last]
+            out.append((v_a * b_a + v_b * b_b) / (v_a + v_b))
+    return out
 
 
 def branch_and_bound(
@@ -312,7 +322,7 @@ def branch_and_bound(
     zero_tol: float = ZERO_TOL,
     rc_tol: float = RC_TOL,
     engine: SimplexEngine | None = None,
-) -> tuple[SolveReport, tuple[float, ...] | None]:
+) -> tuple[SolveReport, np.ndarray | None]:
     """Solve the SOS problem; returns (report, primal values or None).
 
     ``strategy`` is "1", "2", "3" or "none".  Strategy 3 requires an
@@ -370,7 +380,7 @@ def branch_and_bound(
         return report("limit", None, None, None, 0), None
 
     incumbent_obj = -math.inf
-    incumbent_vals: tuple[float, ...] | None = None
+    incumbent_vals: np.ndarray | None = None
     first_obj: float | None = None
     first_secs: float | None = None
 
@@ -396,7 +406,7 @@ def branch_and_bound(
         fixes = strategy2_fix(model, root, zero_tol)
     elif strategy == "3":
         fixes, hot = strategy3_hotstart(model, root, engine, zero_tol, deadline)
-        if hot is not None and _pick_violated(model, hot.primal, zero_tol) is None:
+        if hot is not None and sos_satisfied(model, hot.primal, zero_tol):
             take_incumbent(hot)
             if limits.first_solution:
                 return (
@@ -459,14 +469,15 @@ def branch_and_bound(
         if pruned(lp.objective):
             continue
 
-        violated = _pick_violated(model, lp.primal, zero_tol)
+        scan = sos_scan(model, lp.primal, zero_tol)
+        violated = _pick_violated(model, scan)
         if violated is None:
             take_incumbent(lp)
             if limits.first_solution:
                 break
             continue
 
-        for child in reversed(sos_branch(node, violated, model.sos_type, lp, order, zero_tol)):
+        for child in reversed(sos_branch(node, model, violated, scan, lp, order)):
             entry = (-child.lp_bound, child.creation_order, child)
             if best_first:
                 heapq.heappush(frontier, entry)

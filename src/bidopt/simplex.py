@@ -168,25 +168,27 @@ _ESTIMATE_GAP = 1e-3  # relative
 _ESTIMATE_ROUNDS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Result of one solve.
 
     ``basis`` is an opaque ``bytes`` token: the warm start accepted by
     ``SimplexEngine.solve``, with no other meaning for callers.
-    ``reduced_costs`` are given for ``OPTIMAL`` solves only, else None.
+    ``primal`` and ``reduced_costs`` are read-only arrays, the latter
+    for ``OPTIMAL`` solves only, else None.
     They are the final basis's last pricing: the primal loop's own, or,
     when the dual phase ended primal feasible with its pivots' row and
     column entries in agreement and the primal loop took no step, the
     dual phase's d, updated from each pivot row.
     ``iterations`` counts this LP's own pivots and bound flips; the
     pivots of a cold start's Lagrangian estimate are not among them.
+    Solutions compare by identity.
     """
 
     status: str
     objective: float
-    primal: tuple[float, ...]
-    reduced_costs: tuple[float, ...] | None
+    primal: np.ndarray
+    reduced_costs: np.ndarray | None
     iterations: int
     basis: bytes | None = None
 
@@ -694,7 +696,7 @@ class SimplexEngine:
             if sol.status != OPTIMAL:
                 return None
             token = sol.basis + bytes([BASIC])
-            step = np.array(sol.primal[:l])
+            step = sol.primal[:l]
             gap = sol.objective
             if gap <= _ESTIMATE_GAP * max(1.0, abs(top)):
                 if not np.any(np.abs(step) >= box * (1.0 - 1e-9)):
@@ -945,14 +947,17 @@ class SimplexEngine:
         x = self._nonbasic_values(vstat, lower, upper) if stall_x is None else stall_x
         x[basis] = st.basic_val
         primal = x[:n]
+        primal.flags.writeable = False
         reduced = None
         if status == OPTIMAL:
-            # The stall's pricing, a phase-2 one on the final basis.
-            reduced = tuple(neg_d[:n].tolist())
+            # The stall's pricing, a phase-2 one on the final basis (a
+            # copy: it may be the start's memoized -d).
+            reduced = neg_d[:n].copy()
+            reduced.flags.writeable = False
         return LpSolution(
             status=status,
             objective=float(self._obj @ primal) if status != INFEASIBLE else math.nan,
-            primal=tuple(primal.tolist()),
+            primal=primal,
             reduced_costs=reduced,
             iterations=st.iterations,
             basis=vstat.tobytes(),
@@ -980,6 +985,8 @@ class SimplexEngine:
             np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
         ):
             return _DualEnd(None, 0, neg_d)
+        if not self.m:  # no row to violate its bounds: the start is optimal
+            return _DualEnd(OPTIMAL, 0, neg_d)
         neg_d = neg_d.copy()
         agreed = True
         status = None

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,9 +68,11 @@ def make_nonadjacent_instance() -> Instance:
     )
 
 
-def from_tuples(columns, rows, sos_sets=(), sos_type=1) -> LpModel:
+def from_tuples(columns, rows, sos=(), sos_type=1, bids=None) -> LpModel:
     """The model whose ``columns`` and ``rows`` views are these
-    ``LpColumn`` and ``LpRow`` tuples, for models written by hand."""
+    ``LpColumn`` and ``LpRow`` tuples, for models written by hand.
+    ``sos`` lists each set's (name, size): the sets are runs of columns
+    from column 0, in this order."""
     indptr = np.cumsum([0] + [len(r.coeffs) for r in rows], dtype=np.intp)
     entries = [e for r in rows for e in r.coeffs]
     return LpModel(
@@ -82,9 +86,27 @@ def from_tuples(columns, rows, sos_sets=(), sos_type=1) -> LpModel:
         indptr,
         np.array([j for j, _ in entries], np.intp),
         np.array([v for _, v in entries], float),
-        tuple(sos_sets),
-        sos_type,
+        sos_names=tuple(name for name, _ in sos),
+        sos_starts=np.cumsum([0, *(size for _, size in sos)], dtype=np.intp),
+        sos_type=sos_type,
+        bids=bids,
     )
+
+
+def sets_of(model: LpModel) -> list[tuple[str, int]]:
+    """A model's sets as ``from_tuples`` takes them."""
+    return [*zip(model.sos_names, np.diff(model.sos_starts).tolist())]
+
+
+def same_solution(a, b) -> bool:
+    """Whether two solutions are equal bit for bit."""
+
+    def key(sol):
+        reduced = None if sol.reduced_costs is None else sol.reduced_costs.tobytes()
+        objective = struct.pack("<d", sol.objective)
+        return sol.status, objective, sol.primal.tobytes(), reduced, sol.iterations, sol.basis
+
+    return key(a) == key(b)
 
 
 def build_suite():

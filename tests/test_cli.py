@@ -192,6 +192,29 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert message in stderr
 
+    @pytest.mark.parametrize(
+        "listed, code, message",
+        [([3], EXIT_OK, "STATUS feasible"), ([3, "x"], EXIT_INPUT, "campaign_ids inconsistent")],
+        ids=["matching", "inconsistent"],
+    )
+    def test_integer_campaign_ids(self, tmp_path, capsys, listed, code, message):
+        doc = json.loads(instance_to_json(make_t1()))
+        doc["businesses"][0]["id"] = doc["campaigns"][0]["business_id"] = 7
+        doc["campaigns"][0]["id"] = 3
+        doc["businesses"][0]["campaign_ids"] = listed
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(doc))
+        got, stdout, stderr = run(capsys, "solve", str(p))
+        assert got == code
+        assert message in stdout + stderr
+
+    def test_number_too_long_to_convert_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "instance.json"
+        p.write_text(instance_to_json(make_t1()).replace('"ret": 50.0', '"ret": ' + "9" * 5000))
+        code, _, stderr = run(capsys, "solve", str(p))
+        assert code == EXIT_INPUT
+        assert "invalid instance JSON: " in stderr
+
     def test_limit_without_incumbent(self, t1_path, tmp_path, capsys):
         out = tmp_path / "sol.txt"
         code, _, stderr = run(
@@ -418,8 +441,12 @@ class TestConvert:
     @pytest.mark.parametrize(
         "old, new, message",
         [
+            # a set must be a run of columns with its positions as weights
             ("    D_c1_2              2.0\n", "    D_c1_2              5.0\n",
-             "set S_c1: weights must be the level indices 0..2"),
+             "MPS line 36: weight 5.0 of 'D_c1_2' is not its position 2"),
+            ("    D_c1_1              1.0\n    D_c1_2              2.0\n",
+             "    D_c1_2              1.0\n    D_c1_1              2.0\n",
+             "MPS line 35: member 'D_c1_2' is not the next column 'D_c1_1'"),
             ("COST                50.0", "COST                -50.0",
              "campaign c1 level 1: ret must be >= 0"),
             (" UP BND                 D_c1_1              1.0",

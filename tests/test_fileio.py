@@ -4,6 +4,7 @@ import json
 import math
 import operator
 
+import numpy as np
 import pytest
 
 from bidopt.fileio import (
@@ -67,6 +68,8 @@ SOS
     D_c1_2              2.0
 ENDATA
 """
+
+SOS_LINE = T1_MPS.splitlines().index(" S1 S_c1") + 1  # the set's header
 
 T1_JSON = """\
 {
@@ -222,6 +225,22 @@ class TestInstanceJson:
         assert (inst.businesses[0].id, inst.campaigns[0].id) == ("7", "3")
         assert inst.campaigns[0].business_id == "7"
 
+    def test_integer_campaign_ids_name_integer_ids(self, t1_instance):
+        doc = json.loads(instance_to_json(t1_instance))
+        doc["businesses"][0]["id"] = doc["campaigns"][0]["business_id"] = 7
+        doc["campaigns"][0]["id"] = 3
+        doc["businesses"][0]["campaign_ids"] = [3]
+        assert instance_from_json(json.dumps(doc)).campaigns[0].id == "3"
+        doc["businesses"][0]["campaign_ids"] = [3, "x"]
+        with pytest.raises(ValueError, match="business 7: campaign_ids inconsistent"):
+            instance_from_json(json.dumps(doc))
+
+    def test_number_too_long_to_convert(self, t1_instance):
+        # json.loads refuses integer literals of more than 4 300 digits
+        text = instance_to_json(t1_instance).replace('"ret": 50.0', '"ret": ' + "9" * 5000)
+        with pytest.raises(ValueError, match="^invalid instance JSON: "):
+            instance_from_json(text)
+
     @pytest.mark.parametrize(
         "keys, value, message",
         [
@@ -285,9 +304,10 @@ class TestMpsRead:
     def test_round_trip_t1(self, t1_model):
         back = read_mps(write_mps(t1_model))
         assert models_structurally_equal(back, t1_model)
-        assert back.sos_sets[0].weights == t1_model.sos_sets[0].weights
+        assert back.sos_names == t1_model.sos_names
+        assert back.sos_starts.tolist() == t1_model.sos_starts.tolist() == [0, 3]
         # bid metadata is not representable in the format
-        assert back.sos_sets[0].bids is None
+        assert np.isnan(back.bids).all()
 
     def test_set_type_comes_from_the_headers(self, t1_model):
         relaxed = relax_to_sos2(t1_model)
@@ -344,7 +364,23 @@ class TestMpsRead:
              "unknown column"),
             (lambda t: t.replace("    D_c1_1              1.0\n    D_c1_2              2.0\n",
                                  "    D_c1_1              1.0\n    D_c1_2              1.0\n"),
-             "strictly increasing"),
+             f"MPS line {SOS_LINE + 3}: weight 1.0 of 'D_c1_2' is not its position 2"),
+            # a set is a run of columns: members in column order, no gaps
+            (lambda t: t.replace("    D_c1_1              1.0\n    D_c1_2              2.0\n",
+                                 "    D_c1_2              1.0\n    D_c1_1              2.0\n"),
+             f"MPS line {SOS_LINE + 2}: member 'D_c1_2' is not the next column 'D_c1_1'"),
+            (lambda t: t.replace("    D_c1_0              0.0\n", ""),
+             f"MPS line {SOS_LINE + 1}: member 'D_c1_1' is not the next column 'D_c1_0'"),
+            (lambda t: t.replace("    D_c1_1              1.0\n    D_c1_2              2.0\n",
+                                 " S1 S_x\n    D_c1_2              0.0\n"),
+             f"MPS line {SOS_LINE + 3}: member 'D_c1_2' is not the next column 'D_c1_1'"),
+            (lambda t: t.replace("    D_c1_1              1.0\n    D_c1_2              2.0\n",
+                                 " S1 S_x\n    D_c1_1              0.0\n    D_c1_1              1.0\n"),
+             f"MPS line {SOS_LINE + 4}: member 'D_c1_1' is not the next column 'D_c1_2'"),
+            (lambda t: t.replace(" S1 S_c1\n", " S1 S_e\n S1 S_c1\n"),
+             f"MPS line {SOS_LINE}: set 'S_e' has no members"),
+            (lambda t: t.replace("ENDATA\n", " S1 S_x\nENDATA\n"),
+             f"MPS line {SOS_LINE + 4}: set 'S_x' has no members"),
             (lambda t: t.replace("ENDATA\n", ""), "missing ENDATA"),
             (lambda t: t.replace(" E  CVX_c1", " G  CVX_c1"), "G rows"),
             (lambda t: t.replace("RHS\n    RHS", "RANGES\n    RNG"), "RANGES"),

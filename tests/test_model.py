@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 import bidopt.fileio
@@ -14,13 +15,12 @@ from bidopt.model import (
     LpColumn,
     LpModel,
     LpRow,
-    SosSet,
     build_model,
     validate_instance,
 )
 from bidopt.search import relax_to_sos2
 
-from conftest import from_tuples, make_t1
+from conftest import from_tuples, make_t1, sets_of
 
 
 def tuple_build(instance: Instance) -> LpModel:
@@ -53,16 +53,9 @@ def tuple_build(instance: Instance) -> LpModel:
         for j in range(len(c.ret))
     )
     rows.append(LpRow("IMP", "L", instance.impression_budget, imp))
-    sos_sets = tuple(
-        SosSet(
-            f"S_{c.id}",
-            tuple(col_of[(c.id, j)] for j in range(len(c.ret))),
-            tuple(float(j) for j in range(len(c.ret))),
-            tuple(c.bid[j] for j in range(len(c.ret))),
-        )
-        for c in instance.campaigns
-    )
-    return from_tuples(tuple(columns), tuple(rows), sos_sets)
+    sets = tuple((f"S_{c.id}", len(c.ret)) for c in instance.campaigns)
+    bids = [math.nan if b is None else b for c in instance.campaigns for b in c.bid]
+    return from_tuples(tuple(columns), tuple(rows), sets, bids=np.array(bids, float))
 
 
 ARRAYS = ("objective", "lower", "upper", "rhs", "indptr", "indices", "data")
@@ -184,12 +177,10 @@ class TestBuildModel:
         assert imp.coeffs == ((0, 0.0), (1, 100.0), (2, 200.0))
 
     def test_t1_sos(self, t1_model):
-        (s,) = t1_model.sos_sets
-        assert s.name == "S_c1"
+        assert t1_model.sos_names == ("S_c1",)
         assert t1_model.sos_type == 1
-        assert s.members == (0, 1, 2)
-        assert s.weights == (0.0, 1.0, 2.0)
-        assert s.bids == (None, 0.40, 0.70)
+        assert t1_model.sos_starts.tolist() == [0, 3]
+        assert np.isnan(t1_model.bids[0]) and t1_model.bids[1:].tolist() == [0.40, 0.70]
 
     def test_rows_keep_explicit_zeros_in_column_order(self, t1_model):
         for row in t1_model.rows:
@@ -206,15 +197,15 @@ class TestBuildModel:
             got, want = build_model(inst), tuple_build(inst)
             assert got.column_names == want.column_names
             assert (got.row_names, got.senses) == (want.row_names, want.senses)
-            for name in ARRAYS:
+            for name in (*ARRAYS, "sos_starts", "bids"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert not a.flags.writeable and a.flags.c_contiguous
-            assert got.sos_sets == want.sos_sets
+            assert got.sos_names == want.sos_names
             assert (got.columns, got.rows) == (want.columns, want.rows)
 
     def test_tuple_views_round_trip(self, t1_model):
-        twin = from_tuples(t1_model.columns, t1_model.rows, t1_model.sos_sets)
+        twin = from_tuples(t1_model.columns, t1_model.rows, sets_of(t1_model))
         assert (twin.columns, twin.rows) == (t1_model.columns, t1_model.rows)
         for name in ARRAYS:
             assert getattr(twin, name).tobytes() == getattr(t1_model, name).tobytes()
@@ -243,5 +234,5 @@ class TestBuildModel:
         assert len(m.columns) == 3 + 2 + 2
         # rows: one CVX per campaign, BUD+CLK per business, one IMP
         assert len(m.rows) == 3 + 2 * 2 + 1
-        assert len(m.sos_sets) == 3
-        assert [s.name for s in m.sos_sets] == ["S_c1", "S_c2", "S_c3"]
+        assert m.sos_names == ("S_c1", "S_c2", "S_c3")
+        assert m.sos_starts.tolist() == [0, 3, 5, 7]

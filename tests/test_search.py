@@ -4,21 +4,24 @@ import math
 import struct
 import time
 
+import numpy as np
 import pytest
 
 from bidopt import simplex
 from bidopt.generate import GenParams, generate_instance, scale_suite
-from bidopt.model import LpColumn, LpRow, SosSet, build_model
+from bidopt.model import LpColumn, LpRow, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
+    ZERO_TOL,
     SearchLimits,
     _pick_violated,
     branch_and_bound,
     current_interval,
-    interpolate_bid,
+    interpolate_bids,
     relax_to_sos2,
     sos_branch,
     sos_satisfied,
+    sos_scan,
     strategy1_fix,
     strategy2_fix,
     strategy3_hotstart,
@@ -26,7 +29,13 @@ from bidopt.search import (
 )
 from bidopt.simplex import INFEASIBLE, OPTIMAL, LpSolution, SimplexEngine
 
-from conftest import from_tuples, make_nonadjacent_instance, make_rollback_instance, make_t1
+from conftest import (
+    from_tuples,
+    make_nonadjacent_instance,
+    make_rollback_instance,
+    make_t1,
+    same_solution,
+)
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
@@ -42,8 +51,8 @@ def fake_lp(primal, reduced_costs=None, status=OPTIMAL, objective=0.0):
     return LpSolution(
         status=status,
         objective=objective,
-        primal=tuple(primal),
-        reduced_costs=tuple(reduced_costs or [0.0] * n),
+        primal=np.array(primal, float),
+        reduced_costs=np.array(reduced_costs or [0.0] * n, float),
         iterations=0,
     )
 
@@ -52,45 +61,122 @@ def t1_sos2_model():
     return relax_to_sos2(build_model(make_t1()))
 
 
+def x(*values):
+    return np.array(values, float)
+
+
 class TestSatisfaction:
     def test_sos1_two_nonzeros(self, t1_model):
-        s = t1_model.sos_sets[0]
-        primal = (0.0, 6 / 11, 5 / 11)
-        assert not sos_satisfied(s, 1, primal)
-        assert violation_measure(s, 1, primal) == 1.0
+        primal = x(0.0, 6 / 11, 5 / 11)
+        assert not sos_satisfied(t1_model, primal)
+        assert violation_measure(1, sos_scan(t1_model, primal)).tolist() == [1]
 
     def test_sos2_adjacent_pair_ok(self, t1_model):
-        s = t1_model.sos_sets[0]
-        primal = (0.0, 6 / 11, 5 / 11)
-        assert sos_satisfied(s, 2, primal)
-        assert violation_measure(s, 2, primal) == 0.0
+        model = relax_to_sos2(t1_model)
+        primal = x(0.0, 6 / 11, 5 / 11)
+        assert sos_satisfied(model, primal)
+        assert violation_measure(2, sos_scan(model, primal)).tolist() == [0]
 
     def test_sos2_gap_counts(self, nonadjacent_instance):
         model = relax_to_sos2(build_model(nonadjacent_instance))
-        s = model.sos_sets[0]
-        assert violation_measure(s, 2, (0.0, 0.5, 0.0, 0.5)) == 1.0
+        assert violation_measure(2, sos_scan(model, x(0.0, 0.5, 0.0, 0.5))).tolist() == [1]
         # a trio always spans more than one interval: excess count plus width
-        assert violation_measure(s, 2, (0.0, 0.3, 0.3, 0.4)) == 2.0
-        assert violation_measure(s, 2, (0.3, 0.3, 0.4, 0.0)) == 2.0
-        assert sos_satisfied(s, 2, (0.0, 0.0, 0.4, 0.6))
+        assert violation_measure(2, sos_scan(model, x(0.0, 0.3, 0.3, 0.4))).tolist() == [2]
+        assert violation_measure(2, sos_scan(model, x(0.3, 0.3, 0.4, 0.0))).tolist() == [2]
+        assert sos_satisfied(model, x(0.0, 0.0, 0.4, 0.6))
 
     def test_zero_tol_hides_slivers(self, t1_model):
-        s = t1_model.sos_sets[0]
-        assert sos_satisfied(s, 1, (5e-7, 1.0 - 5e-7, 0.0))
-        assert not sos_satisfied(s, 1, (5e-3, 1.0 - 5e-3, 0.0))
-        assert sos_satisfied(s, 1, (5e-3, 1.0 - 5e-3, 0.0), zero_tol=1e-2)
+        assert sos_satisfied(t1_model, x(5e-7, 1.0 - 5e-7, 0.0))
+        assert not sos_satisfied(t1_model, x(5e-3, 1.0 - 5e-3, 0.0))
+        assert sos_satisfied(t1_model, x(5e-3, 1.0 - 5e-3, 0.0), zero_tol=1e-2)
 
     def test_pick_violated_prefers_first_on_ties(self):
         cols = tuple(LpColumn(f"x{j}", 0.0, 0.0, 1.0) for j in range(4))
-        sets = (
-            SosSet("A", (0, 1), (0.0, 1.0)),
-            SosSet("B", (2, 3), (0.0, 1.0)),
-        )
-        model = from_tuples(columns=cols, rows=(), sos_sets=sets)
-        primal = (0.5, 0.5, 0.5, 0.5)
-        assert _pick_violated(model, primal, 1e-6) is sets[0]
-        assert _pick_violated(model, (0.0, 1.0, 0.5, 0.5), 1e-6) is sets[1]
-        assert _pick_violated(model, (0.0, 1.0, 0.0, 1.0), 1e-6) is None
+        model = from_tuples(columns=cols, rows=(), sos=(("A", 2), ("B", 2)))
+
+        def pick(*primal):
+            return _pick_violated(model, sos_scan(model, x(*primal), 1e-6))
+
+        assert pick(0.5, 0.5, 0.5, 0.5) == 0
+        assert pick(0.0, 1.0, 0.5, 0.5) == 1
+        assert pick(0.0, 1.0, 0.0, 1.0) is None
+
+    def test_scan_counts_and_spans(self, nonadjacent_instance):
+        model = build_model(nonadjacent_instance)
+        for primal, want in (
+            (x(0.0, 0.5, 0.0, 0.5), (2, 1, 3)),
+            (x(1.0, 0.0, 0.0, 0.0), (1, 0, 0)),
+            (x(0.0, 0.0, 0.0, -0.5), (1, 3, 3)),
+        ):
+            assert tuple(int(a[0]) for a in sos_scan(model, primal)) == want
+        count, first, last = sos_scan(model, x(0.0, 0.0, 0.0, 0.0))
+        assert count[0] == 0 and first[0] >= 4 and last[0] < 0
+
+
+def loop_nonzero_positions(members, primal, zero_tol):
+    """The per-set reference: a set's nonzero positions, one at a time."""
+    return [p for p, j in enumerate(members) if abs(primal[j]) > zero_tol]
+
+
+def loop_measure(members, sos_type, primal, zero_tol):
+    nz = loop_nonzero_positions(members, primal, zero_tol)
+    if sos_type == 1:
+        return max(len(nz) - 1, 0)
+    if len(nz) <= 1:
+        return 0
+    return (len(nz) - 2) + (1 if nz[-1] - nz[0] > 1 else 0)
+
+
+def loop_pick(model, primal, zero_tol):
+    """The first set of the largest measure, scanning set by set."""
+    best, best_measure = None, 0.0
+    for k, members in enumerate(loop_sets(model)):
+        measure = loop_measure(members, model.sos_type, primal, zero_tol)
+        if measure > best_measure:
+            best, best_measure = k, measure
+    return best
+
+
+def loop_sets(model):
+    starts = model.sos_starts.tolist()
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+class TestScanAgainstTheLoop:
+    # values on both sides of zero_tol, at it exactly and one ulp above it
+    SLIVERS = (1.0, 0.5, -0.25, 1e-3, 1e-9)
+
+    def points(self, rng, n, zero_tol):
+        values = np.array([*self.SLIVERS, zero_tol, -zero_tol, np.nextafter(zero_tol, 1.0)])
+        for density in (0.1, 0.3, 0.6):
+            yield np.where(rng.random(n) < density, rng.choice(values, n), 0.0)
+
+    def models(self, suite1):
+        cols = tuple(LpColumn(f"x{j}", 0.0, 0.0, 1.0) for j in range(9))
+        lone = from_tuples(cols, (), (("A", 1), ("B", 3), ("C", 1), ("D", 1), ("E", 3)))
+        for model in (lone, *map(build_model, suite1)):
+            yield model
+            yield relax_to_sos2(model)
+
+    def test_measures_spans_and_pick_match_the_per_set_loop(self, suite1):
+        rng = np.random.default_rng(20)
+        types = set()
+        for model in self.models(suite1):
+            types.add(model.sos_type)
+            for zero_tol in (ZERO_TOL, 1e-2):
+                for primal in self.points(rng, len(model.column_names), zero_tol):
+                    scan = sos_scan(model, primal, zero_tol)
+                    for k, members in enumerate(loop_sets(model)):
+                        nz = loop_nonzero_positions(members, primal, zero_tol)
+                        got = tuple(int(a[k]) for a in scan)
+                        assert got[0] == len(nz) and (not nz or got[1:] == (nz[0], nz[-1]))
+                    want = [
+                        loop_measure(members, model.sos_type, primal, zero_tol)
+                        for members in loop_sets(model)
+                    ]
+                    assert violation_measure(model.sos_type, scan).tolist() == want
+                    assert _pick_violated(model, scan) == loop_pick(model, primal, zero_tol)
+        assert types == {1, 2}
 
 
 class TestStrategy1:
@@ -170,15 +256,15 @@ class TestRollback:
         # is accepted; it beats the pure single-level optimum
         obj1, _ = enumerate_sos1(rollback_instance)
         assert report.incumbent_objective >= obj1 - 1e-9
-        for s in model.sos_sets:
-            assert sos_satisfied(s, 1, values)
+        assert sos_satisfied(model, values)
 
 
 class TestRelaxAndInterval:
     def test_relax_flips_every_set(self, t1_model):
         relaxed = relax_to_sos2(t1_model)
         assert (t1_model.sos_type, relaxed.sos_type) == (1, 2)
-        assert relaxed.sos_sets is t1_model.sos_sets
+        assert relaxed.sos_starts is t1_model.sos_starts
+        assert relaxed.bids is t1_model.bids
         assert relaxed.data is t1_model.data
         assert relaxed.columns == t1_model.columns
         assert relaxed.rows == t1_model.rows
@@ -189,10 +275,9 @@ class TestRelaxAndInterval:
 
     def test_current_interval_brackets_average(self, nonadjacent_instance):
         model = relax_to_sos2(build_model(nonadjacent_instance))
-        s = model.sos_sets[0]
-        assert current_interval(s, (0.0, 0.5, 0.0, 0.5)) == (2, 3)
-        assert current_interval(s, (0.0, 1.0, 0.0, 0.0)) == (1, 2)
-        assert current_interval(s, (1.0, 0.0, 0.0, 0.0)) == (0, 1)
+        assert current_interval(model, 0, x(0.0, 0.5, 0.0, 0.5)) == (2, 3)
+        assert current_interval(model, 0, x(0.0, 1.0, 0.0, 0.0)) == (1, 2)
+        assert current_interval(model, 0, x(1.0, 0.0, 0.0, 0.0)) == (0, 1)
 
 
 class TestStrategy3:
@@ -238,7 +323,8 @@ class TestBranching:
         from bidopt.search import Node
 
         node = Node({}, math.inf, 0)
-        left, right = sos_branch(node, t1_model.sos_sets[0], 1, root_lp, first_order=1)
+        scan = sos_scan(t1_model, root_lp.primal)
+        left, right = sos_branch(node, t1_model, 0, scan, root_lp, first_order=1)
         assert left.bounds == {2: (0.0, 0.0)}
         assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
         assert left.lp_bound == right.lp_bound == root_lp.objective
@@ -251,7 +337,8 @@ class TestBranching:
         from bidopt.search import Node
 
         node = Node({}, root_lp.objective, 0)
-        left, right = sos_branch(node, model.sos_sets[0], 2, root_lp, first_order=1)
+        scan = sos_scan(model, root_lp.primal)
+        left, right = sos_branch(node, model, 0, scan, root_lp, first_order=1)
         # split at position 2: left forbids above it, right forbids below it
         assert left.bounds == {3: (0.0, 0.0)}
         assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
@@ -261,41 +348,38 @@ class TestBranching:
 
         node = Node({}, 0.0, 0)
         with pytest.raises(ValueError, match="all-zero"):
-            sos_branch(node, t1_model.sos_sets[0], 1, fake_lp((0.0, 0.0, 0.0)), 1)
+            lp = fake_lp((0.0, 0.0, 0.0))
+            sos_branch(node, t1_model, 0, sos_scan(t1_model, lp.primal), lp, 1)
 
 
 class TestInterpolateBid:
     def test_weighted_mix(self):
         model = t1_sos2_model()
         _, values = branch_and_bound(model, limits=PROVE)
-        bid = interpolate_bid(model.sos_sets[0], values)
+        (bid,) = interpolate_bids(model, values)
         assert math.isclose(bid, 0.5363636363636364, rel_tol=1e-9)
 
     def test_single_level(self, t1_model):
-        s = t1_model.sos_sets[0]
-        assert interpolate_bid(s, (0.0, 1.0, 0.0)) == 0.40
-        assert interpolate_bid(s, (0.0, 0.0, 1.0)) == 0.70
+        assert interpolate_bids(t1_model, x(0.0, 1.0, 0.0)) == [0.40]
+        assert interpolate_bids(t1_model, x(0.0, 0.0, 1.0)) == [0.70]
 
     def test_none_cases(self, t1_model):
-        s = t1_model.sos_sets[0]
-        assert interpolate_bid(s, (1.0, 0.0, 0.0)) is None  # slack only
-        assert interpolate_bid(s, (0.0, 0.0, 0.0)) is None  # empty
-        import dataclasses
-
-        no_bids = dataclasses.replace(s, bids=None)
-        assert interpolate_bid(no_bids, (0.0, 1.0, 0.0)) is None
+        assert interpolate_bids(t1_model, x(1.0, 0.0, 0.0)) == [None]  # slack only
+        assert interpolate_bids(t1_model, x(0.0, 0.0, 0.0)) == [None]  # empty
+        no_bids = dataclasses.replace(t1_model, bids=None)
+        assert np.isnan(no_bids.bids).all()
+        assert interpolate_bids(no_bids, x(0.0, 1.0, 0.0)) == [None]
+        assert interpolate_bids(no_bids, x(0.0, 0.5, 0.5)) == [None]
 
     def test_unsatisfied_raises(self, t1_model):
-        s = t1_model.sos_sets[0]
-        with pytest.raises(ValueError, match="not SOS2-satisfied"):
-            interpolate_bid(s, (0.5, 0.0, 0.5))
-        with pytest.raises(ValueError, match="not SOS2-satisfied"):
-            interpolate_bid(s, (0.2, 0.4, 0.4))
+        with pytest.raises(ValueError, match="S_c1 is not SOS2-satisfied"):
+            interpolate_bids(t1_model, x(0.5, 0.0, 0.5))
+        with pytest.raises(ValueError, match="S_c1 is not SOS2-satisfied"):
+            interpolate_bids(t1_model, x(0.2, 0.4, 0.4))
 
     def test_accepts_lp_solution_object(self, t1_model):
-        s = relax_to_sos2(t1_model).sos_sets[0]
         lp = SimplexEngine(t1_model).solve()
-        bid = interpolate_bid(s, lp.primal)
+        (bid,) = interpolate_bids(relax_to_sos2(t1_model), lp.primal)
         assert math.isclose(bid, 0.5363636363636364, rel_tol=1e-9)
 
 
@@ -383,7 +467,7 @@ class TestBranchAndBound:
         model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 2.0, ((0, 1.0),)),),
-            sos_sets=(SosSet("S", (0,), (0.0,)),),
+            sos=(("S", 1),),
         )
         report, values = branch_and_bound(model, limits=PROVE)
         assert report.status == "infeasible"
@@ -401,7 +485,7 @@ class TestBranchAndBound:
     def test_deterministic(self, t1_model):
         runs = [branch_and_bound(t1_model, strategy="2", limits=PROVE) for _ in range(2)]
         (r1, v1), (r2, v2) = runs
-        assert v1 == v2
+        assert v1.tobytes() == v2.tobytes()
         for field in (
             "status",
             "incumbent_objective",
@@ -502,8 +586,7 @@ class TestBranchAndBound:
                 model = relax_to_sos2(model)
             report, values = branch_and_bound(model, limits=PROVE)
             assert values is not None
-            for s in model.sos_sets:
-                assert sos_satisfied(s, sos_type, values)
+            assert sos_satisfied(model, values)
 
 
 class SolveOnlyEngine:
@@ -568,7 +651,7 @@ class TestEngineInjection:
         want, want_values = branch_and_bound(model, strategy, PROVE)
         fixing = FIXING_SOLVES[make_instance][strategy]
         assert len(proxy.log) == 1 + fixing + max(got.nodes - 1, 0)
-        assert got_values == want_values
+        assert got_values.tobytes() == want_values.tobytes()
         untimed = dict(total_seconds=0.0, first_solution_seconds=None)
         assert dataclasses.replace(got, **untimed) == dataclasses.replace(want, **untimed)
         assert (got.first_solution_seconds is None) == (want.first_solution_seconds is None)
@@ -583,7 +666,7 @@ class TestEngineInjection:
         warms = [warm for _, warm, _ in proxy.log]
         assert sum(a == b for a, b in zip(warms, warms[1:])) >= 100
         for bounds, warm, sol in proxy.log:
-            assert SimplexEngine(model).solve(bounds=bounds, warm=warm) == sol
+            assert same_solution(SimplexEngine(model).solve(bounds=bounds, warm=warm), sol)
 
     def test_fixes_the_root_meets_are_not_resolved(self):
         # strategy 2 zeroes t1's slack, which the root LP already holds
@@ -605,7 +688,7 @@ class TestEngineInjection:
         want, want_values = branch_and_bound(t1_model, "none", PROVE)
         assert (report.status, report.nodes) == (want.status, want.nodes) == ("optimal", 3)
         assert report.incumbent_objective == want.incumbent_objective == 50.0
-        assert values == want_values
+        assert values.tobytes() == want_values.tobytes()
         (cut_bounds, cut_warm, _), (bounds, warm, sol) = proxy.log[1:3]
         assert cut_warm is not None
         assert (bounds, warm, sol.status) == (cut_bounds, None, OPTIMAL)

@@ -29,7 +29,7 @@ from bidopt.simplex import (
     _gub_blocks,
 )
 
-from conftest import from_tuples
+from conftest import from_tuples, same_solution, sets_of
 
 FRAC = 900.0 / 11.0
 
@@ -73,7 +73,7 @@ def random_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, tuple(coeffs)))
-    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows))
 
 
 def random_sparse_model(rng: np.random.Generator) -> LpModel:
@@ -114,7 +114,7 @@ def random_sparse_model(rng: np.random.Generator) -> LpModel:
         else:
             rhs = float(rng.normal(0, 4))
         rows.append(LpRow(f"r{i}", sense, rhs, coeffs))
-    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows))
 
 
 def random_bid_model(rng: np.random.Generator) -> LpModel:
@@ -289,7 +289,7 @@ class TestEngineSetup:
         models += [build_model(inst) for inst in suite1]
         for model in models:
             want = tuple_setup(model)
-            twin = from_tuples(model.columns, model.rows, model.sos_sets)
+            twin = from_tuples(model.columns, model.rows, sets_of(model))
             for engine in (SimplexEngine(model), SimplexEngine(twin)):
                 got = {
                     "data": engine._aug.data,
@@ -311,7 +311,7 @@ class TestEngineSetup:
             ))
             for r in t1_model.rows
         )
-        model = from_tuples(columns=t1_model.columns, rows=split, sos_sets=())
+        model = from_tuples(columns=t1_model.columns, rows=split)
         engine = SimplexEngine(model)
         # the same entries, up to each row's power-of-two scale
         n = len(t1_model.columns)
@@ -326,7 +326,7 @@ class TestEngineSetup:
 
     def test_coefficient_of_a_missing_column_raises(self, t1_model):
         row = LpRow("r", "L", 1.0, ((len(t1_model.columns), 1.0),))
-        model = from_tuples(columns=t1_model.columns, rows=(row,), sos_sets=())
+        model = from_tuples(columns=t1_model.columns, rows=(row,))
         with pytest.raises(ValueError, match="column"):
             SimplexEngine(model)
 
@@ -336,7 +336,6 @@ class TestStates:
         model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, math.inf),),
             rows=(LpRow("r", "L", 1.0, ((0, -1.0),)),),
-            sos_sets=(),
         )
         assert SimplexEngine(model).solve().status == UNBOUNDED
 
@@ -347,7 +346,6 @@ class TestStates:
                 LpRow("lo", "E", 2.0, ((0, 1.0),)),
                 LpRow("hi", "E", 0.0, ((0, 1.0),)),
             ),
-            sos_sets=(),
         )
         assert SimplexEngine(model).solve().status == INFEASIBLE
 
@@ -361,6 +359,37 @@ class TestStates:
 
     def test_empty_bounds_dict(self, t1_model):
         assert SimplexEngine(t1_model).solve(bounds={}).status == OPTIMAL
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            "    x                   COST                -1.0\n"
+            "BOUNDS\n UP BND                 x                   1.0\n",
+            "",
+        ],
+        ids=["one-column", "no-columns"],
+    )
+    def test_no_rows_and_a_dual_feasible_start(self, columns):
+        # the start, every column at its lower bound, is optimal as it
+        # stands: no row is there to leave the basis
+        model = read_mps("ROWS\n N  COST\nCOLUMNS\n" + columns + "ENDATA\n")
+        assert (len(model.row_names), len(model.column_names)) == (0, 1 if columns else 0)
+        engine = SimplexEngine(model)
+        sol = engine.solve()
+        assert (sol.status, sol.objective, sol.iterations) == (OPTIMAL, 0.0, 0)
+        assert sol.primal.tolist() == [0.0] * len(model.column_names)
+        # the reduced costs are the start's -d, which the engine keeps
+        # with its memoized start: a copy of it, not a view
+        assert sol.reduced_costs.tolist() == [-1.0] * len(model.column_names)
+        assert not np.shares_memory(sol.reduced_costs, engine._start[2])
+        if columns:  # linprog takes no empty cost vector
+            ref = scipy_reference(model)
+            assert (ref.status, -ref.fun) == (0, 0.0)
+
+    def test_arrays_are_read_only(self, t1_model):
+        sol = SimplexEngine(t1_model).solve()
+        for a in (sol.primal, sol.reduced_costs):
+            assert isinstance(a, np.ndarray) and a.shape == (3,) and not a.flags.writeable
 
 
 @pytest.fixture
@@ -461,7 +490,7 @@ class TestDeterminismAndWarm:
     def test_repeat_solves_identical(self, t1_model):
         a = SimplexEngine(t1_model).solve()
         b = SimplexEngine(t1_model).solve()
-        assert a == b
+        assert same_solution(a, b)
 
     def test_warm_resolve_matches_cold(self, t1_model):
         engine = SimplexEngine(t1_model)
@@ -514,7 +543,6 @@ class TestSingularBasis:
                 LpRow("a", "L", 4.0, ((0, 1.0), (1, 2.0))),
                 LpRow("b", "L", 6.0, ((0, 1.0), (1, 2.0))),
             ),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         with pytest.raises(RuntimeError):
@@ -533,7 +561,8 @@ class TestSingularBasis:
             return factorize(basis)
 
         monkeypatch.setattr(engine, "_factorize", recorded)
-        assert engine.solve(warm=token) == warm == cold
+        assert same_solution(engine.solve(warm=token), warm)
+        assert same_solution(warm, cold)
         assert [0, 1] not in factorized
 
     def test_factor_rejects_near_singular_basis(self):
@@ -751,7 +780,7 @@ class TestGubFactor:
                 LpRow(r.name, r.sense, r.rhs, tuple(sorted({0: 1.0, **dict(r.coeffs)}.items())))
                 for r in model.rows
             )
-            model = from_tuples(columns=model.columns, rows=rows, sos_sets=())
+            model = from_tuples(columns=model.columns, rows=rows)
             engine = SimplexEngine(model)
             assert engine._blocks.gub_rows.size == 0
             sol = engine.solve()
@@ -786,7 +815,7 @@ class TestGubFactor:
                 link,
             ), [0, 1]),
         }[case]
-        engine = SimplexEngine(from_tuples(columns=cols, rows=rows, sos_sets=()))
+        engine = SimplexEngine(from_tuples(columns=cols, rows=rows))
         blocks = engine._blocks
         assert blocks.gub_rows.tolist() == gub
         links = [i for i in range(engine.m) if i not in gub]
@@ -816,7 +845,6 @@ class TestGubFactor:
                 LpRow("b", "E", 1.0, ((1, 1.0), (2, 1.0))),
                 LpRow("c", "L", 2.5, ((0, 1.0), (1, 2.0), (2, 1.0))),
             ),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         assert engine._aug[0, 1] == 0.0 and engine._aug.nnz == 10  # stored
@@ -839,7 +867,6 @@ class TestGubFactor:
                 LpRow("b", "E", 1.0, ((2, 1.0), (3, 1.0))),
                 LpRow("c", "L", 3.0, ((0, 1.0), (1, 1.0), (2, 1.0), (3, 2.0))),
             ),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         assert engine._blocks.gub_rows.tolist() == [0, 1]
@@ -869,7 +896,7 @@ class TestGubFactor:
         with pytest.raises(RuntimeError, match="singular"):
             engine._factorize(self._basis(vstat.tobytes()))
         cold = engine.solve()
-        assert engine.solve(warm=vstat.tobytes()) == cold
+        assert same_solution(engine.solve(warm=vstat.tobytes()), cold)
 
 
 class TestPinnedPivots:
@@ -1024,13 +1051,12 @@ class TestDualSimplex:
         model = from_tuples(
             columns=tuple(LpColumn(f"x{j}", 0.0, 0.0, 10.0) for j in range(1, 5)),
             rows=(LpRow("r", "L", 4.0, ((0, 1.0), (1, -1.0), (2, -2.0), (3, -2.0))),),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         parent = engine.solve()
         sol = engine.solve(bounds={0: (6.0, 10.0)}, warm=parent.basis)
         assert dual_log == [(None, 0), (None, 1)]
-        assert (sol.status, sol.primal) == (OPTIMAL, (6.0, 0.0, 1.0, 0.0))
+        assert (sol.status, sol.primal.tolist()) == (OPTIMAL, [6.0, 0.0, 1.0, 0.0])
 
     def test_violation_is_recomputed_before_infeasible(self, dual_log, monkeypatch):
         # x = 1 with x in [0, 1]: basic values shifted 1e-4 up show x past
@@ -1040,7 +1066,6 @@ class TestDualSimplex:
         model = from_tuples(
             columns=(LpColumn("x", 1.0, 0.0, 1.0),),
             rows=(LpRow("r", "E", 1.0, ((0, 1.0),)),),
-            sos_sets=(),
         )
         monkeypatch.setattr(
             SimplexEngine, "_recompute_basics", _shifted(SimplexEngine._recompute_basics)
@@ -1142,7 +1167,6 @@ class TestCrash:
                 LpRow("c", "L", 1.0, ((6, 1.0),)),
                 LpRow("d", "L", 1.5, tuple((j, 1.0) for j in range(7))),
             ),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         assert engine._blocks.gub_rows.tolist() == [0, 1]
@@ -1228,7 +1252,6 @@ class TestCrash:
                 LpRow("a", "L", -3.0, ((0, -1.0), (1, -1.0))),
                 LpRow("b", "L", -4.0, ((0, -1.0), (1, -3.0))),
             ),
-            sos_sets=(),
         )
         engine = SimplexEngine(model)
         assert engine._blocks.gub_rows.size == 0
@@ -1305,7 +1328,7 @@ def unmeetable_link_model(sense: str) -> LpModel:
     weights = rng.uniform(1.0, 2.0, len(cols)).tolist()
     rhs = -1.0 if sense == "L" else 200.0  # every activity is in [40, 80]
     rows.append(LpRow("link", sense, rhs, tuple(enumerate(weights))))
-    return from_tuples(columns=tuple(cols), rows=tuple(rows), sos_sets=())
+    return from_tuples(columns=tuple(cols), rows=tuple(rows))
 
 
 def master_solves(monkeypatch, model: LpModel) -> list:
@@ -1464,7 +1487,7 @@ class TestLagrangianEstimate:
             return dataclasses.replace(solve(self, *args, **kwargs), status=ITERATION_LIMIT)
 
         monkeypatch.setattr(SimplexEngine, "solve", failing)
-        assert SimplexEngine(model).solve() == expected
+        assert same_solution(SimplexEngine(model).solve(), expected)
         assert len(masters) == 3 and estimates == [None]
 
     def test_deadline_stops_the_estimate(self, scale_base, estimates):

@@ -41,6 +41,7 @@ from run import BLAS_THREADS, THREAD_VARS  # noqa: E402  (perfbench/run.py)
 for var in THREAD_VARS:
     os.environ[var] = str(BLAS_THREADS)
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from bidopt import fileio, simplex  # noqa: E402
 from bidopt.model import build_model  # noqa: E402
@@ -58,8 +59,9 @@ class Digest:
         self.count += 1
 
 
-def _floats(values) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
+def _floats(values: np.ndarray) -> bytes:
+    """The values as little-endian doubles, as ``struct.pack("<Nd")`` gives them."""
+    return values.astype("<f8", copy=False).tobytes()
 
 
 def digest_workloads(names: list[str]) -> dict[str, Digest]:
