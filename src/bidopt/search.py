@@ -34,6 +34,21 @@ that stops short of optimality before the time limit (an iteration
 limit) is solved once more from the cold basis; if that fails too, the
 node is dropped and the search ends ``feasible`` (or ``limit`` without
 an incumbent), never ``optimal``.
+
+Reduced-cost fixing (Dantzig, Fulkerson & Johnson, "Solution of a
+large-scale traveling-salesman problem", Oper. Res. 1954; Nemhauser &
+Wolsey, "Integer and Combinatorial Optimization", 1988).  At every node
+branched on after the first incumbent, a set member whose LP value is
+exactly 0 and whose reduced cost d is negative is fixed to 0 in both
+children when the node's objective z plus d would be pruned.  Any point
+of the node's LP with that member at 1 is worth at most z + d, and in an
+SOS1 model whose every set is exactly the support of one equality row
+with all its coefficients equal to its right-hand side (``build_model``'s
+convexity rows), a set's one nonzero member is 1.  So fixing cuts off
+nothing that could beat the incumbent by more than the gap, and
+``--prove`` proves what it proves without it.  Other models, SOS2 ones
+among them, get no such fixes.  A column the node's bounds already hold
+keeps its bounds.
 """
 
 from __future__ import annotations
@@ -206,6 +221,38 @@ def current_interval(model: LpModel, k: int, primal: np.ndarray) -> tuple[int, i
     last = b - a - 1
     r = min(_split_position(primal, a, b), max(last - 1, 0))
     return r, min(r + 1, last)
+
+
+def _sets_are_convexity_rows(model: LpModel) -> bool:
+    """Whether each set's run is exactly the support of one equality row
+    whose coefficients all equal its nonzero right-hand side, its stored
+    entries being the run's columns in order.  A set's one nonzero member
+    in an SOS1-feasible point is then 1."""
+    starts = model.sos_starts.tolist()
+    end_of = dict(zip(starts, starts[1:]))
+    ptr, idx, val = model.indptr.tolist(), model.indices, model.data
+    covered = set()
+    for i, (sense, rhs) in enumerate(zip(model.senses, model.rhs.tolist())):
+        lo, hi = ptr[i], ptr[i + 1]
+        if sense != "E" or lo == hi or rhs == 0.0:
+            continue
+        a = int(idx[lo])
+        if (
+            end_of.get(a) == a + hi - lo
+            and (idx[lo:hi] == np.arange(a, a + hi - lo)).all()
+            and (val[lo:hi] == rhs).all()
+        ):
+            covered.add(a)
+    return len(covered) == len(end_of)
+
+
+def _reduced_cost_fixes(lp: LpSolution, end: int, bounds: Bounds, cutoff: float) -> Bounds:
+    """Zero fixes for the columns of ``0:end`` that ``lp`` holds at exactly
+    0 with a negative reduced cost d whose ``lp.objective + d`` is at most
+    ``cutoff``, leaving out every column ``bounds`` holds."""
+    d = lp.reduced_costs[:end]
+    hit = (lp.primal[:end] == 0.0) & (d < 0.0) & (lp.objective + d <= cutoff)
+    return {j: (0.0, 0.0) for j in np.flatnonzero(hit).tolist() if j not in bounds}
 
 
 def _solve(engine: SimplexEngine, deadline: float | None, **kwargs) -> LpSolution:
@@ -393,11 +440,12 @@ def branch_and_bound(
                 first_obj = sol.objective
                 first_secs = time.perf_counter() - t_start
 
+    def cutoff() -> float:
+        """The bound at or below which a node is pruned."""
+        return incumbent_obj + max(limits.gap * max(1.0, abs(incumbent_obj)), 1e-9)
+
     def pruned(bound: float) -> bool:
-        if incumbent_vals is None:
-            return False
-        slack = max(limits.gap * max(1.0, abs(incumbent_obj)), 1e-9)
-        return bound <= incumbent_obj + slack
+        return incumbent_vals is not None and bound <= cutoff()
 
     fixes: Bounds = {}
     if strategy == "1":
@@ -433,6 +481,7 @@ def branch_and_bound(
     nodes_evaluated = 0
     hit_limit = False
     dropped = False  # a node LP failed twice; the search proves nothing
+    fixing = None  # whether reduced-cost fixing is valid, checked on first use
 
     while frontier:
         if deadline is not None and time.perf_counter() >= deadline:
@@ -476,6 +525,13 @@ def branch_and_bound(
             if limits.first_solution:
                 break
             continue
+        if incumbent_vals is not None:
+            if fixing is None:
+                fixing = model.sos_type == 1 and _sets_are_convexity_rows(model)
+            if fixing:
+                zeros = _reduced_cost_fixes(lp, model.sos_starts[-1], node.bounds, cutoff())
+                if zeros:
+                    node = replace(node, bounds={**node.bounds, **zeros})
 
         for child in reversed(sos_branch(node, model, violated, scan, lp, order)):
             entry = (-child.lp_bound, child.creation_order, child)

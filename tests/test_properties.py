@@ -6,8 +6,9 @@ duplicate columns, where the simplex's tie-breaks decide the vertex.
 Whatever vertex it lands on, every incumbent must verify against the
 raw instance, every optimal LP's primal must meet the model's rows to
 1e-9, and the bounds must chain: LP >= SOS2 >= SOS1, with SOS1 equal to
-the brute-force oracle.  Examples are derandomized and capped,
-so the suite's run time stays fixed.
+the brute-force oracle, and SOS2 equal to its oracle on instances of at
+most ``SOS2_ORACLE_MAX_CAMPAIGNS`` campaigns.  Examples are derandomized
+and capped, so the suite's run time stays fixed.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from bidopt.fileio import verify_solution
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import build_model
-from bidopt.oracle import enumerate_sos1
+from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import SearchLimits, branch_and_bound, relax_to_sos2
 from bidopt.simplex import OPTIMAL, SimplexEngine
 
@@ -27,6 +28,8 @@ PROVE = SearchLimits(first_solution=False, gap=0.0)
 FIRST = SearchLimits(first_solution=True)
 
 ROW_TOL = 1e-9
+# enumerate_sos2 solves one LP per combination of intervals
+SOS2_ORACLE_MAX_CAMPAIGNS = 4
 
 
 class RowCheckedEngine(SimplexEngine):
@@ -119,3 +122,6 @@ def test_degenerate_instances_verify_and_chain(instance):
     assert proved[1] <= proved[2] + slack
     oracle, _ = enumerate_sos1(instance)
     assert abs(proved[1] - oracle) <= 1e-6 * max(1.0, abs(oracle))
+    if len(instance.campaigns) <= SOS2_ORACLE_MAX_CAMPAIGNS:
+        oracle, _ = enumerate_sos2(instance)
+        assert abs(proved[2] - oracle) <= 1e-6 * max(1.0, abs(oracle))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from bidopt import simplex
+from bidopt import search, simplex
 from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpRow, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
@@ -39,7 +40,7 @@ from conftest import (
 
 FRAC = 900.0 / 11.0
 PROVE = SearchLimits(first_solution=False, gap=0.0)
-# One instance of the benchmark's tree workload: 451 nodes under --prove.
+# One instance of the benchmark's tree workload: 433 nodes under --prove.
 TREE_PARAMS = GenParams(
     businesses=3, campaigns_per_business=12, levels_per_campaign=4,
     budget_tightness=0.3, seed=1,
@@ -497,7 +498,7 @@ class TestBranchAndBound:
         ):
             assert getattr(r1, field) == getattr(r2, field), field
 
-    @pytest.mark.parametrize("seed, nodes", [(0, 108), (1, 148)])
+    @pytest.mark.parametrize("seed, nodes", [(0, 88), (1, 116)])
     def test_visit_order_pinned(self, seed, nodes):
         # Under a nonzero gap the node count depends on the order nodes
         # are visited in: depth-first until the first incumbent,
@@ -516,13 +517,13 @@ class TestBranchAndBound:
         # first degenerate step too; a different leaving or entering
         # choice in either moves the iteration count
         monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
-        assert self._tree_iterations() == 866
+        assert self._tree_iterations() == 797
 
     def test_tree_iterations_pinned(self):
         # Node LPs re-solve with dual steps from the parent's basis, and
         # the root with dual steps from the crash basis; the primal
-        # simplex alone took 2 459 iterations here
-        assert self._tree_iterations() == 866
+        # simplex alone took 2 459 iterations here (before reduced-cost fixing)
+        assert self._tree_iterations() == 797
 
     @staticmethod
     def _tree_iterations() -> int:
@@ -534,7 +535,7 @@ class TestBranchAndBound:
         report, _ = branch_and_bound(
             model, "none", SearchLimits(first_solution=False), engine=proxy
         )
-        assert report.nodes == 451
+        assert report.nodes == 433
         assert repr(report.incumbent_objective) == "4537.616622180575"
         digest = hashlib.sha256()
         for _, _, sol in proxy.log:
@@ -546,14 +547,15 @@ class TestBranchAndBound:
             digest.update(struct.pack("<q", sol.iterations))
             digest.update(sol.basis)
         assert digest.hexdigest() == (
-            "f2521599c6c81f77a4570ddc9bc19f19f2f8a2b35a91b02eade5545adb3d56bf"
+            "1dcc458d1839a3e24dc078bd93d277f4bca9414676adbbfc602a6d7859c8b79b"
         )
         return sum(sol.iterations for _, _, sol in proxy.log)
 
     def test_tree_factorizations_pinned(self, monkeypatch):
         # A node LP factorizes its starting basis (unless its sibling just
         # did) and after every 64 etas; a stall needs no fresh factor to
-        # be believed.  Confirming every stall with one took 690 here.
+        # be believed.  Confirming every stall with one took 690 here
+        # (before reduced-cost fixing).
         model = build_model(generate_instance(TREE_PARAMS))
         engine = SimplexEngine(model)
         factorized = []
@@ -567,8 +569,8 @@ class TestBranchAndBound:
         report, _ = branch_and_bound(
             model, "none", SearchLimits(first_solution=False), engine=engine
         )
-        assert report.nodes == 451
-        assert len(factorized) == 242
+        assert report.nodes == 433
+        assert len(factorized) == 233
 
     def test_time_limit_bounds_the_root_lp(self, scale_base):
         # the root LP alone takes seconds here; the limit must stop it
@@ -716,3 +718,145 @@ class TestEngineInjection:
         report, _ = branch_and_bound(model, "3", engine=proxy)
         assert (report.status, report.nodes) == ("feasible", 0)
         assert len(proxy.log) == 2
+
+
+class TestReducedCostFixing:
+    """At a node branched on after the first incumbent, the search zeroes
+    every set member the node's LP holds at exactly 0 whose reduced cost
+    d < 0 puts the node's objective plus d at or below the pruning
+    threshold, when every set is the support of a convexity row."""
+
+    @staticmethod
+    def _branchings(monkeypatch, model, strategy="none", limits=PROVE):
+        """Run the search and return, for each node it branched on, the
+        bounds the node was solved under, the bounds it branched with,
+        its LP, and the incumbent objective at that moment (None before
+        the first), replayed from the solves with the search's own rule.
+        The root LP, when it is branched on, was solved without the
+        bounds of strategy 1's fixes, which it meets."""
+        proxy = SolveOnlyEngine(model)
+        branched = []
+
+        def recording(node, model, k, scan, lp, first_order=0):
+            branched.append((node.bounds, lp))
+            return sos_branch(node, model, k, scan, lp, first_order)
+
+        monkeypatch.setattr(search, "sos_branch", recording)
+        branch_and_bound(model, strategy, limits, engine=proxy)
+
+        position = {id(sol): i for i, (_, _, sol) in enumerate(proxy.log)}
+        incumbents, incumbent = [], None
+        for _, _, sol in proxy.log:
+            if (
+                sol.status == OPTIMAL
+                and sos_satisfied(model, sol.primal)
+                and (incumbent is None or sol.objective > _cutoff(incumbent, limits))
+            ):
+                incumbent = sol.objective
+            incumbents.append(incumbent)
+        out = []
+        for bounds, lp in branched:
+            i = position[id(lp)]
+            solved = proxy.log[i][0] if i else ROOT_FIXES[strategy](model, lp)
+            out.append((solved, bounds, lp, incumbents[i]))
+        return out
+
+    @pytest.mark.parametrize("strategy", ["none", "1"])
+    def test_fixes_follow_the_rule_after_the_first_incumbent(self, monkeypatch, strategy):
+        # strategy 1 rounds 24 sets of the root to (1, 1) first
+        model = build_model(generate_instance(TREE_PARAMS))
+        limits = SearchLimits(first_solution=False)
+        end = model.sos_starts[-1]
+        fixed = ones = 0
+        for solved, bounds, lp, incumbent in self._branchings(
+            monkeypatch, model, strategy, limits
+        ):
+            # no bound the node was solved under is overwritten
+            assert {j: bounds[j] for j in solved} == solved
+            ones += sum(b == (1.0, 1.0) for b in solved.values())
+            fixes = {j: b for j, b in bounds.items() if j not in solved}
+            if incumbent is None:
+                assert not fixes
+                continue
+            z, d = lp.objective, lp.reduced_costs
+            want = {
+                j for j in range(end)
+                if lp.primal[j] == 0.0 and d[j] < 0.0
+                and z + d[j] <= _cutoff(incumbent, limits) and j not in solved
+            }
+            assert fixes == dict.fromkeys(want, (0.0, 0.0))
+            fixed += len(fixes)
+        assert fixed > 0
+        assert (ones > 0) == (strategy == "1")
+
+    def test_sets_without_convexity_rows_get_no_fixes(self, monkeypatch):
+        # A knapsack row, no convexity rows: a set's nonzero member may be
+        # fractional.  The optimum 11 is x1 = 1 with x4 = 1/4.  Once the
+        # incumbent is 10, the node at 11.57 would fix x4 to 0 as if x4
+        # could only be 0 or 1 (d = -2.29), leaving 10.
+        cols = tuple(
+            LpColumn(f"x{j}", c, 0.0, 1.0) for j, c in enumerate((9.0, 9.0, 9.0, 5.0, 8.0))
+        )
+        row = LpRow("R0", "L", 6.0, tuple(enumerate((5.0, 4.0, 7.0, 10.0, 8.0))))
+        model = from_tuples(cols, (row,), (("S0", 3), ("S1", 2)))
+        assert not search._sets_are_convexity_rows(model)
+        assert _brute_force_sos1(model) == pytest.approx(11.0, abs=1e-12)
+
+        branchings = self._branchings(monkeypatch, model)
+        assert any(incumbent is not None for *_, incumbent in branchings)
+        assert all(bounds == solved for solved, bounds, *_ in branchings)
+        report, _ = branch_and_bound(model, "none", PROVE)
+        assert report.incumbent_objective == pytest.approx(11.0, abs=1e-9)
+
+        monkeypatch.setattr(search, "_sets_are_convexity_rows", lambda model: True)
+        unguarded, _ = branch_and_bound(model, "none", PROVE)
+        assert unguarded.incumbent_objective == pytest.approx(10.0, abs=1e-9)
+
+    def test_sos2_models_get_no_fixes(self, monkeypatch, suite1):
+        after_incumbent = 0
+        for instance in suite1[:80]:
+            model = relax_to_sos2(build_model(instance))
+            for solved, bounds, _, incumbent in self._branchings(monkeypatch, model):
+                assert bounds == solved
+                after_incumbent += incumbent is not None
+        assert after_incumbent > 0
+
+    def test_the_check_reads_the_rows(self, t1_model):
+        # build_model's CVX rows pass; each change below breaks one of them
+        assert search._sets_are_convexity_rows(t1_model)
+        cvx = t1_model.row_names.index("CVX_c1")
+        lo, hi = t1_model.indptr[cvx:cvx + 2]
+        data = t1_model.data.copy()
+        data[lo] = 2.0  # a coefficient other than the right-hand side
+        assert not search._sets_are_convexity_rows(dataclasses.replace(t1_model, data=data))
+        data, rhs = t1_model.data.copy(), t1_model.rhs.copy()
+        rhs[cvx] = data[lo:hi] = 0.0  # a zero right-hand side
+        assert not search._sets_are_convexity_rows(
+            dataclasses.replace(t1_model, data=data, rhs=rhs)
+        )
+        senses = t1_model.senses[:cvx] + "L" + t1_model.senses[cvx + 1:]
+        assert not search._sets_are_convexity_rows(dataclasses.replace(t1_model, senses=senses))
+
+
+# The bounds a strategy puts on the root node, from the root LP
+ROOT_FIXES = {"none": lambda model, lp: {}, "1": strategy1_fix}
+
+
+def _cutoff(incumbent: float, limits: SearchLimits) -> float:
+    """The pruning threshold the search uses: a bound at or below it is pruned."""
+    return incumbent + max(limits.gap * max(1.0, abs(incumbent)), 1e-9)
+
+
+def _brute_force_sos1(model) -> float:
+    """The best LP objective over every choice of at most one nonzero
+    member per set, the others fixed to zero."""
+    starts = model.sos_starts.tolist()
+    runs = [range(a, b) for a, b in zip(starts, starts[1:])]
+    engine = SimplexEngine(model)
+    best = -math.inf
+    for pick in itertools.product(*([None, *run] for run in runs)):
+        bounds = {j: (0.0, 0.0) for run, p in zip(runs, pick) for j in run if j != p}
+        sol = engine.solve(bounds=bounds)
+        if sol.status == OPTIMAL:
+            best = max(best, sol.objective)
+    return best

@@ -20,17 +20,17 @@ DIGESTS = {
     ],
     # seven SOS1 trees proved optimal: every node LP and seven files
     "tree-sos1-prove": [
-        "solutions 3927 9ff03dd1a1e0f49c5f1e291ea457ba9fe3619d7520198e8aa195ccdace36713d",
+        "solutions 3162 cc9b28d3b01e162ec3365e48f79ee6f5133efcf38b6b20e3122240a1c11eec24",
         NO_MASTERS,
-        "files 7 26eb18f1178ffa67724744a8e8d0e8cac50fad41ea27b10741ebd8538ab8c5a0",
+        "files 7 242c84ea87a95f2070fe5e3e21d5a3e0a7277e3f7a8b3ea5374cf1845a6d3d8d",
         "instances 7 942df9cb48961916bb101ccbb01ab2a962077f8cd2ec7f5b9169c9ddaeb651b6",
     ],
     # 252 models in five modes: SOS1 and SOS2 branching under all four
     # strategies
     "suite-many-small": [
-        "solutions 5499 0621ac9990fbbcae9c349116635bf58481ce9a223e09aa014473cb6d4a2e7d50",
+        "solutions 5109 aa4aa530e457bfe29af1a02f9c55c7bc096904536d18c49e89689b029d8c7e17",
         NO_MASTERS,
-        "files 1260 d6bc4adc40c8d8121984a9f26ea119202306268d77d705993592d04a7d7129eb",
+        "files 1260 acce526a0cec0586074924d13df205f330af691db8fe82ca5da1ae56c59b07dd",
         "instances 252 1dccf0a57ba7001a5e711d936c83a3c1092649e7145495c43e66b737abf408d8",
     ],
 }
