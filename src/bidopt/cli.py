@@ -2,8 +2,9 @@
 
 Subcommands: generate, solve, oracle, convert, bench.  Exit codes:
 0 success, 1 infeasible, 2 limit hit without an incumbent, 3 input
-error, 4 numerical failure (a singular basis or an unblocked phase 1 in
-the simplex, or an LP relaxation reported unbounded).
+error (a usage error too), 4 numerical failure (a singular basis or an
+unblocked phase 1 in the simplex, or an LP relaxation reported
+unbounded).
 
 Tolerances can be overridden through environment variables:
 BIDOPT_FEAS_TOL, BIDOPT_OPT_TOL (simplex), BIDOPT_ZERO_TOL,
@@ -106,8 +107,17 @@ def _add_limit_flags(p: argparse.ArgumentParser) -> None:
                    help="write '-' for timing fields (byte-stable output)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors.  Its
+    subparsers are made from its class, so theirs are too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bidopt",
         description="Bid-level optimization: generate, solve, verify.",
     )

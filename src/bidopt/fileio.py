@@ -107,7 +107,8 @@ def instance_from_json(text: str) -> Instance:
     document at once: the levels in one flat list, cut per campaign."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a decode error, or a number too long to convert
+    except (ValueError, RecursionError) as exc:
+        # a decode error, a number too long to convert, or nesting too deep
         raise ValueError(f"invalid instance JSON: {exc}") from exc
     try:
         cdocs, bdocs = doc["campaigns"], doc["businesses"]
@@ -655,7 +656,7 @@ def verify_solution(
 
     value = {key: columns.get(name, 0.0) for name, key in expected.items()}
     for (cid, j), v in value.items():
-        if v < -VERIFY_TOL or v > 1.0 + VERIFY_TOL:
+        if not -VERIFY_TOL <= v <= 1.0 + VERIFY_TOL:  # NaN is out of range too
             problems.append(f"column D_{cid}_{j}: value {v} outside [0, 1]")
 
     def check_le(name: str, terms: list[float], rhs: float) -> None:

@@ -176,6 +176,28 @@ def _check_amount(problems: list[str], where: str, name: str, value: float) -> N
         problems.append(f"{where}: {name} must be >= 0")
 
 
+def _check_products(problems: list[str], instance: Instance) -> None:
+    """Name each level whose spend, impressions * ad_value, or click
+    weight, impressions * cpc * ctr, overflows: both are matrix entries.
+    Every amount is finite and >= 0 here and ctr is at most 1, so the
+    largest impressions times the largest ad_value or cpc bounds them all,
+    and only an instance whose bound overflows is read level by level."""
+    campaigns = instance.campaigns
+    cpc = {b.id: b.cpc for b in instance.businesses}
+    top = max(chain.from_iterable(c.impressions for c in campaigns), default=0.0)
+    factor = max(chain.from_iterable(c.ad_value for c in campaigns), default=0.0)
+    if top * max(factor, *cpc.values(), 0.0) < math.inf:
+        return
+    for c in campaigns:
+        weight = cpc[c.business_id] * c.ctr
+        for j, (impressions, ad_value) in enumerate(zip(c.impressions, c.ad_value)):
+            where = f"campaign {c.id} level {j}"
+            if impressions * ad_value == math.inf:
+                problems.append(f"{where}: spend impressions * ad_value overflows")
+            if impressions * weight == math.inf:
+                problems.append(f"{where}: click weight impressions * cpc * ctr overflows")
+
+
 def validate_instance(instance: Instance) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
@@ -223,6 +245,8 @@ def validate_instance(instance: Instance) -> list[str]:
             if bid is not None and not math.isfinite(bid):
                 problems.append(f"campaign {c.id} level {j}: bid must be finite")
 
+    if not problems:
+        _check_products(problems, instance)
     return problems
 
 

@@ -138,10 +138,13 @@ def enumerate_sos2(
     1e-9 collapses the interval back to a single level.  Combinations
     whose constraint-free objective bound cannot beat the current best
     by more than 1e-9 are skipped (sound: the bound dominates the LP).
+    An instance with no campaigns has only the empty assignment, worth 0.
     """
     campaigns = instance.campaigns
+    if not campaigns:
+        return 0.0, {}
     n_pat = [max(len(c.ret) - 1, 1) for c in campaigns]
-    total = math.prod(n_pat) if n_pat else 1
+    total = math.prod(n_pat)
     if total > cap:
         raise ValueError(f"enumeration size {total} exceeds cap {cap}")
 

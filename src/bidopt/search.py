@@ -6,7 +6,7 @@ branching, strategies 2 and 3 and the solution file's bids start from it.
 
 Three fixing strategies read the root LP and pin columns before the
 tree search starts.  Fixes are bounds dicts, column -> (lower, upper),
-the same overrides ``SimplexEngine.solve`` and ``Node`` take:
+the overrides ``SimplexEngine.solve`` takes and each tree node carries:
 
 1. a set whose LP solution puts some member at or above ``near_one_tol``
    is rounded to that member, provided the member is the do-nothing
@@ -79,14 +79,6 @@ STRATEGIES = ("none", "1", "2", "3")
 
 Bounds = dict[int, tuple[float, float]]
 Scan = tuple[np.ndarray, np.ndarray, np.ndarray]  # what sos_scan returns
-
-
-@dataclass(frozen=True)
-class Node:
-    bounds: Bounds
-    lp_bound: float
-    creation_order: int
-    warm: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -301,18 +293,17 @@ def strategy3_hotstart(
 
 
 def sos_branch(
-    node: Node, model: LpModel, k: int, scan: Scan, lp: LpSolution, first_order: int = 0
-) -> tuple[Node, Node]:
-    """Split violated set ``k`` at its weighted-average position; ``scan``
-    is ``sos_scan`` of ``lp.primal``.
+    bounds: Bounds, model: LpModel, k: int, scan: Scan, lp: LpSolution
+) -> tuple[Bounds, Bounds]:
+    """The two children's bounds when the node with ``bounds`` splits
+    violated set ``k`` at its weighted-average position; ``lp`` is the
+    node's LP and ``scan`` is ``sos_scan`` of ``lp.primal``.
 
     The left child zeroes members above the split, the right child
     zeroes members at or below it (strictly below for SOS2, so the
     split member stays free on both sides).  The split is clamped into
     the nonzero span so each child zeroes at least one genuinely
-    nonzero member and the parent LP point is excluded.  Both children
-    take ``lp``'s objective as their bound and its basis as their warm
-    start.
+    nonzero member and the parent LP point is excluded.
     """
     count, first, last = (int(x[k]) for x in scan)
     if not count:
@@ -325,11 +316,9 @@ def sos_branch(
         r = min(max(r, first + 1), last - 1)
 
     cut_right = r if model.sos_type == 2 else r + 1
-    left = {**node.bounds, **_zero_outside(a, b, a, a + r)}
-    right = {**node.bounds, **_zero_outside(a, b, a + cut_right, b - 1)}
     return (
-        Node(left, lp.objective, first_order, lp.basis),
-        Node(right, lp.objective, first_order + 1, lp.basis),
+        {**bounds, **_zero_outside(a, b, a, a + r)},
+        {**bounds, **_zero_outside(a, b, a + cut_right, b - 1)},
     )
 
 
@@ -392,8 +381,14 @@ def branch_and_bound(
     deadline = None if limits.time_limit is None else t_start + limits.time_limit
     root = _solve(engine, deadline)
 
-    def report(status, inc_obj, first_obj, first_secs, nodes):
+    incumbent_obj = -math.inf
+    incumbent_vals: np.ndarray | None = None
+    first_obj: float | None = None
+    first_secs: float | None = None
+
+    def report(status: str, nodes: int) -> SolveReport:
         lp_obj = root.objective if root.status == OPTIMAL else math.nan
+        inc_obj = None if incumbent_vals is None else incumbent_obj
 
         def degr(v):
             if v is None or math.isnan(lp_obj):
@@ -420,16 +415,11 @@ def branch_and_bound(
         )
 
     if root.status == INFEASIBLE:
-        return report(INFEASIBLE, None, None, None, 0), None
+        return report(INFEASIBLE, 0), None
     if root.status == UNBOUNDED:
         raise RuntimeError("LP relaxation is unbounded")
     if root.status == ITERATION_LIMIT:
-        return report("limit", None, None, None, 0), None
-
-    incumbent_obj = -math.inf
-    incumbent_vals: np.ndarray | None = None
-    first_obj: float | None = None
-    first_secs: float | None = None
+        return report("limit", 0), None
 
     def take_incumbent(sol: LpSolution) -> None:
         nonlocal incumbent_obj, incumbent_vals, first_obj, first_secs
@@ -457,10 +447,7 @@ def branch_and_bound(
         if hot is not None and sos_satisfied(model, hot.primal, zero_tol):
             take_incumbent(hot)
             if limits.first_solution:
-                return (
-                    report("feasible", incumbent_obj, first_obj, first_secs, 0),
-                    incumbent_vals,
-                )
+                return report("feasible", 0), incumbent_vals
     start_sol = root
     # A root that already meets every fix solves the fixed LP too.
     if any(not lo <= root.primal[j] <= hi for j, (lo, hi) in fixes.items()):
@@ -471,47 +458,49 @@ def branch_and_bound(
             # Withdraw the fixes as a group; search from the unfixed root.
             fixes = {}
 
-    # Tree search over one frontier of (-bound, creation order, node)
-    # entries: a stack (depth-first) until the first incumbent appears,
-    # then a heap (best-bound).  Creation orders are unique, so entries
-    # never tie.  The root, creation order 0, reuses start_sol.
+    # Tree search over one frontier, an entry per open node:
+    # (-bound, creation order, bounds, warm start basis).  It is a stack
+    # (depth-first) until the first incumbent appears, then a heap
+    # (best-bound).  Creation orders are unique, so the heap never
+    # compares two bounds dicts.  The root, creation order 0, reuses
+    # start_sol.
     order = 1
-    frontier = [(-start_sol.objective, 0, Node(fixes, start_sol.objective, 0))]
+    frontier = [(-start_sol.objective, 0, fixes, None)]
     best_first = False
     nodes_evaluated = 0
-    hit_limit = False
-    dropped = False  # a node LP failed twice; the search proves nothing
+    unproven = False  # a limit was hit or a node LP failed twice
     fixing = None  # whether reduced-cost fixing is valid, checked on first use
 
     while frontier:
-        if deadline is not None and time.perf_counter() >= deadline:
-            hit_limit = True
-            break
-        if limits.node_limit is not None and nodes_evaluated >= limits.node_limit:
-            hit_limit = True
+        if (deadline is not None and time.perf_counter() >= deadline) or (
+            limits.node_limit is not None and nodes_evaluated >= limits.node_limit
+        ):
+            unproven = True
             break
         if incumbent_vals is not None and not best_first:
             heapq.heapify(frontier)
             best_first = True
-        node = heapq.heappop(frontier)[2] if best_first else frontier.pop()[2]
-        if pruned(node.lp_bound):
+        neg_bound, node_order, bounds, warm = (
+            heapq.heappop(frontier) if best_first else frontier.pop()
+        )
+        if pruned(-neg_bound):
             continue
 
-        if node.creation_order == 0:
+        if node_order == 0:
             lp = start_sol
         else:
-            lp = _solve(engine, deadline, bounds=node.bounds, warm=node.warm)
+            lp = _solve(engine, deadline, bounds=bounds, warm=warm)
         nodes_evaluated += 1
 
         if lp.status not in (OPTIMAL, INFEASIBLE):
             # A node LP cut off short of the deadline gets one more try
             # from the cold basis; failing again, the node is dropped.
             if deadline is not None and time.perf_counter() >= deadline:
-                hit_limit = True
+                unproven = True
                 break
-            lp = _solve(engine, deadline, bounds=node.bounds)
+            lp = _solve(engine, deadline, bounds=bounds)
             if lp.status not in (OPTIMAL, INFEASIBLE):
-                dropped = True
+                unproven = True
                 continue
         if lp.status == INFEASIBLE:
             continue
@@ -529,27 +518,23 @@ def branch_and_bound(
             if fixing is None:
                 fixing = model.sos_type == 1 and _sets_are_convexity_rows(model)
             if fixing:
-                zeros = _reduced_cost_fixes(lp, model.sos_starts[-1], node.bounds, cutoff())
+                zeros = _reduced_cost_fixes(lp, model.sos_starts[-1], bounds, cutoff())
                 if zeros:
-                    node = replace(node, bounds={**node.bounds, **zeros})
+                    bounds = {**bounds, **zeros}
 
-        for child in reversed(sos_branch(node, model, violated, scan, lp, order)):
-            entry = (-child.lp_bound, child.creation_order, child)
+        children = sos_branch(bounds, model, violated, scan, lp)
+        for i in (1, 0):  # right, then left: the stack pops the left child first
+            entry = (-lp.objective, order + i, children[i], lp.basis)
             if best_first:
                 heapq.heappush(frontier, entry)
             else:
                 frontier.append(entry)
         order += 2
 
-    if incumbent_vals is not None:
-        if hit_limit or dropped or (limits.first_solution and frontier):
-            status = "feasible"
-        else:
-            status = OPTIMAL
-        return (
-            report(status, incumbent_obj, first_obj, first_secs, nodes_evaluated),
-            incumbent_vals,
-        )
-    if hit_limit or dropped:
-        return report("limit", None, None, None, nodes_evaluated), None
-    return report(INFEASIBLE, None, None, None, nodes_evaluated), None
+    if incumbent_vals is None:
+        status = "limit" if unproven else INFEASIBLE
+    elif unproven or (limits.first_solution and frontier):
+        status = "feasible"
+    else:
+        status = OPTIMAL
+    return report(status, nodes_evaluated), incumbent_vals

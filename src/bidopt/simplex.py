@@ -12,7 +12,8 @@ no artificial columns.
 Pivot rule: largest reduced cost (Dantzig), with Bland's smallest-index
 rule engaged after 50 consecutive degenerate steps and released on the
 first real step.  Rows are equilibrated by power-of-two factors, exact
-in floating point; columns' reduced costs need no mapping back.
+in floating point; columns' reduced costs need no mapping back.  A row
+whose factor or scaled right-hand side would overflow is left unscaled.
 
 The basis is factorized through generalized upper bounding (Dantzig &
 Van Slyke, "Generalized upper bounding techniques", JCSS 1967).  The
@@ -380,7 +381,6 @@ class _DualEnd(NamedTuple):
     """How ``SimplexEngine._dual_phase`` ended."""
 
     status: str | None
-    iterations: int
     neg_d: np.ndarray | None
 
 
@@ -477,9 +477,14 @@ class SimplexEngine:
         rows = np.arange(m).repeat(np.diff(model.indptr))
         biggest = np.zeros(m)
         np.maximum.at(biggest, rows, np.abs(model.data))
-        scale = np.array(
-            [2.0 ** (-round(math.log2(v))) if v > 0.0 else 1.0 for v in biggest.tolist()]
-        )
+        # Each row's factor is the power of two that brings its largest
+        # entry nearest 1; it is 1 where the row has no entry, or where
+        # that power or the scaled right-hand side would not be finite.
+        exps = [-round(math.log2(v)) if v > 0.0 else 0 for v in biggest.tolist()]
+        scale = np.array([
+            2.0 ** e if e < 1024 and abs(r) * 2.0 ** e < math.inf else 1.0
+            for e, r in zip(exps, model.rhs.tolist())
+        ])
         vals = model.data * scale[rows]
 
         # [A I] in CSC, rows ascending in each column, repeats summed
@@ -789,10 +794,9 @@ class SimplexEngine:
             vstat = np.frombuffer(warm, np.int8).copy()
             if int(np.count_nonzero(vstat == BASIC)) == m:
                 # Nonbasic statuses must still make sense under the new bounds.
-                nb = vstat != BASIC
-                snap_lo = nb & (vstat == AT_UPPER) & ~np.isfinite(upper)
+                snap_lo = (vstat == AT_UPPER) & ~np.isfinite(upper)
                 vstat[snap_lo] = AT_LOWER
-                snap_up = nb & (vstat == AT_LOWER) & ~np.isfinite(lower) & np.isfinite(upper)
+                snap_up = (vstat == AT_LOWER) & ~np.isfinite(lower) & np.isfinite(upper)
                 vstat[snap_up] = AT_UPPER
                 basis = np.flatnonzero(vstat == BASIC)
                 factor = self._start_factor(basis)
@@ -814,7 +818,7 @@ class SimplexEngine:
         st = _SolveState(self, lower, upper, vstat, basis, factor, max_iterations, deadline)
         dirn, lb_b, ub_b, free_var = st.dirn, st.lb_b, st.ub_b, st.free_var
         priced = None  # the factor, eta count and masks of the last pricing
-        status, _, neg_d = self._dual_phase(st)
+        status, neg_d = self._dual_phase(st)
         if neg_d is not None:
             # The phase-2 pricing of the basis the dual phase hands over:
             # the primal loop takes it as its own in phase 2.
@@ -984,9 +988,9 @@ class SimplexEngine:
         if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
             np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
         ):
-            return _DualEnd(None, 0, neg_d)
+            return _DualEnd(None, neg_d)
         if not self.m:  # no row to violate its bounds: the start is optimal
-            return _DualEnd(OPTIMAL, 0, neg_d)
+            return _DualEnd(OPTIMAL, neg_d)
         neg_d = neg_d.copy()
         agreed = True
         status = None
@@ -1052,4 +1056,4 @@ class SimplexEngine:
             degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
             if degen_streak >= BLAND_AFTER:
                 break
-        return _DualEnd(status, st.iterations, neg_d if agreed else None)
+        return _DualEnd(status, neg_d if agreed else None)

@@ -386,6 +386,82 @@ class TestNonFiniteInput:
         assert "finite" in done.stderr
 
 
+class TestNoTraceback:
+    """Malformed input in a child process: a usage error, a JSON document
+    nested too deep for the decoder, and amounts whose products overflow
+    are input errors; tiny amounts solve."""
+
+    @staticmethod
+    def _instance(tmp_path, impressions, ad_value=0.5, cpc=2.0):
+        doc = json.loads(instance_to_json(make_t1()))
+        doc["businesses"][0]["cpc"] = cpc
+        level = doc["campaigns"][0]["levels"][1]
+        level["impressions"], level["ad_value"] = impressions, ad_value
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{t1}", "--time-limit", "abc"],
+            ["solve", "{t1}", "--sos", "3"],
+            ["generate", "--campaigns", "a:b"],
+            [],
+        ],
+    )
+    def test_usage_error_is_input_error(self, t1_path, argv):
+        done = run_child(*(a.format(t1=t1_path) for a in argv))
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert "error:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, argv):
+        done = run_child(*argv)
+        assert done.returncode == EXIT_OK
+        assert "usage:" in done.stdout
+
+    @pytest.mark.parametrize("command", ["solve", "convert"])
+    def test_deeply_nested_json_is_input_error(self, tmp_path, command):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200_000 + "]" * 200_000)
+        done = run_child(command, str(p))
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert "error: invalid instance JSON:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "amounts, message",
+        [
+            ((1e200, 1e200, 2.0), "level 1: spend impressions * ad_value overflows"),
+            ((1e200, 0.5, 1e200), "level 1: click weight impressions * cpc * ctr overflows"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "convert", "oracle", "bench"])
+    def test_overflowing_products_are_input_errors(self, tmp_path, command, amounts, message):
+        done = run_child(command, self._instance(tmp_path, *amounts))
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert f"error: invalid instance: campaign c1 {message}" in done.stderr
+        assert "Traceback" not in done.stderr + done.stdout
+
+    @pytest.mark.parametrize("sos", ["1", "2"])
+    def test_tiny_amounts_solve_to_the_oracle_optimum(self, tmp_path, sos):
+        path = self._instance(tmp_path, 1e-320)
+        done = run_child("solve", path, "--sos", sos, "--prove", "--omit-timing")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "Traceback" not in done.stderr + done.stdout
+        oracle = run_child("oracle", path, "--sos", sos).stdout.splitlines()[0]
+        assert done.stdout.splitlines()[:2] == ["STATUS optimal", oracle]
+
+    def test_campaignless_sos2_oracle(self, tmp_path):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"impression_budget": 1.0, "businesses": [], "campaigns": []}))
+        done = run_child("oracle", str(p), "--sos", "2")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == f"OBJECTIVE {0.0:.12f}\n"
+
+
 class TestOracle:
     def test_sos1_lines(self, t1_path, capsys):
         code, stdout, _ = run(capsys, "oracle", t1_path)

@@ -561,6 +561,14 @@ class TestVerifySolution:
         problems = verify_solution(t1_instance, cols)
         assert any("outside [0, 1]" in p for p in problems)
 
+    def test_nan_value_is_out_of_range(self):
+        # every comparison with NaN is false: only an explicit range check
+        # catches it
+        instance = generate_instance(GenParams(businesses=1, campaigns_per_business=2, seed=1))
+        cols = {"D_b1_c1_1": math.nan, "D_b1_c2_0": 1.0}
+        problems = verify_solution(instance, cols, sos_type=1)
+        assert any(p.startswith("column D_b1_c1_1:") and "outside [0, 1]" in p for p in problems)
+
     def test_impression_cap_detected(self, t1_instance):
         tight = dataclasses.replace(t1_instance, impression_budget=50.0)
         cols = self.columns_for(tight, {"c1": 1})  # 100 impressions > 50

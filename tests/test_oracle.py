@@ -39,6 +39,11 @@ class TestEdgeCases:
         assert obj2 == 0.0
         assert assign2["c"] == ((0,), (1.0,))
 
+    def test_no_campaigns(self):
+        inst = Instance(businesses=(Business("k", 10.0, 1.0),), campaigns=(), impression_budget=1.0)
+        assert enumerate_sos1(inst) == (0.0, {})
+        assert enumerate_sos2(inst) == (0.0, {})
+
     def test_zero_impression_budget_forces_slack(self, t1_instance):
         inst = dataclasses.replace(t1_instance, impression_budget=0.0)
         obj, choice = enumerate_sos1(inst)

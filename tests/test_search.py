@@ -321,36 +321,33 @@ class TestBranching:
     def test_t1_split(self, t1_model):
         engine = SimplexEngine(t1_model)
         root_lp = engine.solve()
-        from bidopt.search import Node
-
-        node = Node({}, math.inf, 0)
         scan = sos_scan(t1_model, root_lp.primal)
-        left, right = sos_branch(node, t1_model, 0, scan, root_lp, first_order=1)
-        assert left.bounds == {2: (0.0, 0.0)}
-        assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
-        assert left.lp_bound == right.lp_bound == root_lp.objective
-        assert (left.creation_order, right.creation_order) == (1, 2)
-        assert left.warm == root_lp.basis
+        left, right = sos_branch({}, t1_model, 0, scan, root_lp)
+        assert left == {2: (0.0, 0.0)}
+        assert right == {0: (0.0, 0.0), 1: (0.0, 0.0)}
+
+    def test_children_keep_the_parent_bounds(self, t1_model):
+        root_lp = SimplexEngine(t1_model).solve()
+        parent = {5: (1.0, 1.0)}
+        scan = sos_scan(t1_model, root_lp.primal)
+        left, right = sos_branch(parent, t1_model, 0, scan, root_lp)
+        assert left == {5: (1.0, 1.0), 2: (0.0, 0.0)}
+        assert right == {5: (1.0, 1.0), 0: (0.0, 0.0), 1: (0.0, 0.0)}
+        assert parent == {5: (1.0, 1.0)}
 
     def test_sos2_split_keeps_cut_member_free(self, nonadjacent_instance):
         model = relax_to_sos2(build_model(nonadjacent_instance))
         root_lp = SimplexEngine(model).solve()
-        from bidopt.search import Node
-
-        node = Node({}, root_lp.objective, 0)
         scan = sos_scan(model, root_lp.primal)
-        left, right = sos_branch(node, model, 0, scan, root_lp, first_order=1)
+        left, right = sos_branch({}, model, 0, scan, root_lp)
         # split at position 2: left forbids above it, right forbids below it
-        assert left.bounds == {3: (0.0, 0.0)}
-        assert right.bounds == {0: (0.0, 0.0), 1: (0.0, 0.0)}
+        assert left == {3: (0.0, 0.0)}
+        assert right == {0: (0.0, 0.0), 1: (0.0, 0.0)}
 
     def test_all_zero_set_cannot_branch(self, t1_model):
-        from bidopt.search import Node
-
-        node = Node({}, 0.0, 0)
         with pytest.raises(ValueError, match="all-zero"):
             lp = fake_lp((0.0, 0.0, 0.0))
-            sos_branch(node, t1_model, 0, sos_scan(t1_model, lp.primal), lp, 1)
+            sos_branch({}, t1_model, 0, sos_scan(t1_model, lp.primal), lp)
 
 
 class TestInterpolateBid:
@@ -737,9 +734,9 @@ class TestReducedCostFixing:
         proxy = SolveOnlyEngine(model)
         branched = []
 
-        def recording(node, model, k, scan, lp, first_order=0):
-            branched.append((node.bounds, lp))
-            return sos_branch(node, model, k, scan, lp, first_order)
+        def recording(bounds, model, k, scan, lp):
+            branched.append((bounds, lp))
+            return sos_branch(bounds, model, k, scan, lp)
 
         monkeypatch.setattr(search, "sos_branch", recording)
         branch_and_bound(model, strategy, limits, engine=proxy)

@@ -324,6 +324,26 @@ class TestEngineSetup:
         assert sol.status == OPTIMAL
         assert math.isclose(sol.objective, FRAC, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("impressions, impression_budget", [(1e-320, 1000.0), (1e-300, 1e10)])
+    def test_rows_whose_scale_would_overflow_stay_unscaled(
+        self, t1_instance, impressions, impression_budget
+    ):
+        # Every entry of the impression row is tiny: its power of two
+        # (1e-320), or the right-hand side scaled by it (1e-300), would
+        # overflow.  The row is left as it is, and it does not bind.
+        (c1,) = t1_instance.campaigns
+        c1 = dataclasses.replace(c1, impressions=(0.0, impressions, impressions))
+        instance = dataclasses.replace(
+            t1_instance, campaigns=(c1,), impression_budget=impression_budget
+        )
+        model = build_model(instance)
+        engine = SimplexEngine(model)
+        assert np.isfinite(engine.rhs).all()
+        assert engine.rhs[-1] == impression_budget
+        sol = engine.solve()
+        assert sol.status == OPTIMAL
+        assert sol.objective == 120.0
+
     def test_coefficient_of_a_missing_column_raises(self, t1_model):
         row = LpRow("r", "L", 1.0, ((len(t1_model.columns), 1.0),))
         model = from_tuples(columns=t1_model.columns, rows=(row,))
@@ -400,7 +420,7 @@ def dual_log(monkeypatch):
 
     def recorded(self, *args):
         out = dual_phase(self, *args)
-        log.append((out.status, out.iterations))
+        log.append((out.status, args[0].iterations))
         return out
 
     monkeypatch.setattr(SimplexEngine, "_dual_phase", recorded)
