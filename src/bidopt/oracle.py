@@ -15,6 +15,7 @@ the endpoints of the intervals, so interval enumeration covers them.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,8 @@ from .model import Instance
 ENUM_CAP = 10_000_000
 _CHUNK = 262_144
 # Tiny slack relative to each row's activity mass so borderline
-# assignments do not flip on float summation order.
+# assignments do not flip on float summation order.  A mass that
+# overflows counts as the largest float.
 _REL_SLACK = 1e-9
 
 
@@ -46,13 +48,13 @@ def _row_slacks(instance: Instance) -> tuple[dict[str, float], dict[str, float],
             click_mass += max(
                 abs(p * (a - b.cpc * c.ctr)) for p, a in zip(c.impressions, c.ad_value)
             )
-        bud_tol[b.id] = _REL_SLACK * spend_mass
-        clk_tol[b.id] = _REL_SLACK * click_mass
-    imp_tol = _REL_SLACK * (imp_mass + abs(instance.impression_budget))
+        bud_tol[b.id] = _REL_SLACK * min(spend_mass, sys.float_info.max)
+        clk_tol[b.id] = _REL_SLACK * min(click_mass, sys.float_info.max)
+    imp_tol = _REL_SLACK * min(imp_mass + abs(instance.impression_budget), sys.float_info.max)
     return bud_tol, clk_tol, imp_tol
 
 
-def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict[str, int]]:
+def enumerate_sos1(instance: Instance) -> tuple[float, dict[str, int]]:
     """Exhaustive maximum over one-level-per-campaign assignments.
 
     Returns (objective, chosen level per campaign id).  Assignments are
@@ -63,8 +65,8 @@ def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict
     campaigns = instance.campaigns
     sizes = [len(c.ret) for c in campaigns]
     total = math.prod(sizes) if sizes else 1
-    if total > cap:
-        raise ValueError(f"enumeration size {total} exceeds cap {cap}")
+    if total > ENUM_CAP:
+        raise ValueError(f"enumeration size {total} exceeds cap {ENUM_CAP}")
 
     bud_tol, clk_tol, imp_tol = _row_slacks(instance)
     cpc = {b.id: b.cpc for b in instance.businesses}
@@ -102,17 +104,18 @@ def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict
         feas = np.ones(len(idx), dtype=bool)
         for i in range(len(sizes)):
             obj += ret_tab[i][levels[i]]
-        for b in instance.businesses:
-            spend = np.zeros(len(idx))
-            click = np.zeros(len(idx))
-            for i in members[b.id]:
-                spend += spend_tab[i][levels[i]]
-                click += click_tab[i][levels[i]]
-            feas &= spend <= budget[b.id] + bud_tol[b.id]
-            feas &= click <= clk_tol[b.id]
-        imps = np.zeros(len(idx))
-        for i in range(len(sizes)):
-            imps += imp_tab[i][levels[i]]
+        with np.errstate(over="ignore"):  # a row sum that overflows is infeasible
+            for b in instance.businesses:
+                spend = np.zeros(len(idx))
+                click = np.zeros(len(idx))
+                for i in members[b.id]:
+                    spend += spend_tab[i][levels[i]]
+                    click += click_tab[i][levels[i]]
+                feas &= spend <= budget[b.id] + bud_tol[b.id]
+                feas &= click <= clk_tol[b.id]
+            imps = np.zeros(len(idx))
+            for i in range(len(sizes)):
+                imps += imp_tab[i][levels[i]]
         feas &= imps <= instance.impression_budget + imp_tol
 
         obj = np.where(feas, obj, -math.inf)
@@ -128,7 +131,7 @@ def enumerate_sos1(instance: Instance, cap: int = ENUM_CAP) -> tuple[float, dict
 
 
 def enumerate_sos2(
-    instance: Instance, cap: int = ENUM_CAP
+    instance: Instance,
 ) -> tuple[float, dict[str, tuple[tuple[int, ...], tuple[float, ...]]]]:
     """Exhaustive maximum when each campaign may mix two adjacent levels.
 
@@ -145,8 +148,8 @@ def enumerate_sos2(
         return 0.0, {}
     n_pat = [max(len(c.ret) - 1, 1) for c in campaigns]
     total = math.prod(n_pat)
-    if total > cap:
-        raise ValueError(f"enumeration size {total} exceeds cap {cap}")
+    if total > ENUM_CAP:
+        raise ValueError(f"enumeration size {total} exceeds cap {ENUM_CAP}")
 
     cpc = {b.id: b.cpc for b in instance.businesses}
     businesses = instance.businesses
@@ -182,6 +185,8 @@ def enumerate_sos2(
         intervals.append(pats)
 
     nrows = 2 * len(businesses) + 1
+    row_names = [f"business {b.id} {kind}" for b in businesses for kind in ("budget", "click")]
+    row_names.append("impression")
     best_obj = -math.inf
     best_combo: tuple[int, ...] | None = None
     best_t: np.ndarray | None = None
@@ -195,17 +200,18 @@ def enumerate_sos2(
         const = np.zeros(nrows)
         a_ub = np.zeros((nrows, len(campaigns)))
         c_obj = np.zeros(len(campaigns))
-        for i, (c, p) in enumerate(zip(campaigns, pats)):
-            r0, s0, k0, p0 = p["base"]
-            dr, ds, dk, dp = p["delta"]
-            k = bus_pos[c.business_id]
-            const[2 * k] += s0
-            const[2 * k + 1] += k0
-            const[-1] += p0
-            a_ub[2 * k, i] = ds
-            a_ub[2 * k + 1, i] = dk
-            a_ub[-1, i] = dp
-            c_obj[i] = dr
+        with np.errstate(over="ignore"):  # an overflowing constant is refused below
+            for i, (c, p) in enumerate(zip(campaigns, pats)):
+                r0, s0, k0, p0 = p["base"]
+                dr, ds, dk, dp = p["delta"]
+                k = bus_pos[c.business_id]
+                const[2 * k] += s0
+                const[2 * k + 1] += k0
+                const[-1] += p0
+                a_ub[2 * k, i] = ds
+                a_ub[2 * k + 1, i] = dk
+                a_ub[-1, i] = dp
+                c_obj[i] = dr
         # Exact right-hand sides: linprog manages its own feasibility
         # tolerance, and any added slack here would let pattern optima
         # float above the true LP optimum.
@@ -214,6 +220,9 @@ def enumerate_sos2(
             b_ub[2 * k] = b.budget - const[2 * k]
             b_ub[2 * k + 1] = -const[2 * k + 1]
         b_ub[-1] = instance.impression_budget - const[-1]
+        bad = np.flatnonzero(~np.isfinite(b_ub))
+        if bad.size:
+            raise ValueError(f"the {row_names[bad[0]]} row's constant overflows")
 
         res = linprog(
             -c_obj,

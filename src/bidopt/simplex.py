@@ -41,18 +41,15 @@ and the ratio test and the update of the basic values run over them
 alone.  Pricing keeps one direction per variable (+1 at lower, -1 at
 upper, 0 basic or fixed), changed only where a flip or a pivot changes
 a status, so each iteration scores every column with one product.  The
-ratio test visits a handful of entries, so it runs on Python floats:
-the same IEEE operations, in the same order, as numpy's masks.  The
 pivots are the ones the plain dense formulation takes.
 
 The fixed cost of a solve matters as much at tree nodes, whose LPs
 take a few pivots each on a small basis.  The engine keeps the factor
-of the last nonsingular starting basis, and apart from it the verdict on
-the last singular one, so a sibling node starting from the same parent
-basis skips the factorization.  Pricing is skipped when none of its
-inputs changed since the last pricing (a bound flip changes none of them
-in phase 2), and an optimal solution's reduced costs are its final
-stall's phase-2 pricing.  Each of these reuses returns the very numbers
+of the last nonsingular starting basis, so a sibling node starting from
+the same parent basis skips the factorization.  Pricing is skipped when
+none of its inputs changed since the last pricing (a bound flip changes
+none of them in phase 2), and an optimal solution's reduced costs are
+its final stall's phase-2 pricing.  Each of these reuses returns the very numbers
 a recomputation would; the d a dual phase hands over (below) is updated
 instead.
 
@@ -377,13 +374,6 @@ class _Factor:
         return twin
 
 
-class _DualEnd(NamedTuple):
-    """How ``SimplexEngine._dual_phase`` ended."""
-
-    status: str | None
-    neg_d: np.ndarray | None
-
-
 class _SolveState:
     """What the dual phase and the primal loop of one solve share.
     ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` change in place;
@@ -519,11 +509,9 @@ class SimplexEngine:
         # factor and, once a dual phase asked for them, their -d (None
         # until then).  Siblings in a tree start from the same parent
         # basis; keyed on the columns alone, the memo also serves a start
-        # whose nonbasic statuses differ.  The columns of the last singular
-        # start are kept apart, so that their verdict does not evict the
-        # factor of the start that replaced them.
+        # whose nonbasic statuses differ.  A singular start is not kept:
+        # each try of it costs one failed factorization.
         self._start: tuple[bytes | None, _Factor | None, np.ndarray | None] = (None, None, None)
-        self._singular: bytes | None = None
 
     # -- helpers -------------------------------------------------------
 
@@ -722,29 +710,20 @@ class SimplexEngine:
     def _start_factor(self, basis: np.ndarray) -> _Factor | None:
         """A factor of the starting basis, or None when it is singular."""
         key = basis.tobytes()
-        if key == self._singular:
-            return None
         if key != self._start[0]:
             try:
                 factor = self._factorize(basis)
             except RuntimeError:
-                self._singular = key
                 return None
             self._start = (key, factor, None)
         return self._start[1].fresh()
 
-    def _neg_d(self, factor, basis) -> np.ndarray:
-        """The phase-2 -d of a basis, as ``A^T y - c``: exactly ``-(c - A^T y)``."""
-        return self._aug_t @ factor.btran(self.cost[basis]) - self.cost
-
-    def _start_neg_d(self, factor, basis) -> np.ndarray:
-        """-d of the starting basis.  It depends on the basis alone, not on
-        the bounds, so it is kept with the basis's factor."""
-        key, memo_factor, neg_d = self._start
-        if neg_d is None:
-            neg_d = self._neg_d(factor, basis)
-            self._start = (key, memo_factor, neg_d)
-        return neg_d
+    def _neg_d(self, factor, basis, cost=None) -> np.ndarray:
+        """The -d of a basis under ``cost``, as ``A^T y - c``: exactly
+        ``-(c - A^T y)``.  The default is the phase-2 cost; phase 1 passes
+        -1 or +1 on each basic column below or above its bounds, else 0."""
+        cost = self.cost if cost is None else cost
+        return self._aug_t @ factor.btran(cost[basis]) - cost
 
     def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
         return factor.ftran(self.rhs - self._aug @ self._nonbasic_values(vstat, lower, upper))
@@ -837,21 +816,17 @@ class SimplexEngine:
             viol_high = basic_val > ub_b + self.feas_tol
             in_phase1 = bool(viol_low.any() or viol_high.any())
 
-            # neg_d = -d, computed as A^T y - c: exactly -(c - A^T y), where
-            # phase 1's c is c_b on the basic columns and 0 elsewhere.  y
-            # depends only on the factor, its etas and the masks; when none
-            # changed, as after a bound flip in phase 2, the last one holds.
+            # neg_d = -d depends only on the factor, its etas and the masks;
+            # when none changed, as after a bound flip in phase 2, it holds.
             key = (factor, len(factor.etas), viol_low.tobytes(), viol_high.tobytes())
             if key != priced:
                 priced = key
+                cost = None
                 if in_phase1:
-                    c_b = np.zeros(m)
-                    c_b[viol_low] = -1.0
-                    c_b[viol_high] = 1.0
-                    neg_d = self._aug_t @ factor.btran(c_b)
-                    neg_d[basis] -= c_b
-                else:
-                    neg_d = self._neg_d(factor, basis)
+                    cost = np.zeros(n + m)
+                    cost[basis[viol_low]] = -1.0
+                    cost[basis[viol_high]] = 1.0
+                neg_d = self._neg_d(factor, basis, cost)
 
             # score equals |d| on every eligible column, bit for bit, and
             # is <= opt_tol elsewhere: the same argmax and first eligible
@@ -890,8 +865,7 @@ class SimplexEngine:
             sigma = (1.0 if neg_d[j] > 0 else -1.0) if free_var[j] else dirn[j]
             w = factor.ftran(self._column(j))
             # The ratio test runs over the nonzeros of w only: every other
-            # basic variable keeps its value.  A handful of entries, so it
-            # runs on Python floats: the same IEEE operations as numpy's.
+            # basic variable keeps its value.
             idx = np.flatnonzero(w != 0.0)
             rate = sigma * w[idx]
             target_down = lb_b[idx]
@@ -903,21 +877,18 @@ class SimplexEngine:
                     np.where(vh, target_up, np.where(vl, -math.inf, target_down)),
                     np.where(vl, target_down, np.where(vh, math.inf, target_up)),
                 )
-            rates = rate.tolist()
-            ratios = []
-            for r, v, down, up in zip(
-                rates, basic_val[idx].tolist(), target_down.tolist(), target_up.tolist()
-            ):
-                if r > _PIVOT_TOL:
-                    t = (v - down) / r
-                elif r < -_PIVOT_TOL:
-                    t = (up - v) / -r
-                else:
-                    t = math.inf
-                ratios.append(0.0 if t < 0.0 else t)
+            v = basic_val[idx]
+            # the branches np.where discards also divide, and may overflow
+            with np.errstate(all="ignore"):
+                ratios = np.where(
+                    rate > _PIVOT_TOL,
+                    (v - target_down) / rate,
+                    np.where(rate < -_PIVOT_TOL, (target_up - v) / -rate, math.inf),
+                )
+            ratios[ratios < 0.0] = 0.0  # keeps -0.0 and NaN
 
             flip_range = upper[j] - lower[j]
-            t_pivot = min(ratios, default=math.inf)
+            t_pivot = ratios.min(initial=math.inf)
             flip = flip_range <= t_pivot
             if not math.isfinite(flip_range if flip else t_pivot):
                 if in_phase1:
@@ -930,15 +901,14 @@ class SimplexEngine:
                 dirn[j] = -dirn[j]
                 step = flip_range
             else:
-                tie = t_pivot + _TIE_TOL
-                cand = [k for k, t in enumerate(ratios) if t <= tie]
+                cand = np.flatnonzero(ratios <= t_pivot + _TIE_TOL)
                 if not bland:
-                    top = max(abs(rates[k]) for k in cand) - _TIE_TOL
-                    cand = [k for k in cand if abs(rates[k]) >= top]
-                k = min(cand, key=lambda k: basis[idx[k]])
+                    mags = np.abs(rate[cand])
+                    cand = cand[mags >= mags.max() - _TIE_TOL]
+                k = int(cand[np.argmin(basis[idx[cand]])])
                 pos = int(idx[k])
-                step = ratios[k]
-                if rates[k] > 0:
+                step = float(ratios[k])
+                if rate[k] > 0:
                     side = AT_UPPER if viol_high[pos] else AT_LOWER
                 else:
                     side = AT_LOWER if viol_low[pos] else AT_UPPER
@@ -967,15 +937,15 @@ class SimplexEngine:
             basis=vstat.tobytes(),
         )
 
-    def _dual_phase(self, st: _SolveState) -> _DualEnd:
+    def _dual_phase(self, st: _SolveState) -> tuple[str | None, np.ndarray | None]:
         """Bounded dual simplex from the start basis, while it is dual
         feasible.
 
-        Pivots ``st`` in place.  The result's ``neg_d`` is the -d of the
-        final basis, the start's updated from each pivot row, or None when
-        a pivot's entry from the row (btran) and from the column (ftran)
-        disagreed since it was last computed afresh: then the factor has
-        drifted, and the d is not to be believed.  A status of None hands
+        Pivots ``st`` in place and returns ``(status, neg_d)``.  ``neg_d``
+        is the -d of the final basis, the start's updated from each pivot
+        row, or None when a pivot's entry from the row (btran) and from the
+        column (ftran) disagreed since it was last computed afresh: then
+        the factor has drifted, and the d is not to be believed.  A status of None hands
         the basis to the primal loop: the basis is primal feasible, or it
         was never dual feasible, or the dual steps stalled, or a row's
         violation did not survive recomputation, or rounding wiped out a
@@ -983,14 +953,18 @@ class SimplexEngine:
         """
         basis, vstat, dirn, lb_b, ub_b = st.basis, st.vstat, st.dirn, st.lb_b, st.ub_b
         free_cols = st.free_cols
-        neg_d = self._start_neg_d(st.factor, basis)
+        # the start's -d depends on its basis alone: it is kept with the factor
+        key, start_factor, neg_d = self._start
+        if neg_d is None:
+            neg_d = self._neg_d(st.factor, basis)
+            self._start = (key, start_factor, neg_d)
         free_nb = free_cols[vstat[free_cols] != BASIC]
         if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
             np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
         ):
-            return _DualEnd(None, neg_d)
+            return None, neg_d
         if not self.m:  # no row to violate its bounds: the start is optimal
-            return _DualEnd(OPTIMAL, neg_d)
+            return OPTIMAL, neg_d
         neg_d = neg_d.copy()
         agreed = True
         status = None
@@ -1056,4 +1030,4 @@ class SimplexEngine:
             degen_streak = degen_streak + 1 if t <= _TIE_TOL else 0
             if degen_streak >= BLAND_AFTER:
                 break
-        return _DualEnd(status, neg_d if agreed else None)
+        return status, neg_d if agreed else None

@@ -46,6 +46,23 @@ def make_rollback_instance() -> Instance:
     )
 
 
+def make_overflow_instance() -> Instance:
+    """Finite amounts whose row masses overflow.
+
+    Each campaign's level 1 spends 1e308 and puts about 1e308 on the
+    click row, whose right-hand side is 0, so the optimum is all slack,
+    0.  Two such spends sum past the largest float.
+    """
+    return Instance(
+        businesses=(Business("b", 1.5e308, 1.0),),
+        campaigns=tuple(
+            Campaign(cid, "b", 0.5, (0.0, ret), (0.0, 1e8), (0.0, 1e300), (None, None))
+            for cid, ret in (("c1", 5.0), ("c2", 1.0))
+        ),
+        impression_budget=1e301,
+    )
+
+
 def make_nonadjacent_instance() -> Instance:
     """LP optimum mixes levels 1 and 3 (return curve dips at level 2).
 

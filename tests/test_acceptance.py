@@ -6,6 +6,7 @@ fixture (252 small generated instances) is shared across criteria.
 """
 
 import time
+from pathlib import Path
 
 from bidopt.cli import main
 from bidopt.fileio import (
@@ -200,11 +201,11 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
     code = main(["generate", "--businesses", "2", "--campaigns", "3",
                  "--seed", "77", "-o", inst_path])
     assert code == 0
-    first_gen = open(inst_path, "rb").read()
+    first_gen = Path(inst_path).read_bytes()
     code = main(["generate", "--businesses", "2", "--campaigns", "3",
                  "--seed", "77", "-o", inst_path])
     assert code == 0
-    same_gen = open(inst_path, "rb").read() == first_gen
+    same_gen = Path(inst_path).read_bytes() == first_gen
 
     sols = []
     csvs = []
@@ -214,8 +215,8 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
         assert main(["solve", inst_path, "--strategy", "2", "--prove",
                      "--gap", "0", "--omit-timing", "-o", sol_path]) == 0
         assert main(["bench", inst_path, "--omit-timing", "-o", csv_path]) == 0
-        sols.append(open(sol_path, "rb").read())
-        csvs.append(open(csv_path, "rb").read())
+        sols.append(Path(sol_path).read_bytes())
+        csvs.append(Path(csv_path).read_bytes())
 
     ok = same_gen and sols[0] == sols[1] and csvs[0] == csvs[1]
     announce(

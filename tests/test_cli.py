@@ -25,7 +25,7 @@ from bidopt.fileio import (
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import Instance, build_model
 
-from conftest import make_nonadjacent_instance, make_t1
+from conftest import make_nonadjacent_instance, make_overflow_instance, make_t1
 
 
 @pytest.fixture
@@ -453,6 +453,17 @@ class TestNoTraceback:
         assert "Traceback" not in done.stderr + done.stdout
         oracle = run_child("oracle", path, "--sos", sos).stdout.splitlines()[0]
         assert done.stdout.splitlines()[:2] == ["STATUS optimal", oracle]
+
+    def test_oracle_row_masses_that_overflow(self, tmp_path):
+        p = tmp_path / "overflow.json"
+        p.write_text(instance_to_json(make_overflow_instance()))
+        done = run_child("oracle", str(p))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.splitlines()[0] == f"OBJECTIVE {0.0:.12f}"
+        assert done.stderr == ""
+        done = run_child("oracle", str(p), "--sos", "2")
+        assert done.returncode == EXIT_INPUT, done.stdout
+        assert done.stderr == "error: the business b budget row's constant overflows\n"
 
     def test_campaignless_sos2_oracle(self, tmp_path):
         p = tmp_path / "empty.json"

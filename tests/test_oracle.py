@@ -8,6 +8,8 @@ from bidopt.generate import GenParams, generate_instance
 from bidopt.model import Business, Campaign, Instance
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 
+from conftest import make_overflow_instance
+
 FRAC = 900.0 / 11.0
 
 
@@ -52,11 +54,20 @@ class TestEdgeCases:
         obj2, _ = enumerate_sos2(inst)
         assert abs(obj2) <= 1e-9
 
-    def test_cap_exceeded(self, t1_instance):
+    def test_cap_exceeded(self, t1_instance, monkeypatch):
+        monkeypatch.setattr("bidopt.oracle.ENUM_CAP", 2)
         with pytest.raises(ValueError, match="exceeds cap"):
-            enumerate_sos1(t1_instance, cap=2)
+            enumerate_sos1(t1_instance)
+        monkeypatch.setattr("bidopt.oracle.ENUM_CAP", 1)
         with pytest.raises(ValueError, match="exceeds cap"):
-            enumerate_sos2(t1_instance, cap=1)
+            enumerate_sos2(t1_instance)
+
+    def test_row_masses_that_overflow(self):
+        # the slacks must stay finite, so that the click row forbids level 1
+        inst = make_overflow_instance()
+        assert enumerate_sos1(inst) == (0.0, {"c1": 0, "c2": 0})
+        with pytest.raises(ValueError, match="the business b budget row's constant overflows"):
+            enumerate_sos2(inst)
 
     def test_sos1_choice_passes_verifier(self, t1_instance):
         _, choice = enumerate_sos1(t1_instance)
