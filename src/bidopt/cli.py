@@ -8,10 +8,9 @@ unbounded).
 
 Tolerances can be overridden through environment variables:
 BIDOPT_FEAS_TOL, BIDOPT_OPT_TOL (simplex), BIDOPT_ZERO_TOL,
-BIDOPT_NEAR_ONE_TOL, BIDOPT_RC_TOL (fixing strategies) and BIDOPT_GAP
-(branch-and-bound pruning gap, also settable per run with --gap).
-Both ``solve`` and ``bench`` honour them; an out-of-range value is an
-input error.
+BIDOPT_NEAR_ONE_TOL and BIDOPT_RC_TOL (fixing strategies).  Both
+``solve`` and ``bench`` honour them; an out-of-range value is an input
+error.  The branch-and-bound pruning gap is set per run with --gap.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ _TOLERANCES = (
     ("zero_tol", "BIDOPT_ZERO_TOL", search.ZERO_TOL, _NONNEGATIVE),
     ("near_one_tol", "BIDOPT_NEAR_ONE_TOL", search.NEAR_ONE_TOL, _UNIT_INTERVAL),
     ("rc_tol", "BIDOPT_RC_TOL", search.RC_TOL, _NONNEGATIVE),
-    ("gap", "BIDOPT_GAP", search.GAP, _NONNEGATIVE),
 )
 
 
@@ -102,7 +100,7 @@ def _add_limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, metavar="S", default=None)
     p.add_argument("--node-limit", type=int, metavar="N", default=None)
     p.add_argument("--gap", type=float, default=None,
-                   help="relative pruning gap (default 1e-4 or BIDOPT_GAP)")
+                   help="relative pruning gap (default 1e-4)")
     p.add_argument("--omit-timing", action="store_true",
                    help="write '-' for timing fields (byte-stable output)")
 
@@ -175,10 +173,8 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _limits_from(args, tol) -> search.SearchLimits:
-    gap = tol["gap"]
-    if args.gap is not None:
-        gap = _check_range("--gap", args.gap, _NONNEGATIVE)
+def _limits_from(args) -> search.SearchLimits:
+    gap = search.GAP if args.gap is None else _check_range("--gap", args.gap, _NONNEGATIVE)
     if args.time_limit is not None:
         _check_range("--time-limit", args.time_limit, _NONNEGATIVE)
     if args.node_limit is not None:
@@ -219,7 +215,7 @@ def _cmd_solve(args) -> int:
         _emit(fileio.write_mps(model), args.mps_out)
 
     report, values = _branch_and_bound(
-        model, args.strategy, _limits_from(args, tol), tol
+        model, args.strategy, _limits_from(args), tol
     )
     _emit(
         fileio.write_solution(
@@ -285,7 +281,7 @@ CSV_COLUMNS = (
 def run_benchmark(
     instances,
     strategies=("1", "2", "3"),
-    limits: search.SearchLimits | None = None,
+    limits: search.SearchLimits = search.SearchLimits(),
     omit_timing: bool = False,
 ) -> str:
     """One CSV row per (instance, strategy).
@@ -297,8 +293,6 @@ def run_benchmark(
     ????.
     """
     tol = _tolerances()
-    if limits is None:
-        limits = search.SearchLimits(gap=tol["gap"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -309,7 +303,6 @@ def run_benchmark(
     for number, instance in enumerate(instances, start=1):
         base = build_model(instance)
         for strat in strategies:
-            strat = str(strat)
             model = search.relax_to_sos2(base) if strat == "3" else base
             report, _ = _branch_and_bound(model, strat, limits, tol)
             if omit_timing:
@@ -332,7 +325,7 @@ def run_benchmark(
 
 
 def _cmd_bench(args) -> int:
-    limits = _limits_from(args, _tolerances())
+    limits = _limits_from(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in search.STRATEGIES:

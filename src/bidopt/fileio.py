@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .model import Business, Campaign, Instance, LpModel, build_model
-from .search import SolveReport, interpolate_bids
+from .search import ZERO_TOL, SolveReport, interpolate_bids
 
 VERIFY_TOL = 1e-6
 VERIFY_ZERO_TOL = 1e-6
@@ -182,7 +182,9 @@ def write_mps(model: LpModel) -> str:
     (row, value) pair per COLUMNS/RHS line.  The objective row is COST;
     a leading comment records that it is maximized.  Stored coefficients
     (including explicit zeros) are written verbatim, column-major, so a
-    read reproduces the model exactly.
+    read reproduces the model exactly.  Every lower bound must be 0, the
+    MPS default, or ValueError names the column; a finite upper bound is
+    an UP line, an infinite one has none.
     """
     for nm in (*model.column_names, *model.row_names, *model.sos_names):
         if not nm or any(ch.isspace() for ch in nm):
@@ -220,16 +222,8 @@ def write_mps(model: LpModel) -> str:
 
     out.append("BOUNDS")
     for col_name, lo, hi in zip(model.column_names, model.lower.tolist(), model.upper.tolist()):
-        if lo == hi:
-            out.append(f" FX {_pad('BND')}{_pad(col_name)}{_num(lo)}")
-            continue
-        if lo == -math.inf and hi == math.inf:
-            out.append(f" FR {_pad('BND')}{_pad(col_name)}")
-            continue
-        if lo == -math.inf:
-            out.append(f" MI {_pad('BND')}{_pad(col_name)}")
-        elif lo != 0.0:
-            out.append(f" LO {_pad('BND')}{_pad(col_name)}{_num(lo)}")
+        if lo != 0.0:
+            raise ValueError(f"column {col_name!r} has lower bound {lo!r}; the MPS subset has 0 only")
         if hi != math.inf:
             out.append(f" UP {_pad('BND')}{_pad(col_name)}{_num(hi)}")
 
@@ -253,10 +247,13 @@ class MpsParseError(ValueError):
 def read_mps(text: str) -> LpModel:
     """Parse the subset emitted by write_mps.
 
-    Raises MpsParseError with a line number for malformed sections,
-    an objective sense other than MAXIMIZE, unknown row or column
-    references, non-finite numbers and a set header whose type differs
-    from the first one's, and for a set that is no run of columns: each
+    Every lower bound is 0; BOUNDS holds only ``UP <set> <column> <value>``
+    lines, and a column without one has no upper bound.  Raises
+    MpsParseError with a line number for any other bound kind, a RANGES
+    or other unknown section, malformed sections, an objective sense
+    other than MAXIMIZE, unknown row or column references, non-finite
+    numbers and a set header whose type differs from the first one's,
+    and for a set that is no run of columns: each
     member must be the next column, from column 0 on across the sets,
     weighted by its position 0, 1, ... in its set, and each set needs a
     member.  A file without sets reads as SOS1.
@@ -271,7 +268,6 @@ def read_mps(text: str) -> LpModel:
     row_vals: list[list[float]] = []
     col_index: dict[str, int] = {}
     objective: list[float] = []
-    lower: list[float] = []
     upper: list[float] = []
     sos_names: list[str] = []
     sos_starts: list[int] = []
@@ -305,7 +301,7 @@ def read_mps(text: str) -> LpModel:
             keyword = raw.strip().split()[0]
             if keyword == "NAME":
                 continue
-            if keyword in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "SOS"):
+            if keyword in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "SOS"):
                 section = keyword
                 continue
             if keyword == "ENDATA":
@@ -340,7 +336,6 @@ def read_mps(text: str) -> LpModel:
             j = col_index.setdefault(cname, len(objective))
             if j == len(objective):  # a new column
                 objective.append(0.0)
-                lower.append(0.0)
                 upper.append(math.inf)
             if rname == "COST":
                 objective[j] = val
@@ -356,35 +351,15 @@ def read_mps(text: str) -> LpModel:
             if rname not in row_index:
                 raise MpsParseError(ln, f"unknown row {rname!r}")
             rhs[row_index[rname]] = parse_float(vtok, ln)
-        elif section == "RANGES":
-            raise MpsParseError(ln, "RANGES entries are not part of the format subset")
         elif section == "BOUNDS":
-            kind = tokens[0]
-            if kind in ("FR", "MI", "PL"):
-                if len(tokens) != 3:
-                    raise MpsParseError(ln, f"expected '{kind} <set> <column>'")
-                cname = tokens[2]
-                vtok = None
-            else:
-                if len(tokens) != 4 or kind not in ("UP", "LO", "FX"):
-                    raise MpsParseError(ln, "expected '<UP|LO|FX|FR|MI|PL> <set> <column> [value]'")
-                cname = tokens[2]
-                vtok = tokens[3]
-            j = col_index.get(cname)
+            if tokens[0] != "UP":
+                raise MpsParseError(ln, f"bound kind {tokens[0]!r} is not part of the format subset")
+            if len(tokens) != 4:
+                raise MpsParseError(ln, "expected 'UP <set> <column> <value>'")
+            j = col_index.get(tokens[2])
             if j is None:
-                raise MpsParseError(ln, f"unknown column {cname!r}")
-            if kind == "FR":
-                lower[j], upper[j] = -math.inf, math.inf
-            elif kind == "MI":
-                lower[j] = -math.inf
-            elif kind == "PL":
-                upper[j] = math.inf
-            elif kind == "LO":
-                lower[j] = parse_float(vtok, ln)
-            elif kind == "UP":
-                upper[j] = parse_float(vtok, ln)
-            else:  # FX
-                lower[j] = upper[j] = parse_float(vtok, ln)
+                raise MpsParseError(ln, f"unknown column {tokens[2]!r}")
+            upper[j] = parse_float(tokens[3], ln)
         elif section == "SOS":
             if tokens[0] in ("S1", "S2"):
                 if len(tokens) != 2:
@@ -412,10 +387,8 @@ def read_mps(text: str) -> LpModel:
                 if parse_float(wtok, ln) != at:
                     raise MpsParseError(ln, f"weight {wtok} of {cname!r} is not its position {at}")
                 members += 1
-        elif section is None:
-            raise MpsParseError(ln, "data line outside any section")
         else:
-            raise MpsParseError(ln, f"unhandled section {section!r}")
+            raise MpsParseError(ln, "data line outside any section")
 
     if not saw_endata:
         raise MpsParseError(len(text.splitlines()) + 1, "missing ENDATA")
@@ -423,7 +396,7 @@ def read_mps(text: str) -> LpModel:
         raise MpsParseError(sos_line, f"set {sos_names[-1]!r} has no members")
 
     return LpModel(
-        tuple(col_index), *(np.array(a, float) for a in (objective, lower, upper)),
+        tuple(col_index), np.array(objective, float), np.zeros(len(upper)), np.array(upper, float),
         tuple(row_index), "".join(senses), np.array(rhs, float),
         np.cumsum([0, *map(len, row_cols)], dtype=np.intp),
         np.array([*chain.from_iterable(row_cols)], np.intp),
@@ -576,7 +549,7 @@ def write_solution(
     solution,
     model: LpModel,
     omit_timing: bool = False,
-    zero_tol: float = VERIFY_ZERO_TOL,
+    zero_tol: float = ZERO_TOL,
 ) -> str:
     """Headers, one COLUMN line per nonzero value, one BID line per
     campaign whose interpolated bid is defined."""

@@ -155,13 +155,32 @@ def enumerate_sos2(
     businesses = instance.businesses
     bus_pos = {b.id: k for k, b in enumerate(businesses)}
 
+    # Rows 2k and 2k + 1 are business k's budget and click rows, the last
+    # the impression row; a click row's bound -0.0 makes rhs - const equal
+    # -const bit for bit.  A row whose mass, |bound| plus each campaign's
+    # largest |term| (summed as integers, which cannot overflow), reaches
+    # 2**40 is divided by 2**e, e the mass's frexp exponent, so that its
+    # constants stay finite and of a size linprog handles; every other row
+    # keeps its numbers bit for bit.
+    bounds = [x for b in businesses for x in (b.budget, -0.0)] + [instance.impression_budget]
+    mass = [int(abs(x)) for x in bounds]
+    for c in campaigns:
+        k, q = 2 * bus_pos[c.business_id], cpc[c.business_id] * c.ctr
+        mass[k] += int(max(p * a for p, a in zip(c.impressions, c.ad_value)))
+        mass[k + 1] += int(max(abs(p * (a - q)) for p, a in zip(c.impressions, c.ad_value)))
+        mass[-1] += int(max(c.impressions))
+    shift = [-m.bit_length() if m >= 2**40 else 0 for m in mass]
+    rhs = np.ldexp(bounds, shift)
+
     # Interval (j, j+1): contribution = value(hi) + t * (value(lo) - value(hi)),
     # t in [0, 1] the weight on the lower level.  Single-member campaigns
     # (slack only) contribute the slack level as a constant and carry the
     # degenerate interval (0, 0).
     def quantities(c, j):
-        p, a = c.impressions[j], c.ad_value[j]
-        return c.ret[j], p * a, p * (a - cpc[c.business_id] * c.ctr), p
+        p, a, k = c.impressions[j], c.ad_value[j], 2 * bus_pos[c.business_id]
+        spend, click = p * a, p * (a - cpc[c.business_id] * c.ctr)
+        return (c.ret[j], math.ldexp(spend, shift[k]), math.ldexp(click, shift[k + 1]),
+                math.ldexp(p, shift[-1]))
 
     intervals: list[list[dict]] = []
     for c in campaigns:
@@ -184,9 +203,6 @@ def enumerate_sos2(
                 )
         intervals.append(pats)
 
-    nrows = 2 * len(businesses) + 1
-    row_names = [f"business {b.id} {kind}" for b in businesses for kind in ("budget", "click")]
-    row_names.append("impression")
     best_obj = -math.inf
     best_combo: tuple[int, ...] | None = None
     best_t: np.ndarray | None = None
@@ -197,32 +213,24 @@ def enumerate_sos2(
         if ub <= best_obj + 1e-9:
             continue
 
-        const = np.zeros(nrows)
-        a_ub = np.zeros((nrows, len(campaigns)))
+        const = np.zeros(len(rhs))
+        a_ub = np.zeros((len(rhs), len(campaigns)))
         c_obj = np.zeros(len(campaigns))
-        with np.errstate(over="ignore"):  # an overflowing constant is refused below
-            for i, (c, p) in enumerate(zip(campaigns, pats)):
-                r0, s0, k0, p0 = p["base"]
-                dr, ds, dk, dp = p["delta"]
-                k = bus_pos[c.business_id]
-                const[2 * k] += s0
-                const[2 * k + 1] += k0
-                const[-1] += p0
-                a_ub[2 * k, i] = ds
-                a_ub[2 * k + 1, i] = dk
-                a_ub[-1, i] = dp
-                c_obj[i] = dr
+        for i, (c, p) in enumerate(zip(campaigns, pats)):
+            r0, s0, k0, p0 = p["base"]
+            dr, ds, dk, dp = p["delta"]
+            k = bus_pos[c.business_id]
+            const[2 * k] += s0
+            const[2 * k + 1] += k0
+            const[-1] += p0
+            a_ub[2 * k, i] = ds
+            a_ub[2 * k + 1, i] = dk
+            a_ub[-1, i] = dp
+            c_obj[i] = dr
         # Exact right-hand sides: linprog manages its own feasibility
         # tolerance, and any added slack here would let pattern optima
         # float above the true LP optimum.
-        b_ub = np.empty(nrows)
-        for k, b in enumerate(businesses):
-            b_ub[2 * k] = b.budget - const[2 * k]
-            b_ub[2 * k + 1] = -const[2 * k + 1]
-        b_ub[-1] = instance.impression_budget - const[-1]
-        bad = np.flatnonzero(~np.isfinite(b_ub))
-        if bad.size:
-            raise ValueError(f"the {row_names[bad[0]]} row's constant overflows")
+        b_ub = rhs - const
 
         res = linprog(
             -c_obj,

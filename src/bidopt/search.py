@@ -352,7 +352,7 @@ def interpolate_bids(
 
 def branch_and_bound(
     model: LpModel,
-    strategy: str | int | None = "none",
+    strategy: str = "none",
     limits: SearchLimits | None = None,
     near_one_tol: float = NEAR_ONE_TOL,
     zero_tol: float = ZERO_TOL,
@@ -365,7 +365,6 @@ def branch_and_bound(
     SOS2 model (relax_to_sos2 first).  Degradation is always
     reported against the root LP relaxation, solved before any fixing.
     """
-    strategy = "none" if strategy in (None, "none") else str(strategy)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if limits is None:

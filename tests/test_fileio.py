@@ -70,6 +70,8 @@ ENDATA
 """
 
 SOS_LINE = T1_MPS.splitlines().index(" S1 S_c1") + 1  # the set's header
+UP_LINE = " UP BND                 D_c1_1              1.0"
+BOUND_LINE = T1_MPS.splitlines().index(UP_LINE) + 1  # column D_c1_1's bound
 
 T1_JSON = """\
 {
@@ -299,6 +301,13 @@ class TestMpsWrite:
     def test_deterministic(self, t1_model):
         assert write_mps(t1_model) == write_mps(t1_model)
 
+    @pytest.mark.parametrize("lower", [0.5, -math.inf])
+    def test_lower_bound_other_than_zero_raises(self, t1_model, lower):
+        bounds = t1_model.lower.copy()
+        bounds[1] = lower
+        with pytest.raises(ValueError, match=f"column 'D_c1_1' has lower bound {lower!r}"):
+            write_mps(dataclasses.replace(t1_model, lower=bounds))
+
 
 class TestMpsRead:
     def test_round_trip_t1(self, t1_model):
@@ -333,7 +342,7 @@ class TestMpsRead:
         text = (
             "ROWS\n N  COST\n E  g\n L  link\nCOLUMNS\n"
             "    x  COST  2.0\n    x  g  1.0\n    x  g  0.5\n    x  link  0.0\n"
-            "    y  g  1.0\n    y  link  -3.0\nBOUNDS\n FR BND  y\nENDATA\n"
+            "    y  g  1.0\n    y  link  -3.0\nENDATA\n"
         )
         model = read_mps(text)
         assert model.rows[0].coeffs == ((0, 1.0), (0, 0.5), (1, 1.0))
@@ -396,6 +405,20 @@ class TestMpsRead:
             # the second set's header, where ENDATA was, names the other type
             (lambda t: t.replace("ENDATA\n", " S2 S_x\n    D_c1_0              0.0\nENDATA\n"),
              f"MPS line {T1_MPS.splitlines().index('ENDATA') + 1}: S2 set in an S1 model"),
+            # UP is the only bound kind: every other one fails at its line
+            *(
+                (lambda t, line=line: t.replace(UP_LINE, line),
+                 f"MPS line {BOUND_LINE}: bound kind '{line.split()[0]}' is not part of")
+                for line in (
+                    " LO BND                 D_c1_1              0.0",
+                    " FX BND                 D_c1_1              1.0",
+                    " FR BND                 D_c1_1",
+                    " MI BND                 D_c1_1",
+                    " PL BND                 D_c1_1",
+                )
+            ),
+            (lambda t: t.replace(UP_LINE, " UP BND                 D_c1_1"),
+             f"MPS line {BOUND_LINE}: expected 'UP <set> <column> <value>'"),
         ],
     )
     def test_parse_errors(self, mutate, message):

@@ -66,8 +66,25 @@ class TestEdgeCases:
         # the slacks must stay finite, so that the click row forbids level 1
         inst = make_overflow_instance()
         assert enumerate_sos1(inst) == (0.0, {"c1": 0, "c2": 0})
-        with pytest.raises(ValueError, match="the business b budget row's constant overflows"):
-            enumerate_sos2(inst)
+        # rows divided by a power of two keep their constants finite
+        assert enumerate_sos2(inst) == (0.0, {"c1": ((0,), (1.0,)), "c2": ((0,), (1.0,))})
+
+    def test_rows_divided_by_a_power_of_two_keep_the_optimum(self, t1_instance):
+        # T1 with impressions and both budgets times 2**60: every row's mass
+        # reaches 2**40, so every row is divided, and the optimum stays
+        big = 2.0**60
+        (c,) = t1_instance.campaigns
+        inst = dataclasses.replace(
+            t1_instance,
+            businesses=tuple(
+                dataclasses.replace(b, budget=b.budget * big) for b in t1_instance.businesses
+            ),
+            campaigns=(dataclasses.replace(c, impressions=tuple(p * big for p in c.impressions)),),
+            impression_budget=t1_instance.impression_budget * big,
+        )
+        obj, assign = enumerate_sos2(inst)
+        assert math.isclose(obj, FRAC, rel_tol=1e-9)
+        assert assign["c1"][0] == (1, 2)
 
     def test_sos1_choice_passes_verifier(self, t1_instance):
         _, choice = enumerate_sos1(t1_instance)

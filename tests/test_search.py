@@ -473,12 +473,10 @@ class TestBranchAndBound:
         assert report.incumbent_objective is None
 
     def test_bad_strategy_name(self, t1_model):
-        with pytest.raises(ValueError, match="strategy"):
-            branch_and_bound(t1_model, strategy="4")
-
-    def test_integer_strategy_accepted(self, t1_model):
-        report, _ = branch_and_bound(t1_model, strategy=2, limits=PROVE)
-        assert report.strategy == "2"
+        # only the names in STRATEGIES: no number, no None
+        for strategy in ("4", 2, None):
+            with pytest.raises(ValueError, match="strategy must be one of"):
+                branch_and_bound(t1_model, strategy=strategy)
 
     def test_deterministic(self, t1_model):
         runs = [branch_and_bound(t1_model, strategy="2", limits=PROVE) for _ in range(2)]
