@@ -107,22 +107,24 @@ through the same check.
 A model with many GUB rows per linking row (at least ``_GUB_PER_LINK``;
 the acceptance scale models have over a hundred, the tree and suite
 models fewer than six) first estimates u for the crash.  The estimate
-minimizes the Lagrangian dual function L(u) of the linking rows, whose
-every evaluation picks each GUB row's best column at u in one pass over
-the columns, by cutting planes (Kelley, "The cutting-plane method for
-solving convex programs", J. SIAM 1960) kept in a box around the best u
-so far, the box doubling on each step that lowers L enough (Marsten,
-Hogan & Blankenship, "The boxstep method for large-scale optimization",
-Oper. Res. 1975; du Merle, Villeneuve, Desrosiers & Hansen, "Stabilized
-column generation", Discrete Math. 1999).  Each round's master LP, one
-row per cut, is solved by a nested engine warm from the last round's
-basis.  The linking logicals stay basic, so y_L = 0 and the crash is in
-general not dual feasible: the primal loop solves from it.  An estimate
-that fails (L not finite, a master that does not end optimal, or no
-convergence within ``_ESTIMATE_ROUNDS`` rounds, as when the linking rows
-cannot be met) leaves the crash at u = 0.  Where L bounds the LP, linking
-rows that cannot be met end it sooner, once L falls below the lowest
-objective that any x meeting the GUB rows reaches.
+minimizes the Lagrangian dual function L(u) of the linking rows by
+cutting planes (Kelley, "The cutting-plane method for solving convex
+programs", J. SIAM 1960) kept in a box around the best u so far, the
+box doubling on each step that lowers L enough (Marsten, Hogan &
+Blankenship, "The boxstep method for large-scale optimization", Oper.
+Res. 1975; du Merle, Villeneuve, Desrosiers & Hansen, "Stabilized
+column generation", Discrete Math. 1999).  Each evaluation of L prices
+the columns through the linking rows' block of ``[A I]`` alone and picks
+each GUB row's best column at u in one pass over the candidates.  Each
+round's master LP, one row per cut, is solved by a nested engine warm
+from the last round's basis.  The linking logicals stay basic, so
+y_L = 0 and the crash is in general not dual feasible: the primal loop
+solves from it.  An estimate that fails (L not finite, a master that
+does not end optimal, or no convergence within ``_ESTIMATE_ROUNDS``
+rounds, as when the linking rows cannot be met) leaves the crash at
+u = 0.  Where L bounds the LP, linking rows that cannot be met end it
+sooner, once L falls below the lowest objective that any x meeting the
+GUB rows reaches.
 
 Every model maximizes its objective; the engine minimizes its negation.
 The reported objective and reduced costs are the model's own, so at
@@ -222,8 +224,10 @@ def _gub_blocks(aug: scipy.sparse.csc_matrix, equality: np.ndarray) -> _Blocks:
     rows = aug.indices[nz]
     cols = np.arange(ncols).repeat(np.diff(aug.indptr))[nz]
     data = aug.data[nz]
-    disjoint = np.bincount(cols[equality[rows]], minlength=ncols).max(initial=0) <= 1
-    is_gub = equality & (disjoint and np.count_nonzero(equality) >= 2)
+    is_gub = equality & (
+        np.count_nonzero(equality) >= 2
+        and np.bincount(cols[equality[rows]], minlength=ncols).max(initial=0) <= 1
+    )
     gub_rows = is_gub.nonzero()[0]
     link_rows = (~is_gub).nonzero()[0]
     perm = np.concatenate((gub_rows, link_rows))
@@ -491,7 +495,7 @@ class SimplexEngine:
         indices = np.concatenate((rows, np.arange(m)))
         data = np.concatenate((vals, np.ones(m)))
         self._aug = scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, n + m))
-        self._aug_t = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + m, m))
+        self._aug_t = self._aug.T
         self.rhs = model.rhs * scale
 
         self._obj = model.objective
@@ -536,18 +540,22 @@ class SimplexEngine:
     def _best_columns(self, lower, upper):
         """``best(p)``: each GUB row's best column at prices p, in slot order.
         Of the row's movable columns with a positive entry it has the lowest
-        ``p_j / gval_j``, ties to the lowest index; rows without one have none."""
+        ``p_j / gval_j``, ties to the lowest index; rows without one have none.
+        A pick is linear in the candidates: ``np.minimum.at`` gives each
+        row's lowest unit price, and of the candidates that meet it, which
+        are in slot order, each row keeps its first."""
         blocks = self._blocks
         cand = np.flatnonzero((blocks.gval > 0.0) & (upper > lower))
         cand = cand[np.argsort(blocks.slot[cand], kind="stable")]
-        starts = np.flatnonzero(np.diff(blocks.slot[cand], prepend=-1))
-        sizes = np.diff(starts, append=cand.size)
+        row = blocks.slot[cand]
         gval = blocks.gval[cand]
 
         def best(price):
             unit = price[cand] / gval
-            hit = np.flatnonzero(unit == np.minimum.reduceat(unit, starts).repeat(sizes))
-            return cand[hit[np.searchsorted(hit, starts)]]
+            low = np.full(blocks.gub_rows.size, math.inf)
+            np.minimum.at(low, row, unit)
+            hit = np.flatnonzero(unit == low[row])
+            return cand[hit[np.diff(row[hit], prepend=-1) != 0]]
 
         return best
 
@@ -558,16 +566,20 @@ class SimplexEngine:
         linking-row multipliers ``u``, ``cost + A_L^T u``: the Lagrangian's
         choice at u."""
         vstat = self._cold_vstat(lower, upper)
-        best = self._best_columns(lower, upper)(self.cost if u is None else self._priced(u))
+        price = self.cost if u is None else self.cost + self._linking_t() @ u
+        best = self._best_columns(lower, upper)(price)
         vstat[best] = BASIC
         vstat[self.n + self._blocks.gub_rows[self._blocks.slot[best]]] = AT_LOWER
         return vstat
 
-    def _priced(self, u: np.ndarray) -> np.ndarray:
-        """``cost + A_L^T u``: the costs with the linking rows priced at u."""
-        y = np.zeros(self.m)
-        y[self._blocks.perm[self._blocks.gub_rows.size:]] = u
-        return self.cost + self._aug_t @ y
+    def _linking_t(self) -> scipy.sparse.csr_matrix:
+        """``A_L^T``: the linking rows of ``[A I]`` as ``_Blocks`` holds them,
+        read in CSR as the transpose; its ``.T`` is ``A_L`` in CSC."""
+        blocks = self._blocks
+        return scipy.sparse.csr_matrix(
+            (blocks.data, blocks.indices, blocks.indptr),
+            shape=(self.n + self.m, self.m - blocks.gub_rows.size),
+        )
 
     def _lagrangian(self, lower, upper):
         """The Lagrangian dual function of the linking rows under the bounds
@@ -584,7 +596,10 @@ class SimplexEngine:
         every lower bound is 0 and every GUB entry and right-hand side is
         nonnegative, L(u) is at least ``max c^T x`` for every u >= 0.  The
         subgradient is ``b_L - A_L x(u)``.  L is +inf when a column outside
-        the GUB rows has an infinite bound on its favoured side.
+        the GUB rows has an infinite bound on its favoured side.  Both
+        products run over the linking block alone (``_linking_t``):
+        the GUB rows' entries would add only zeros, so every bit is that of
+        the products with all of ``[A I]``.
 
         Under those same conditions the floor is the lowest ``c^T x`` of
         any x that meets the GUB rows and the bounds, the same pass at
@@ -592,8 +607,9 @@ class SimplexEngine:
         linking rows.  Otherwise the floor is -inf.
         """
         blocks = self._blocks
-        link = blocks.perm[blocks.gub_rows.size:]
-        b_link = self.rhs[link]
+        b_link = self.rhs[blocks.perm[blocks.gub_rows.size:]]
+        a_link_t = self._linking_t()
+        a_link = a_link_t.T
         best = self._best_columns(lower, upper)
         out = np.flatnonzero(blocks.slot < 0)
         out_lo, out_up = lower[out], upper[out]
@@ -609,10 +625,10 @@ class SimplexEngine:
             return x
 
         def evaluate(u):
-            price = self._priced(u)
+            price = self.cost + a_link_t @ u
             x = argmax(price)
             value = float(u @ b_link - price @ x)
-            return value, b_link - (self._aug @ x)[link]
+            return value, b_link - a_link @ x
 
         floor = -math.inf
         if (
@@ -648,17 +664,23 @@ class SimplexEngine:
         ``g_k^T v - t <= L(centre) - L(u_k) - g_k^T (centre - u_k)`` per cut,
         with v in the box and u >= 0: every linking row is a <= row.
         Its matrix is the dense block of the cuts' subgradients beside a
-        column of -1s for t.  It is solved by a nested engine, warm from
-        the last master's optimal basis plus the new row's logical: that
-        basis stays dual feasible, and the new cut cuts off its minimizer,
-        so the dual phase re-solves it.
+        column of -1s for t, written one row per round into arrays made for
+        ``_ESTIMATE_ROUNDS`` rows, of which each master views the rows so
+        far.  It is solved by a nested engine, warm from the last master's
+        optimal basis plus the new row's logical: that basis stays dual
+        feasible, and the new cut cuts off its minimizer, so the dual phase
+        re-solves it.
         """
         evaluate, floor = self._lagrangian(lower, upper)
         l = self.m - self._blocks.gub_rows.size
         u = centre = np.zeros(l)
         value, grad = evaluate(u)
         top = value
-        grads, intercepts, cut_names = [], [], []
+        cuts = np.full((_ESTIMATE_ROUNDS, l + 1), -1.0)
+        intercepts = np.empty(_ESTIMATE_ROUNDS)
+        indptr = np.arange(0, (_ESTIMATE_ROUNDS + 1) * (l + 1), l + 1)
+        indices = np.tile(np.arange(l + 1), _ESTIMATE_ROUNDS)
+        cut_names = tuple(f"cut{k}" for k in range(_ESTIMATE_ROUNDS))
         column_names = tuple(f"v{i}" for i in range(l)) + ("t",)
         objective = -np.append(np.zeros(l), 1.0)
         box = 1.0
@@ -667,19 +689,16 @@ class SimplexEngine:
             if not math.isfinite(value):
                 return None
             # the cut t >= L(u) + g^T (. - u) of the last evaluation
-            grads.append(grad)
-            intercepts.append(value - grad @ u)
-            cut_names.append(f"cut{k}")
-            cuts = np.array(grads)
-            excess = top - np.array(intercepts) - cuts @ centre
+            cuts[k, :l] = grad
+            intercepts[k] = value - grad @ u
+            excess = top - intercepts[: k + 1] - cuts[: k + 1, :l] @ centre
             # 0.0 - centre, not -centre, whose -0.0 bounds change the masters' solutions
             low = np.maximum(0.0 - centre, -box)
             master = LpModel(
                 column_names, objective,
                 np.append(low, -math.inf), np.append(np.full(l, box), math.inf),
-                tuple(cut_names), "L" * (k + 1), excess,
-                np.arange(0, (k + 2) * (l + 1), l + 1), np.tile(np.arange(l + 1), k + 1),
-                np.column_stack((cuts, np.full(k + 1, -1.0))).ravel(),
+                cut_names[: k + 1], "L" * (k + 1), excess,
+                indptr[: k + 2], indices[: (k + 1) * (l + 1)], cuts[: k + 1].ravel(),
             )
             try:
                 engine = SimplexEngine(master, self.feas_tol, self.opt_tol)

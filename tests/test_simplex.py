@@ -9,6 +9,8 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidopt import simplex
 from bidopt.fileio import read_mps
@@ -1193,6 +1195,47 @@ class TestCrash:
         assert sol.status == OPTIMAL and ref.status == 0
         assert abs(sol.objective + ref.fun) <= 1e-9
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_best_columns_against_a_row_by_row_argmin(self, data):
+        # GUB rows of 1-6 columns, and some of 20-40 among them, shuffled
+        # among columns outside them, GUB entries of both signs, fixed
+        # columns (a row may have only those) and unit prices that tie:
+        # each row's pick is the lowest p_j / gval_j of its movable columns
+        # with a positive entry, ties to the lowest index, and a row
+        # without one has no pick
+        sizes = data.draw(
+            st.lists(st.integers(1, 6) | st.integers(20, 40), min_size=1, max_size=8)
+        )
+        slot = [g for g, size in enumerate(sizes) for _ in range(size)]
+        slot += [-1] * data.draw(st.integers(0, 4))
+        slot = np.array(data.draw(st.permutations(slot)), np.intp)
+        n = slot.size
+
+        def column_values(elements):
+            return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), float)
+
+        gval = np.where(slot >= 0, column_values(st.sampled_from([0.5, 1.0, 4.0, -2.0])), 0.0)
+        unit = column_values(
+            st.sampled_from([-3.0, -0.5, 0.0, 1.0, 2.5])
+            | st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+        )
+        price = np.where(slot >= 0, unit * np.abs(gval), unit)
+        upper = np.where(column_values(st.sampled_from([0.0, 1.0, 1.0])) > 0.0, 1.0, 0.0)
+        lower = np.zeros(n)
+        holder = types.SimpleNamespace(
+            _blocks=types.SimpleNamespace(slot=slot, gval=gval, gub_rows=np.arange(len(sizes)))
+        )
+        picked = SimplexEngine._best_columns(holder, lower, upper)(price)
+        expected = []
+        for g in range(len(sizes)):
+            movable = [
+                j for j in range(n) if slot[j] == g and gval[j] > 0.0 and upper[j] > lower[j]
+            ]
+            if movable:
+                expected.append(min(movable, key=lambda j: (price[j] / gval[j], j)))
+        assert picked.tolist() == expected
+
     def test_bidding_models_start_dual_feasible(self, dual_log):
         rng = np.random.default_rng(19)
         stepped = 0
@@ -1391,6 +1434,38 @@ class TestLagrangianEstimate:
                 u = scale * rng.uniform(0.0, 2.0, links) * (rng.random(links) < 0.7)
                 value, _ = evaluate(u)
                 assert value >= root.objective - tol
+
+    def test_linking_block_gives_the_full_products_bit_for_bit(self, suite1, scale_base):
+        # L(u), its subgradient and the crash at u price the columns with
+        # the linking block alone; with all of [A I] and y zero on the GUB
+        # rows every bit is the same
+        rng = np.random.default_rng(41)
+        for inst in [*suite1, scale_suite(scale_base, [300])[0]]:
+            engine = SimplexEngine(build_model(inst))
+            lower, upper = engine.base_lower, engine.base_upper
+            blocks = engine._blocks
+            link = blocks.perm[blocks.gub_rows.size:]
+            evaluate, _ = engine._lagrangian(lower, upper)
+            best = engine._best_columns(lower, upper)
+            out = blocks.slot < 0
+            for scale in (0.0, 1.0, 100.0, 1e4):
+                u = scale * rng.uniform(0.0, 2.0, link.size) * (rng.random(link.size) < 0.7)
+                y = np.zeros(engine.m)
+                y[link] = u
+                price = engine.cost + engine._aug_t @ y
+                x = np.zeros(engine.n + engine.m)
+                x[out] = np.where(
+                    price[out] < 0.0, upper[out],
+                    np.where(price[out] > 0.0, lower[out], np.clip(0.0, lower[out], upper[out])),
+                )
+                cols = best(price)
+                x[cols] = engine.rhs[blocks.gub_rows[blocks.slot[cols]]] / blocks.gval[cols]
+                b_link = engine.rhs[link]
+                value, grad = evaluate(u)
+                assert np.float64(value).tobytes() == np.float64(u @ b_link - price @ x).tobytes()
+                assert grad.tobytes() == (b_link - (engine._aug @ x)[link]).tobytes()
+                crash = engine._crash_vstat(lower, upper, u)
+                assert np.flatnonzero(crash[: engine.n] == BASIC).tolist() == sorted(cols.tolist())
 
     def test_estimate_reaches_the_root_bound(self, scale_base, estimates, monkeypatch):
         # the acceptance 6a model: the estimate stops with L within its gap
