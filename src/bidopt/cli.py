@@ -6,11 +6,10 @@ error (a usage error too), 4 numerical failure (a singular basis or an
 unblocked phase 1 in the simplex, or an LP relaxation reported
 unbounded).
 
-Tolerances can be overridden through environment variables:
-BIDOPT_FEAS_TOL, BIDOPT_OPT_TOL (simplex), BIDOPT_ZERO_TOL,
-BIDOPT_NEAR_ONE_TOL and BIDOPT_RC_TOL (fixing strategies).  Both
-``solve`` and ``bench`` honour them; an out-of-range value is an input
-error.  The branch-and-bound pruning gap is set per run with --gap.
+The tolerances are the constants of the modules that use them
+(``simplex.FEAS_TOL``/``OPT_TOL``, ``search.ZERO_TOL``/``NEAR_ONE_TOL``/
+``RC_TOL``); only the branch-and-bound pruning gap is set per run, with
+--gap.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 
-from . import fileio, search, simplex
+from . import fileio, search
 from .generate import CURVE_SHAPES, GenParams, generate_instance
 from .model import build_model
-from .oracle import enumerate_sos1, enumerate_sos2
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -35,19 +32,8 @@ EXIT_NUMERICAL = 4
 
 
 # Admissible ranges: (description, predicate).  NaN fails every predicate.
-_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
 _NONNEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
-_UNIT_INTERVAL = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 _COUNT = (">= 0", lambda v: v >= 0)
-
-# (key, environment variable, default, admissible range)
-_TOLERANCES = (
-    ("feas_tol", "BIDOPT_FEAS_TOL", simplex.FEAS_TOL, _POSITIVE),
-    ("opt_tol", "BIDOPT_OPT_TOL", simplex.OPT_TOL, _POSITIVE),
-    ("zero_tol", "BIDOPT_ZERO_TOL", search.ZERO_TOL, _NONNEGATIVE),
-    ("near_one_tol", "BIDOPT_NEAR_ONE_TOL", search.NEAR_ONE_TOL, _UNIT_INTERVAL),
-    ("rc_tol", "BIDOPT_RC_TOL", search.RC_TOL, _NONNEGATIVE),
-)
 
 
 def _check_range(name: str, value: float, admissible) -> float:
@@ -55,24 +41,6 @@ def _check_range(name: str, value: float, admissible) -> float:
     if not ok(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
-
-
-def _env_float(name: str, default: float, admissible) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} is not a number: {raw!r}")
-    return _check_range(f"environment variable {name}", value, admissible)
-
-
-def _tolerances() -> dict[str, float]:
-    return {
-        key: _env_float(env, default, admissible)
-        for key, env, default, admissible in _TOLERANCES
-    }
 
 
 def _count_or_range(raw: str):
@@ -187,24 +155,7 @@ def _limits_from(args) -> search.SearchLimits:
     )
 
 
-def _branch_and_bound(model, strategy, limits, tol):
-    """``search.branch_and_bound`` on an engine built with ``tol``."""
-    engine = simplex.SimplexEngine(
-        model, feas_tol=tol["feas_tol"], opt_tol=tol["opt_tol"]
-    )
-    return search.branch_and_bound(
-        model,
-        strategy,
-        limits,
-        near_one_tol=tol["near_one_tol"],
-        zero_tol=tol["zero_tol"],
-        rc_tol=tol["rc_tol"],
-        engine=engine,
-    )
-
-
 def _cmd_solve(args) -> int:
-    tol = _tolerances()
     if args.strategy == "3" and args.sos != 2:
         raise ValueError("strategy 3 needs the SOS2 relaxation; pass --sos 2")
     instance = fileio.read_instance(args.instance)
@@ -214,14 +165,9 @@ def _cmd_solve(args) -> int:
     if args.mps_out:
         _emit(fileio.write_mps(model), args.mps_out)
 
-    report, values = _branch_and_bound(
-        model, args.strategy, _limits_from(args), tol
-    )
+    report, values = search.branch_and_bound(model, args.strategy, _limits_from(args))
     _emit(
-        fileio.write_solution(
-            report, values, model,
-            omit_timing=args.omit_timing, zero_tol=tol["zero_tol"],
-        ),
+        fileio.write_solution(report, values, model, omit_timing=args.omit_timing),
         args.output,
     )
     if report.status == "infeasible":
@@ -234,6 +180,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # Imported here so the other commands never load scipy.optimize.
+    from .oracle import enumerate_sos1, enumerate_sos2
+
     instance = fileio.read_instance(args.instance)
     lines: list[str] = []
     if args.sos == 1:
@@ -286,13 +235,11 @@ def run_benchmark(
 ) -> str:
     """One CSV row per (instance, strategy).
 
-    Each run solves as ``bidopt solve`` does, under the same tolerance
-    overrides.  Strategies none/1/2 run on the SOS1 model, strategy 3 on
-    the SOS2 relaxation.  Degradations print with three decimals; a
-    limit hit without an incumbent renders the degradation columns as
-    ????.
+    Each run solves as ``bidopt solve`` does.  Strategies none/1/2 run
+    on the SOS1 model, strategy 3 on the SOS2 relaxation.  Degradations
+    print with three decimals; a limit hit without an incumbent renders
+    the degradation columns as ????.
     """
-    tol = _tolerances()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -304,7 +251,7 @@ def run_benchmark(
         base = build_model(instance)
         for strat in strategies:
             model = search.relax_to_sos2(base) if strat == "3" else base
-            report, _ = _branch_and_bound(model, strat, limits, tol)
+            report, _ = search.branch_and_bound(model, strat, limits)
             if omit_timing:
                 secs = "-"
             elif report.first_solution_seconds is None:

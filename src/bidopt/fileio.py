@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate, chain, zip_longest
-from operator import itemgetter
 
 import numpy as np
 
 from .model import Business, Campaign, Instance, LpModel, build_model
-from .search import ZERO_TOL, SolveReport, interpolate_bids
+from .search import SolveReport, interpolate_bids
 
 VERIFY_TOL = 1e-6
 VERIFY_ZERO_TOL = 1e-6
@@ -502,6 +501,8 @@ def model_to_instance(model: LpModel) -> Instance:
     camp_business, product = [], []
     for cid, a, b in runs:
         owners = set(owner[a:b].tolist()) - {-1}
+        if not owners:
+            raise ValueError(f"campaign {cid}: no member has a budget-row (BUD_) entry")
         if len(owners) != 1:
             raise ValueError(
                 f"campaign {cid}: members span businesses {[business_ids[k] for k in owners]}"
@@ -549,7 +550,6 @@ def write_solution(
     solution,
     model: LpModel,
     omit_timing: bool = False,
-    zero_tol: float = ZERO_TOL,
 ) -> str:
     """Headers, one COLUMN line per nonzero value, one BID line per
     campaign whose interpolated bid is defined."""
@@ -567,7 +567,7 @@ def write_solution(
         for name, v in zip(model.column_names, solution.tolist()):
             if abs(v) >= 5e-13:
                 lines.append(f"COLUMN {name} {v:.12f}")
-        for name, bid in zip(model.sos_names, interpolate_bids(model, solution, zero_tol)):
+        for name, bid in zip(model.sos_names, interpolate_bids(model, solution)):
             if bid is not None:
                 lines.append(f"BID {_campaign_id(name)} {bid:.12f}")
     return "\n".join(lines) + "\n"

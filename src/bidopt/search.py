@@ -8,11 +8,11 @@ Three fixing strategies read the root LP and pin columns before the
 tree search starts.  Fixes are bounds dicts, column -> (lower, upper),
 the overrides ``SimplexEngine.solve`` takes and each tree node carries:
 
-1. a set whose LP solution puts some member at or above ``near_one_tol``
+1. a set whose LP solution puts some member at or above ``NEAR_ONE_TOL``
    is rounded to that member, provided the member is the do-nothing
    slack or every sibling's reduced cost says raising it strictly hurts
-   the objective by more than ``rc_tol``;
-2. a set with exactly one member above ``zero_tol`` is rounded to it;
+   the objective by more than ``RC_TOL``;
+2. a set with exactly one member above ``ZERO_TOL`` is rounded to it;
    otherwise members outside the span of nonzero members are zeroed;
 3. (SOS2 models) members outside each set's nonzero span are zeroed;
    unsatisfied sets are then also narrowed to the adjacent pair
@@ -103,15 +103,15 @@ class SolveReport:
     first_solution_degradation_pct: float | None = None
 
 
-def sos_scan(model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL) -> Scan:
+def sos_scan(model: LpModel, primal: np.ndarray) -> Scan:
     """Every set's nonzero count, first nonzero position and last nonzero
     position, as three arrays from one pass over ``primal``.  A member is
-    nonzero when its |value| exceeds ``zero_tol``.  A set with no nonzero
+    nonzero when its |value| exceeds ``ZERO_TOL``.  A set with no nonzero
     member has a first position past its end and a last one below 0."""
     starts = model.sos_starts
     a, end = starts[:-1], starts[-1]
     col = np.arange(end)
-    nonzero = np.abs(primal[:end]) > zero_tol
+    nonzero = np.abs(primal[:end]) > ZERO_TOL
     count = np.add.reduceat(nonzero, a, dtype=np.intp)
     first = np.minimum.reduceat(np.where(nonzero, col, end), a) - a
     last = np.maximum.reduceat(np.where(nonzero, col, -1), a) - a
@@ -128,8 +128,8 @@ def violation_measure(sos_type: int, scan: Scan) -> np.ndarray:
     return np.where(count <= 1, 0, count - 2 + (last - first > 1))
 
 
-def sos_satisfied(model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL) -> bool:
-    return not violation_measure(model.sos_type, sos_scan(model, primal, zero_tol)).any()
+def sos_satisfied(model: LpModel, primal: np.ndarray) -> bool:
+    return not violation_measure(model.sos_type, sos_scan(model, primal)).any()
 
 
 def _pick_violated(model: LpModel, scan: Scan) -> int | None:
@@ -166,32 +166,27 @@ def _split_position(primal: np.ndarray, a: int, b: int) -> int:
     return min(math.floor(acc / total), b - a - 1) if total > 0.0 else 0
 
 
-def strategy1_fix(
-    model: LpModel,
-    lp: LpSolution,
-    near_one_tol: float = NEAR_ONE_TOL,
-    rc_tol: float = RC_TOL,
-) -> Bounds:
+def strategy1_fix(model: LpModel, lp: LpSolution) -> Bounds:
     """Round near-one sets to their dominant member."""
     fixes: Bounds = {}
     primal, reduced = lp.primal.tolist(), lp.reduced_costs.tolist()
     starts = model.sos_starts.tolist()
     for a, b in zip(starts, starts[1:]):
-        star = next((j for j in range(a, b) if primal[j] >= near_one_tol), None)
+        star = next((j for j in range(a, b) if primal[j] >= NEAR_ONE_TOL), None)
         if star is None:
             continue
         # Unless it is the slack, raising any sibling must strictly
         # worsen the objective.
-        if star == a or all(reduced[j] < -rc_tol for j in range(a, b) if j != star):
+        if star == a or all(reduced[j] < -RC_TOL for j in range(a, b) if j != star):
             fixes.update(_round_to(a, b, star))
     return fixes
 
 
-def strategy2_fix(model: LpModel, lp: LpSolution, zero_tol: float = ZERO_TOL) -> Bounds:
+def strategy2_fix(model: LpModel, lp: LpSolution) -> Bounds:
     """Round exactly-one-nonzero sets; zero outside the nonzero span
     otherwise."""
     fixes: Bounds = {}
-    for a, b, count, first, last in _runs(model, sos_scan(model, lp.primal, zero_tol)):
+    for a, b, count, first, last in _runs(model, sos_scan(model, lp.primal)):
         if count == 1:
             fixes.update(_round_to(a, b, a + first))
         elif count:
@@ -260,7 +255,6 @@ def strategy3_hotstart(
     model: LpModel,
     lp: LpSolution,
     engine: SimplexEngine,
-    zero_tol: float = ZERO_TOL,
     deadline: float | None = None,
 ) -> tuple[Bounds, LpSolution | None]:
     """Zero-flag outside nonzero spans, narrow unsatisfied sets to their
@@ -274,7 +268,7 @@ def strategy3_hotstart(
     if model.sos_type != 2:
         raise ValueError("strategy 3 requires an SOS2 model")
 
-    scan = sos_scan(model, lp.primal, zero_tol)
+    scan = sos_scan(model, lp.primal)
     violated = violation_measure(2, scan).tolist()
     zero_flags: Bounds = {}
     narrowing: Bounds = {}
@@ -322,9 +316,7 @@ def sos_branch(
     )
 
 
-def interpolate_bids(
-    model: LpModel, primal: np.ndarray, zero_tol: float = ZERO_TOL
-) -> list[float | None]:
+def interpolate_bids(model: LpModel, primal: np.ndarray) -> list[float | None]:
     """The bid each set implies, in set order: its single nonzero
     member's bid, or the value-weighted mix of an adjacent nonzero pair's
     bids.  None for an all-zero or slack-only set or a missing bid.
@@ -332,7 +324,7 @@ def interpolate_bids(
     bids, values = model.bids.tolist(), primal.tolist()
     out: list[float | None] = []
     for name, (a, _, count, first, last) in zip(
-        model.sos_names, _runs(model, sos_scan(model, primal, zero_tol))
+        model.sos_names, _runs(model, sos_scan(model, primal))
     ):
         if count > 2 or (count == 2 and last - first != 1):
             raise ValueError(f"set {name} is not SOS2-satisfied")
@@ -354,9 +346,6 @@ def branch_and_bound(
     model: LpModel,
     strategy: str = "none",
     limits: SearchLimits | None = None,
-    near_one_tol: float = NEAR_ONE_TOL,
-    zero_tol: float = ZERO_TOL,
-    rc_tol: float = RC_TOL,
     engine: SimplexEngine | None = None,
 ) -> tuple[SolveReport, np.ndarray | None]:
     """Solve the SOS problem; returns (report, primal values or None).
@@ -438,12 +427,12 @@ def branch_and_bound(
 
     fixes: Bounds = {}
     if strategy == "1":
-        fixes = strategy1_fix(model, root, near_one_tol, rc_tol)
+        fixes = strategy1_fix(model, root)
     elif strategy == "2":
-        fixes = strategy2_fix(model, root, zero_tol)
+        fixes = strategy2_fix(model, root)
     elif strategy == "3":
-        fixes, hot = strategy3_hotstart(model, root, engine, zero_tol, deadline)
-        if hot is not None and sos_satisfied(model, hot.primal, zero_tol):
+        fixes, hot = strategy3_hotstart(model, root, engine, deadline)
+        if hot is not None and sos_satisfied(model, hot.primal):
             take_incumbent(hot)
             if limits.first_solution:
                 return report("feasible", 0), incumbent_vals
@@ -506,7 +495,7 @@ def branch_and_bound(
         if pruned(lp.objective):
             continue
 
-        scan = sos_scan(model, lp.primal, zero_tol)
+        scan = sos_scan(model, lp.primal)
         violated = _pick_violated(model, scan)
         if violated is None:
             take_incumbent(lp)

@@ -26,8 +26,8 @@ master (only <= rows), has no GUB rows, and the LU covers the whole
 basis.  Between refactorizations the factor is updated with
 product-form eta vectors.  When pricing stalls, two residuals decide
 whether the etas can be trusted:
-the rows' ``r = rhs - A x`` against ``feas_tol`` and the basic columns'
-``A_B^T y - c_B`` against ``opt_tol``.  If either is past its tolerance
+the rows' ``r = rhs - A x`` against ``FEAS_TOL`` and the basic columns'
+``A_B^T y - c_B`` against ``OPT_TOL``.  If either is past its tolerance
 the basis is refactorized and priced again.  Otherwise the stall is
 final, and one step of iterative refinement, ``x_B += B^-1 r``
 (Wilkinson; Higham, "Accuracy and Stability of Numerical Algorithms",
@@ -58,7 +58,7 @@ dual method of solving the linear programming problem", 1954; Koberstein,
 PhD thesis, Paderborn 2005).  A child node differs from its parent only
 in tighter bounds, so the parent's optimal basis stays dual feasible:
 every movable nonbasic column's reduced cost d has the right sign within
-``opt_tol`` and every free one is within ``opt_tol`` of zero.  Each dual
+``OPT_TOL`` and every free one is within ``OPT_TOL`` of zero.  Each dual
 iteration takes out the basic variable with the largest bound violation
 (ties to the first position), computes its row alpha_r of B^-1 A with
 one btran and one product, and brings in the eligible column with the
@@ -74,7 +74,7 @@ siblings.  The dual phase hands the basis to the primal loop when it is
 primal feasible, when it was not dual feasible to begin with, after
 ``BLAND_AFTER`` consecutive degenerate dual steps, or when no column can
 repair a row whose violation, recomputed from the rows as
-``rho_r (rhs - A_N x_N)``, is within ``feas_tol``; past ``feas_tol`` that
+``rho_r (rhs - A_N x_N)``, is within ``FEAS_TOL``; past ``FEAS_TOL`` that
 row proves the LP infeasible.  The primal loop takes the handed-over d as
 its phase-2 pricing, so a dual phase that ends primal feasible goes
 straight to the stall checks, and every optimum passes the same residual
@@ -129,7 +129,7 @@ GUB rows reaches.
 Every model maximizes its objective; the engine minimizes its negation.
 The reported objective and reduced costs are the model's own, so at
 optimality a column sitting at its lower bound has reduced cost
-<= +opt_tol and one at its upper bound has reduced cost >= -opt_tol.
+<= +OPT_TOL and one at its upper bound has reduced cost >= -OPT_TOL.
 """
 
 from __future__ import annotations
@@ -450,15 +450,8 @@ class SimplexEngine:
     threads during a solve.
     """
 
-    def __init__(
-        self,
-        model: LpModel,
-        feas_tol: float = FEAS_TOL,
-        opt_tol: float = OPT_TOL,
-    ):
+    def __init__(self, model: LpModel):
         self.model = model
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
 
         n = model.objective.size
         m = model.rhs.size
@@ -701,7 +694,7 @@ class SimplexEngine:
                 indptr[: k + 2], indices[: (k + 1) * (l + 1)], cuts[: k + 1].ravel(),
             )
             try:
-                engine = SimplexEngine(master, self.feas_tol, self.opt_tol)
+                engine = SimplexEngine(master)
                 sol = engine.solve(warm=token, deadline=deadline)
             except RuntimeError:
                 return None
@@ -831,8 +824,8 @@ class SimplexEngine:
                 break
             factor, basic_val = st.factor, st.basic_val
 
-            viol_low = basic_val < lb_b - self.feas_tol
-            viol_high = basic_val > ub_b + self.feas_tol
+            viol_low = basic_val < lb_b - FEAS_TOL
+            viol_high = basic_val > ub_b + FEAS_TOL
             in_phase1 = bool(viol_low.any() or viol_high.any())
 
             # neg_d = -d depends only on the factor, its etas and the masks;
@@ -848,14 +841,14 @@ class SimplexEngine:
                 neg_d = self._neg_d(factor, basis, cost)
 
             # score equals |d| on every eligible column, bit for bit, and
-            # is <= opt_tol elsewhere: the same argmax and first eligible
+            # is <= OPT_TOL elsewhere: the same argmax and first eligible
             # index as masking the eligible columns.
             score = dirn * neg_d
             if st.free_cols.size:
                 free_nb = st.free_cols[vstat[st.free_cols] != BASIC]
                 score[free_nb] = np.abs(neg_d[free_nb])
-            j = int(np.argmax(score > self.opt_tol if bland else score))
-            if not score[j] > self.opt_tol:
+            j = int(np.argmax(score > OPT_TOL if bland else score))
+            if not score[j] > OPT_TOL:
                 # The stall stands when x meets the rows (A x = rhs) and d
                 # prices the basic columns at zero (B^T y = c_B).  When the
                 # etas let either drift past its tolerance, recompute the
@@ -864,8 +857,8 @@ class SimplexEngine:
                 x[basis] = basic_val
                 resid = self.rhs - self._aug @ x
                 if factor.etas and (
-                    np.max(np.abs(resid), initial=0.0) > self.feas_tol
-                    or np.max(np.abs(neg_d[basis]), initial=0.0) > self.opt_tol
+                    np.max(np.abs(resid), initial=0.0) > FEAS_TOL
+                    or np.max(np.abs(neg_d[basis]), initial=0.0) > OPT_TOL
                 ):
                     st.refactor()
                     continue
@@ -873,7 +866,7 @@ class SimplexEngine:
                 # factorization.  x takes the refined basic values below.
                 basic_val += factor.ftran(resid)
                 if in_phase1 and not (
-                    (basic_val < lb_b - self.feas_tol) | (basic_val > ub_b + self.feas_tol)
+                    (basic_val < lb_b - FEAS_TOL) | (basic_val > ub_b + FEAS_TOL)
                 ).any():
                     continue  # the refinement removed the violation: phase 2
                 status = INFEASIBLE if in_phase1 else OPTIMAL
@@ -978,8 +971,8 @@ class SimplexEngine:
             neg_d = self._neg_d(st.factor, basis)
             self._start = (key, start_factor, neg_d)
         free_nb = free_cols[vstat[free_cols] != BASIC]
-        if np.max(dirn * neg_d, initial=0.0) > self.opt_tol or (
-            np.max(np.abs(neg_d[free_nb]), initial=0.0) > self.opt_tol
+        if np.max(dirn * neg_d, initial=0.0) > OPT_TOL or (
+            np.max(np.abs(neg_d[free_nb]), initial=0.0) > OPT_TOL
         ):
             return None, neg_d
         if not self.m:  # no row to violate its bounds: the start is optimal
@@ -994,7 +987,7 @@ class SimplexEngine:
             above = basic_val - ub_b
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
-            if not viol[r] > self.feas_tol:
+            if not viol[r] > FEAS_TOL:
                 break
             if st.limit_reached():
                 status = ITERATION_LIMIT
@@ -1018,7 +1011,7 @@ class SimplexEngine:
                 # violation, recomputed from the rows, is within tolerance.
                 xn = self._nonbasic_values(vstat, st.lower, st.upper)
                 x_r = float(rho @ (self.rhs - self._aug @ xn))
-                if max(lb_b[r] - x_r, x_r - ub_b[r]) > self.feas_tol:
+                if max(lb_b[r] - x_r, x_r - ub_b[r]) > FEAS_TOL:
                     status = INFEASIBLE
                 break
 

@@ -1,10 +1,30 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bidopt
 from bidopt.generate import GenParams, scale_suite
 from bidopt.model import Business, Campaign, Instance, LpModel
+
+
+def run_python(*args, env=None):
+    """Python with ``args`` in a child process, with a timeout: an unchecked
+    value can keep the search running without end, and the timeout makes
+    that a failure.  ``bidopt`` imports from this checkout, and ``env``
+    adds to the environment."""
+    src = str(Path(bidopt.__file__).resolve().parent.parent)
+    child_env = {**os.environ, **(env or {})}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, child_env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=child_env, capture_output=True, text=True, timeout=30,
+    )
 
 
 def make_t1() -> Instance:
@@ -33,7 +53,7 @@ def make_rollback_instance() -> Instance:
 
     The LP optimum needs a 5e-7 sliver of campaign cb's level to keep
     the click row balanced while ca runs at level 1.  The sliver is
-    below zero_tol, so strategy 2 rounds both sets; the rounded LP then
+    below ZERO_TOL, so strategy 2 rounds both sets; the rounded LP then
     violates the click row and the fixes must be withdrawn.
     """
     return Instance(

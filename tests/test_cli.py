@@ -3,16 +3,12 @@ import functools
 import json
 import math
 import operator
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import bidopt
-from bidopt import simplex
+from bidopt import fileio, search, simplex
 from bidopt.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_NUMERICAL, EXIT_OK, main
 from bidopt.fileio import (
     instance_from_json,
@@ -25,7 +21,7 @@ from bidopt.fileio import (
 from bidopt.generate import GenParams, generate_instance
 from bidopt.model import Instance, build_model
 
-from conftest import make_nonadjacent_instance, make_overflow_instance, make_t1
+from conftest import make_nonadjacent_instance, make_overflow_instance, make_t1, run_python
 
 
 @pytest.fixture
@@ -39,22 +35,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(*args, env=None):
-    """Python with ``args`` in a child process, with a timeout: an unchecked
-    value can keep the search running without end, and the timeout makes
-    that a failure.  ``bidopt`` imports from this checkout, and
-    ``BIDOPT_*`` variables come from ``env`` only."""
-    src = str(Path(bidopt.__file__).resolve().parent.parent)
-    child_env = {k: v for k, v in os.environ.items() if not k.startswith("BIDOPT_")}
-    child_env.update(env or {})
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, child_env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, *args], env=child_env, capture_output=True, text=True, timeout=30,
-    )
 
 
 def run_child(*argv, env=None):
@@ -263,7 +243,7 @@ class TestNumericalFailure:
     )
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_exit_code(self, t1_path, capsys, monkeypatch, engine, message, command):
-        monkeypatch.setattr(simplex, "SimplexEngine", engine)
+        monkeypatch.setattr(search, "SimplexEngine", engine)
         code, _, stderr = run(capsys, command, t1_path)
         assert code == EXIT_NUMERICAL
         assert stderr.startswith("error:") and message in stderr
@@ -271,48 +251,44 @@ class TestNumericalFailure:
 
 
 class TestEnvOverrides:
-    def test_zero_tol_env_changes_rounding(self, tmp_path, capsys, monkeypatch):
-        # with zero_tol raised to 0.6, the root point of the T1 relaxation
-        # (6/11 and 5/11) looks like a single nonzero and is accepted as is
-        p = tmp_path / "t1.json"
-        p.write_text(instance_to_json(make_t1()))
-        monkeypatch.setenv("BIDOPT_ZERO_TOL", "0.6")
-        code, stdout, _ = run(
-            capsys, "solve", str(p), "--prove", "--gap", "0", "--omit-timing",
-        )
-        assert code == EXIT_OK
-        doc = read_solution(stdout)
-        assert math.isclose(doc["objective"], 900.0 / 11.0, rel_tol=1e-9)
+    """The tolerances are constants: ``--gap`` is the one set per run, and
+    the environment variables that once overrode the others do nothing."""
+
+    # every value here but BIDOPT_ZERO_TOL's was once an input error (exit
+    # 3); that one made T1's fractional root point the answer
+    FORMER_VARIABLES = {
+        "BIDOPT_FEAS_TOL": "nan",
+        "BIDOPT_OPT_TOL": "-1",
+        "BIDOPT_ZERO_TOL": "0.6",
+        "BIDOPT_NEAR_ONE_TOL": "1.5",
+        "BIDOPT_RC_TOL": "inf",
+    }
 
     @pytest.mark.parametrize(
-        "name,value",
+        "argv",
         [
-            ("BIDOPT_FEAS_TOL", "nan"),
-            ("BIDOPT_FEAS_TOL", "0"),
-            ("BIDOPT_OPT_TOL", "nan"),
-            ("BIDOPT_OPT_TOL", "-1"),
-            ("BIDOPT_OPT_TOL", "inf"),
-            ("BIDOPT_ZERO_TOL", "nan"),
-            ("BIDOPT_ZERO_TOL", "-1"),
-            ("BIDOPT_NEAR_ONE_TOL", "0"),
-            ("BIDOPT_NEAR_ONE_TOL", "1.5"),
-            ("BIDOPT_RC_TOL", "-1"),
-            ("--gap", "-1"),
-            ("--gap", "nan"),
+            ["solve", "--strategy", "none"],
+            ["solve", "--strategy", "1"],
+            ["solve", "--strategy", "2"],
+            ["solve", "--sos", "2", "--strategy", "3"],
+            ["bench", "--strategies", "none,1,2,3"],
         ],
+        ids=["solve-none", "solve-1", "solve-2", "solve-3", "bench"],
     )
+    def test_former_tolerance_variables_change_no_byte(self, t1_path, argv):
+        argv = [argv[0], t1_path, *argv[1:], "--prove", "--gap", "0", "--omit-timing"]
+        plain = run_child(*argv)
+        under = run_child(*argv, env=self.FORMER_VARIABLES)
+        assert plain.returncode == under.returncode == EXIT_OK, under.stderr
+        assert under.stdout == plain.stdout
+
+    @pytest.mark.parametrize("name,value", [("--gap", "-1"), ("--gap", "nan")])
     def test_out_of_range_tolerance_is_input_error(self, tmp_path, name, value):
         p = tmp_path / "four.json"
         p.write_text(instance_to_json(
             generate_instance(GenParams(campaigns_per_business=4, seed=5))
         ))
-        argv = ["solve", str(p), "--prove"]
-        env = {}
-        if name == "--gap":
-            argv += ["--gap", value]
-        else:
-            env[name] = value
-        done = run_child(*argv, env=env)
+        done = run_child("solve", str(p), "--prove", name, value)
         assert done.returncode == EXIT_INPUT, done.stdout
         assert name in done.stderr
 
@@ -462,6 +438,20 @@ class TestNoTraceback:
         assert done.stdout == f"OBJECTIVE {0.0:.12f}\n"
 
 
+class TestImports:
+    def test_solve_leaves_scipy_optimize_unloaded(self, t1_path):
+        # only `bidopt oracle` needs scipy.optimize, a tenth of a second
+        # of import that `bidopt solve` would otherwise pay
+        done = run_python("-c", "\n".join([
+            "import sys",
+            "from bidopt.cli import main",
+            f"code = main(['solve', {t1_path!r}, '--sos', '2', '--strategy', '3', '--prove'])",
+            "assert 'scipy.optimize' not in sys.modules, 'solve loaded scipy.optimize'",
+            "sys.exit(code)",
+        ]))
+        assert done.returncode == EXIT_OK, done.stderr
+
+
 class TestReadme:
     def test_library_example_runs(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -471,6 +461,16 @@ class TestReadme:
         )
         done = run_python("-c", example[1])
         assert done.returncode == EXIT_OK, done.stderr
+
+    def test_tolerance_table_gives_the_constants(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = re.findall(
+            r"^\| `(\w+)\.(\w+_TOL)` \| `([^`]+)` \|", readme.read_text(encoding="utf-8"), re.M,
+        )
+        modules = {"simplex": simplex, "search": search, "fileio": fileio}
+        assert len(rows) == 7
+        for module, name, value in rows:
+            assert getattr(modules[module], name) == float(value), name
 
 
 class TestOracle:
@@ -589,22 +589,6 @@ class TestBench:
         code, _, stderr = run(capsys, "bench", t1_path, "--strategies", "9")
         assert code == EXIT_INPUT
         assert "unknown strategy" in stderr
-
-    @pytest.mark.parametrize("strategy", ["none", "1", "2", "3"])
-    def test_honours_tolerance_overrides(self, t1_path, capsys, monkeypatch, strategy):
-        # zero_tol 0.6 accepts the T1 root point: degradation 0 instead of 38.889
-        monkeypatch.setenv("BIDOPT_ZERO_TOL", "0.6")
-        common = ["--prove", "--gap", "0", "--omit-timing"]
-        sos = ["--sos", "2"] if strategy == "3" else []
-        code, stdout, _ = run(
-            capsys, "solve", t1_path, "--strategy", strategy, *sos, *common
-        )
-        assert code == EXIT_OK
-        solved = read_solution(stdout)["degradation_pct"]
-        code, stdout, _ = run(capsys, "bench", t1_path, "--strategies", strategy, *common)
-        assert code == EXIT_OK
-        row = stdout.splitlines()[1].split(",")
-        assert row[5] == f"{solved:.3f}"
 
     def test_multiple_files(self, tmp_path, capsys):
         p1 = tmp_path / "a.json"

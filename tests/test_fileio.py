@@ -483,6 +483,27 @@ class TestModelToInstance:
             with pytest.raises(ValueError, match=f"^no instance gives this model .*: {message}$"):
                 model_to_instance(read_mps(text.replace(old, new)))
 
+    def test_a_campaign_without_budget_entries_is_named(self):
+        text = "\n".join([
+            "NAME          BIDOPT",
+            "ROWS",
+            " N  COST",
+            " L  IMP",
+            "COLUMNS",
+            "    D_a_0               IMP                 1.0",
+            "RHS",
+            "    RHS                 IMP                 1.0",
+            "BOUNDS",
+            " UP BND                 D_a_0               1.0",
+            "SOS",
+            " S1 S_a",
+            "    D_a_0               0.0",
+            "ENDATA",
+        ])
+        model = read_mps(text)
+        with pytest.raises(ValueError, match=r"^campaign a: no member has a budget-row \(BUD_\) entry$"):
+            model_to_instance(model)
+
 
 class TestSolutionFile:
     def test_t1_golden(self, t1_model):

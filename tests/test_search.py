@@ -13,6 +13,7 @@ from bidopt.generate import GenParams, generate_instance, scale_suite
 from bidopt.model import LpColumn, LpRow, build_model
 from bidopt.oracle import enumerate_sos1, enumerate_sos2
 from bidopt.search import (
+    RC_TOL,
     ZERO_TOL,
     SearchLimits,
     _pick_violated,
@@ -89,14 +90,13 @@ class TestSatisfaction:
     def test_zero_tol_hides_slivers(self, t1_model):
         assert sos_satisfied(t1_model, x(5e-7, 1.0 - 5e-7, 0.0))
         assert not sos_satisfied(t1_model, x(5e-3, 1.0 - 5e-3, 0.0))
-        assert sos_satisfied(t1_model, x(5e-3, 1.0 - 5e-3, 0.0), zero_tol=1e-2)
 
     def test_pick_violated_prefers_first_on_ties(self):
         cols = tuple(LpColumn(f"x{j}", 0.0, 0.0, 1.0) for j in range(4))
         model = from_tuples(columns=cols, rows=(), sos=(("A", 2), ("B", 2)))
 
         def pick(*primal):
-            return _pick_violated(model, sos_scan(model, x(*primal), 1e-6))
+            return _pick_violated(model, sos_scan(model, x(*primal)))
 
         assert pick(0.5, 0.5, 0.5, 0.5) == 0
         assert pick(0.0, 1.0, 0.5, 0.5) == 1
@@ -114,13 +114,13 @@ class TestSatisfaction:
         assert count[0] == 0 and first[0] >= 4 and last[0] < 0
 
 
-def loop_nonzero_positions(members, primal, zero_tol):
+def loop_nonzero_positions(members, primal):
     """The per-set reference: a set's nonzero positions, one at a time."""
-    return [p for p, j in enumerate(members) if abs(primal[j]) > zero_tol]
+    return [p for p, j in enumerate(members) if abs(primal[j]) > ZERO_TOL]
 
 
-def loop_measure(members, sos_type, primal, zero_tol):
-    nz = loop_nonzero_positions(members, primal, zero_tol)
+def loop_measure(members, sos_type, primal):
+    nz = loop_nonzero_positions(members, primal)
     if sos_type == 1:
         return max(len(nz) - 1, 0)
     if len(nz) <= 1:
@@ -128,11 +128,11 @@ def loop_measure(members, sos_type, primal, zero_tol):
     return (len(nz) - 2) + (1 if nz[-1] - nz[0] > 1 else 0)
 
 
-def loop_pick(model, primal, zero_tol):
+def loop_pick(model, primal):
     """The first set of the largest measure, scanning set by set."""
     best, best_measure = None, 0.0
     for k, members in enumerate(loop_sets(model)):
-        measure = loop_measure(members, model.sos_type, primal, zero_tol)
+        measure = loop_measure(members, model.sos_type, primal)
         if measure > best_measure:
             best, best_measure = k, measure
     return best
@@ -144,11 +144,11 @@ def loop_sets(model):
 
 
 class TestScanAgainstTheLoop:
-    # values on both sides of zero_tol, at it exactly and one ulp above it
+    # values on both sides of ZERO_TOL, at it exactly and one ulp above it
     SLIVERS = (1.0, 0.5, -0.25, 1e-3, 1e-9)
 
-    def points(self, rng, n, zero_tol):
-        values = np.array([*self.SLIVERS, zero_tol, -zero_tol, np.nextafter(zero_tol, 1.0)])
+    def points(self, rng, n):
+        values = np.array([*self.SLIVERS, ZERO_TOL, -ZERO_TOL, np.nextafter(ZERO_TOL, 1.0)])
         for density in (0.1, 0.3, 0.6):
             yield np.where(rng.random(n) < density, rng.choice(values, n), 0.0)
 
@@ -164,19 +164,18 @@ class TestScanAgainstTheLoop:
         types = set()
         for model in self.models(suite1):
             types.add(model.sos_type)
-            for zero_tol in (ZERO_TOL, 1e-2):
-                for primal in self.points(rng, len(model.column_names), zero_tol):
-                    scan = sos_scan(model, primal, zero_tol)
-                    for k, members in enumerate(loop_sets(model)):
-                        nz = loop_nonzero_positions(members, primal, zero_tol)
-                        got = tuple(int(a[k]) for a in scan)
-                        assert got[0] == len(nz) and (not nz or got[1:] == (nz[0], nz[-1]))
-                    want = [
-                        loop_measure(members, model.sos_type, primal, zero_tol)
-                        for members in loop_sets(model)
-                    ]
-                    assert violation_measure(model.sos_type, scan).tolist() == want
-                    assert _pick_violated(model, scan) == loop_pick(model, primal, zero_tol)
+            for primal in self.points(rng, len(model.column_names)):
+                scan = sos_scan(model, primal)
+                for k, members in enumerate(loop_sets(model)):
+                    nz = loop_nonzero_positions(members, primal)
+                    got = tuple(int(a[k]) for a in scan)
+                    assert got[0] == len(nz) and (not nz or got[1:] == (nz[0], nz[-1]))
+                want = [
+                    loop_measure(members, model.sos_type, primal)
+                    for members in loop_sets(model)
+                ]
+                assert violation_measure(model.sos_type, scan).tolist() == want
+                assert _pick_violated(model, scan) == loop_pick(model, primal)
         assert types == {1, 2}
 
 
@@ -211,11 +210,11 @@ class TestStrategy1:
         assert fixes == {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0)}
 
     def test_rc_tol_boundary(self, t1_model):
-        # disimprovement must exceed rc_tol strictly
-        lp = fake_lp((0.0, 0.0, 0.96), reduced_costs=(-1e-5, -70.0, 0.0))
-        assert not strategy1_fix(t1_model, lp, rc_tol=1e-5)
-        lp = fake_lp((0.0, 0.0, 0.96), reduced_costs=(-1.1e-5, -70.0, 0.0))
-        assert strategy1_fix(t1_model, lp, rc_tol=1e-5)
+        # disimprovement must exceed RC_TOL strictly
+        lp = fake_lp((0.0, 0.0, 0.96), reduced_costs=(-RC_TOL, -70.0, 0.0))
+        assert not strategy1_fix(t1_model, lp)
+        lp = fake_lp((0.0, 0.0, 0.96), reduced_costs=(-1.1 * RC_TOL, -70.0, 0.0))
+        assert strategy1_fix(t1_model, lp)
 
 
 class TestStrategy2:
