@@ -136,7 +136,7 @@ def _pick_violated(model: LpModel, scan: Scan) -> int | None:
     """The most violated set, the lowest-numbered on ties; None when every
     set is satisfied."""
     measure = violation_measure(model.sos_type, scan)
-    return int(measure.argmax()) if measure.any() else None
+    return int(measure.argmax()) if np.count_nonzero(measure) else None
 
 
 def _runs(model: LpModel, scan: Scan):
@@ -239,7 +239,7 @@ def _reduced_cost_fixes(lp: LpSolution, end: int, bounds: Bounds, cutoff: float)
     ``cutoff``, leaving out every column ``bounds`` holds."""
     d = lp.reduced_costs[:end]
     hit = (lp.primal[:end] == 0.0) & (d < 0.0) & (lp.objective + d <= cutoff)
-    return {j: (0.0, 0.0) for j in np.flatnonzero(hit).tolist() if j not in bounds}
+    return {j: (0.0, 0.0) for j in hit.nonzero()[0].tolist() if j not in bounds}
 
 
 def _solve(engine: SimplexEngine, deadline: float | None, **kwargs) -> LpSolution:
@@ -299,7 +299,7 @@ def sos_branch(
     the nonzero span so each child zeroes at least one genuinely
     nonzero member and the parent LP point is excluded.
     """
-    count, first, last = (int(x[k]) for x in scan)
+    count, first, last = scan[0].item(k), scan[1].item(k), scan[2].item(k)
     if not count:
         raise ValueError("cannot branch on an all-zero set")
     a, b = model.sos_starts[k:k + 2].tolist()

@@ -49,9 +49,16 @@ of the last nonsingular starting basis, so a sibling node starting from
 the same parent basis skips the factorization.  Pricing is skipped when
 none of its inputs changed since the last pricing (a bound flip changes
 none of them in phase 2), and an optimal solution's reduced costs are
-its final stall's phase-2 pricing.  Each of these reuses returns the very numbers
-a recomputation would; the d a dual phase hands over (below) is updated
-instead.
+its final stall's phase-2 pricing.  Within a solve, the nonbasic values
+x_N, like the pricing directions and the basic columns' bounds, are
+built once from the statuses and bounds and then kept by each pivot and
+bound flip: the basic values' recomputation, the stall check and the
+solution read them instead of rebuilding them.  Each of these reuses
+returns the very numbers a recomputation would; the d a dual phase hands
+over (below) is updated instead.  On such short arrays numpy's cost per
+call outweighs its cost per entry, so the loops take the cheapest call
+that gives the same bits: an ``argmax`` and its entry rather than a
+``max``, ``nonzero`` rather than ``flatnonzero``.
 
 A warm start re-solves with the bounded dual simplex first (Lemke, "The
 dual method of solving the linear programming problem", 1954; Koberstein,
@@ -193,6 +200,13 @@ class LpSolution:
     basis: bytes | None = None
 
 
+def _exceeds(a: np.ndarray, tol: float) -> bool:
+    """Whether ``np.max(a, initial=0.0) > tol`` for ``tol >= 0``, a NaN
+    counting as no, from the entry ``argmax`` finds: on short arrays an
+    ``argmax`` costs a fifth of a ``max``."""
+    return a.size > 0 and a.item(a.argmax()) > tol
+
+
 class _Blocks(NamedTuple):
     """The augmented matrix split once per engine for ``_Factor``.
 
@@ -281,25 +295,23 @@ class _Factor:
         if key.size != g:
             raise RuntimeError("singular basis")
         d = gval[key]
-        is_key = np.zeros(m, bool)
-        is_key[key] = True
-        nonkey = (~is_key).nonzero()[0]
-        order = np.concatenate((key, nonkey))
-        unorder = np.empty(m, np.intp)
-        unorder[order] = np.arange(m)
-        # the basis's linking rows, dense and transposed: one row per column
-        starts = blocks.indptr[basis]
-        counts = blocks.indptr[basis + 1] - starts
+        order = np.concatenate((key, np.sort(ranked[~lead])))
+        cols = basis[order]
+        # the basis's linking rows, dense and transposed, one row per column
+        # in ``order``: F^T above H^T
+        starts = blocks.indptr[cols]
+        counts = blocks.indptr[cols + 1] - starts
         ends = counts.cumsum()
-        take = (starts - ends + counts).repeat(counts) + np.arange(counts.sum())
+        take = (starts - ends + counts).repeat(counts) + np.arange(ends[-1] if m else 0)
         link_t = np.zeros((m, m - g))
         link_t[np.arange(m).repeat(counts), blocks.indices[take]] = blocks.data[take]
         dinv = 1.0 / d
-        gmat = (link_t[key] * dinv[:, None]).T  # G = F D^-1
-        w = link_t[nonkey].T  # H, in Fortran order
-        e_cols = (slot[nonkey] >= 0).nonzero()[0]
-        e_slot = slot[nonkey[e_cols]]
-        e_val = gval[nonkey[e_cols]]
+        gmat = (link_t[:g] * dinv[:, None]).T  # G = F D^-1
+        w = link_t[g:].T  # H, in Fortran order
+        nonkey_slot = slot[order[g:]]
+        e_cols = (nonkey_slot >= 0).nonzero()[0]
+        e_slot = nonkey_slot[e_cols]
+        e_val = gval[order[g:][e_cols]]
         w[:, e_cols] -= gmat[:, e_slot] * e_val
         lu = piv = None
         pivots = d
@@ -307,11 +319,11 @@ class _Factor:
             lu, piv, _ = _getrf(w, overwrite_a=True)
             pivots = np.concatenate((d, lu.diagonal()))
         pivots = np.abs(pivots)
-        if pivots.size and pivots.min() <= 1e-12 * max(1.0, pivots.max()):
+        if pivots.size and pivots[pivots.argmin()] <= 1e-12 * max(1.0, pivots[pivots.argmax()]):
             raise RuntimeError("singular basis")
         self._blocks = blocks
         self._order = order
-        self._unorder = unorder
+        self._unorder = order.argsort()
         self._dinv = dinv
         self._gmat = gmat
         self._e = (e_cols, e_slot, e_val, e_val * dinv[e_slot])
@@ -324,13 +336,14 @@ class _Factor:
         e_cols, e_slot, _, e_scaled = self._e
         g = self._dinv.size
         x = b[self._blocks.perm]
-        x_k = x[:g]
-        x[g:] -= self._gmat.dot(x_k)
+        x_k, x_l = x[:g], x[g:]
+        x_l -= self._gmat.dot(x_k)
         lu, piv = self._lu
         if lu is not None:
-            x[g:] = _getrs(lu, piv, x[g:])[0]
+            x_l[:] = _getrs(lu, piv, x_l, overwrite_b=True)[0]
         x_k *= self._dinv
-        x_k -= np.bincount(e_slot, e_scaled * x[g:][e_cols], minlength=g)
+        if e_cols.size:  # no E block subtracts only zeros
+            x_k -= np.bincount(e_slot, e_scaled * x_l[e_cols], minlength=g)
         return x[self._unorder]
 
     def _solve_t(self, c: np.ndarray) -> np.ndarray:
@@ -338,13 +351,14 @@ class _Factor:
         e_cols, e_slot, e_val, _ = self._e
         g = self._dinv.size
         y = c[self._order]
-        y_g = y[:g]
+        y_g, y_l = y[:g], y[g:]
         y_g *= self._dinv
-        y[g:][e_cols] -= e_val * y_g[e_slot]
+        if e_cols.size:
+            y_l[e_cols] -= e_val * y_g[e_slot]
         lu, piv = self._lu
         if lu is not None:
-            y[g:] = _getrs(lu, piv, y[g:], trans=1)[0]
-        y_g -= y[g:].dot(self._gmat)
+            y_l[:] = _getrs(lu, piv, y_l, trans=1, overwrite_b=True)[0]
+        y_g -= y_l.dot(self._gmat)
         return y[self._blocks.unperm]
 
     def ftran(self, b: np.ndarray) -> np.ndarray:
@@ -363,7 +377,7 @@ class _Factor:
             c = c.copy()
             for p, idx, vals, dp in reversed(self.etas):
                 cp = c.item(p)
-                c[p] = (cp - (vals.dot(c.take(idx)) - dp * cp)) / dp
+                c[p] = (cp - (float(vals.dot(c[idx])) - dp * cp)) / dp
         return self._solve_t(c)
 
     def update(self, pos: int, w: np.ndarray, idx: np.ndarray) -> None:
@@ -380,8 +394,17 @@ class _Factor:
 
 class _SolveState:
     """What the dual phase and the primal loop of one solve share.
-    ``basis``, ``vstat``, ``dirn``, ``lb_b`` and ``ub_b`` change in place;
-    each refactorization replaces ``factor`` and ``basic_val``."""
+    ``basis``, ``vstat``, ``dirn``, ``lb_b``, ``ub_b`` and ``xn`` change in
+    place; each refactorization replaces ``factor`` and ``basic_val``.
+
+    ``xn`` is x_N: every nonbasic column at its bound, 0 where that bound
+    is infinite, and every basic column at 0.  Like ``dirn``, ``lb_b`` and
+    ``ub_b`` it is built once per solve and then kept where a status
+    changes, never rebuilt: ``pivot`` zeroes the entering column and puts
+    the leaving one at the bound it leaves for, always a finite one, and
+    ``flip`` moves a column to its other bound.  The basic values'
+    recomputation, the dual phase's infeasibility check, the stall check
+    and the solution all read it."""
 
     def __init__(self, engine, lower, upper, vstat, basis, factor, max_iterations, deadline):
         self.engine = engine
@@ -389,22 +412,25 @@ class _SolveState:
         self.vstat, self.basis = vstat, basis
         self.iterations = 0
         self.max_iterations, self.deadline = max_iterations, deadline
-        self.free_var = ~np.isfinite(lower) & ~np.isfinite(upper)
-        self.free_cols = np.flatnonzero(self.free_var)
+        finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
+        self.free_var = ~(finite_lo | finite_up)
+        self.free_cols = self.free_var.nonzero()[0]
+        at_lower, at_upper = vstat == AT_LOWER, vstat == AT_UPPER
         # Pricing direction: +1 at lower, -1 at upper, 0 when basic, fixed
         # or free (free columns are priced by |d|).  Only the entering and
         # the leaving variable change it.
-        self.dirn = np.where(vstat == AT_LOWER, 1.0, -1.0)
+        self.dirn = np.where(at_lower, 1.0, -1.0)
         self.dirn[(vstat == BASIC) | ~(upper > lower) | self.free_var] = 0.0
         self.lb_b, self.ub_b = lower[basis], upper[basis]
+        self.xn = np.where(
+            at_lower & finite_lo, lower, np.where(at_upper & finite_up, upper, 0.0)
+        )
         self.refactor(factor)
 
     def refactor(self, factor: _Factor | None = None) -> None:
         """Take ``factor``, else a fresh factorization, and recompute the basic values."""
         self.factor = self.engine._factorize(self.basis) if factor is None else factor
-        self.basic_val = self.engine._recompute_basics(
-            self.factor, self.basis, self.vstat, self.lower, self.upper
-        )
+        self.basic_val = self.engine._recompute_basics(self.factor, self.xn)
 
     def limit_reached(self) -> bool:
         """Whether the iteration limit or the deadline is reached."""
@@ -417,16 +443,14 @@ class _SolveState:
         leaves for its bound ``side``.  ``w = B^-1 a_j`` has its nonzeros at
         ``idx``; the basic values move by ``-theta w``, and j takes its
         nonbasic value plus theta.  True when the basis was refactorized."""
-        lower, upper, vstat, dirn = self.lower, self.upper, self.vstat, self.dirn
-        if vstat[j] == AT_UPPER:
-            enter_from = upper[j]
-        else:
-            enter_from = lower[j] if np.isfinite(lower[j]) else 0.0
+        lower, upper, vstat, dirn, xn = self.lower, self.upper, self.vstat, self.dirn, self.xn
         leaving = int(self.basis[pos])
         self.basic_val[idx] -= theta * w[idx]
-        self.basic_val[pos] = enter_from + theta
+        self.basic_val[pos] = xn[j] + theta
         vstat[leaving] = side
         vstat[j] = BASIC
+        xn[leaving] = lower[leaving] if side == AT_LOWER else upper[leaving]
+        xn[j] = 0.0
         movable = upper[leaving] > lower[leaving]
         dirn[leaving] = (1.0 if side == AT_LOWER else -1.0) if movable else 0.0
         dirn[j] = 0.0
@@ -438,6 +462,16 @@ class _SolveState:
             return False
         self.refactor()
         return True
+
+    def flip(self, j: int, idx, step) -> None:
+        """Nonbasic column j moves to its other bound, both finite; the basic
+        values at ``idx`` move by ``-step``."""
+        self.basic_val[idx] -= step
+        if self.vstat[j] == AT_LOWER:
+            self.vstat[j], self.xn[j] = AT_UPPER, self.upper[j]
+        else:
+            self.vstat[j], self.xn[j] = AT_LOWER, self.lower[j]
+        self.dirn[j] = -self.dirn[j]
 
 
 class SimplexEngine:
@@ -517,11 +551,6 @@ class SimplexEngine:
         lo, hi = self._aug.indptr[j], self._aug.indptr[j + 1]
         col[self._aug.indices[lo:hi]] = self._aug.data[lo:hi]
         return col
-
-    def _nonbasic_values(self, vstat, lower, upper) -> np.ndarray:
-        """Each nonbasic column at its bound (0 where that is infinite), each basic one at 0."""
-        x = np.where(vstat == AT_LOWER, lower, np.where(vstat == AT_UPPER, upper, 0.0))
-        return np.where(np.isfinite(x), x, 0.0)
 
     def _cold_vstat(self, lower, upper) -> np.ndarray:
         """The all-logical basis."""
@@ -737,8 +766,8 @@ class SimplexEngine:
         cost = self.cost if cost is None else cost
         return self._aug_t @ factor.btran(cost[basis]) - cost
 
-    def _recompute_basics(self, factor, basis, vstat, lower, upper) -> np.ndarray:
-        return factor.ftran(self.rhs - self._aug @ self._nonbasic_values(vstat, lower, upper))
+    def _recompute_basics(self, factor, xn) -> np.ndarray:
+        return factor.ftran(self.rhs - self._aug @ xn)
 
     # -- main ----------------------------------------------------------
 
@@ -753,8 +782,10 @@ class SimplexEngine:
 
         ``bounds`` maps column positions to (lower, upper) overrides
         applied on top of the model bounds; fixing a column means
-        lower == upper.  ``warm`` is the ``basis`` of an earlier
-        solution of this engine; a token of the wrong length, with a
+        lower == upper.  A position outside ``0..n-1`` (a row's logical
+        or no column at all), a NaN bound or lower > upper raises
+        ``ValueError`` naming the column.  ``warm`` is the ``basis`` of an
+        earlier solution of this engine; a token of the wrong length, with a
         basic count other than the number of rows, or with a singular
         basis falls back to the cold start: the crash basis
         under ``bounds``, or, when that is singular, the all-logical
@@ -774,22 +805,24 @@ class SimplexEngine:
         lower = self.base_lower.copy()
         upper = self.base_upper.copy()
         if bounds:
+            for j in (min(bounds), max(bounds)):
+                if not 0 <= j < n:
+                    raise ValueError(f"bounds for column {j}: no such column")
             for j, (lo, hi) in bounds.items():
-                if lo > hi:
-                    raise ValueError(f"bounds for column {j}: lower > upper")
+                if not lo <= hi:
+                    raise ValueError(f"bounds for column {j}: lower > upper, or NaN")
                 lower[j] = lo
                 upper[j] = hi
 
         factor = None
         if warm is not None and len(warm) == n + m:
             vstat = np.frombuffer(warm, np.int8).copy()
-            if int(np.count_nonzero(vstat == BASIC)) == m:
+            basis = (vstat == BASIC).nonzero()[0]
+            if basis.size == m:
                 # Nonbasic statuses must still make sense under the new bounds.
-                snap_lo = (vstat == AT_UPPER) & ~np.isfinite(upper)
-                vstat[snap_lo] = AT_LOWER
-                snap_up = (vstat == AT_LOWER) & ~np.isfinite(lower) & np.isfinite(upper)
-                vstat[snap_up] = AT_UPPER
-                basis = np.flatnonzero(vstat == BASIC)
+                inf_up = ~np.isfinite(upper)
+                vstat[(vstat == AT_UPPER) & inf_up] = AT_LOWER
+                vstat[(vstat == AT_LOWER) & ~(np.isfinite(lower) | inf_up)] = AT_UPPER
                 factor = self._start_factor(basis)
         if factor is None:
             links = m - self._blocks.gub_rows.size
@@ -797,11 +830,11 @@ class SimplexEngine:
             if 0 < links and m - links >= _GUB_PER_LINK * links:
                 u = self._estimate_duals(lower, upper, deadline)
             vstat = self._crash_vstat(lower, upper, u)
-            basis = np.flatnonzero(vstat == BASIC)
+            basis = (vstat == BASIC).nonzero()[0]
             factor = self._start_factor(basis)
         if factor is None:
             vstat = self._cold_vstat(lower, upper)
-            basis = np.flatnonzero(vstat == BASIC)
+            basis = (vstat == BASIC).nonzero()[0]
             factor = self._start_factor(basis)
 
         if max_iterations is None:
@@ -809,11 +842,12 @@ class SimplexEngine:
         st = _SolveState(self, lower, upper, vstat, basis, factor, max_iterations, deadline)
         dirn, lb_b, ub_b, free_var = st.dirn, st.lb_b, st.ub_b, st.free_var
         priced = None  # the factor, eta count and masks of the last pricing
+        feasible = bytes(m)  # the masks when no basic value is out of bounds
         status, neg_d = self._dual_phase(st)
         if neg_d is not None:
             # The phase-2 pricing of the basis the dual phase hands over:
             # the primal loop takes it as its own in phase 2.
-            priced = (st.factor, len(st.factor.etas), bytes(m), bytes(m))
+            priced = (st.factor, len(st.factor.etas), feasible, feasible)
         degen_streak = 0
         bland = False
         stall_x = None  # the final stall's nonbasic values
@@ -826,11 +860,11 @@ class SimplexEngine:
 
             viol_low = basic_val < lb_b - FEAS_TOL
             viol_high = basic_val > ub_b + FEAS_TOL
-            in_phase1 = bool(viol_low.any() or viol_high.any())
+            key = (factor, len(factor.etas), viol_low.tobytes(), viol_high.tobytes())
+            in_phase1 = key[2] != feasible or key[3] != feasible
 
             # neg_d = -d depends only on the factor, its etas and the masks;
             # when none changed, as after a bound flip in phase 2, it holds.
-            key = (factor, len(factor.etas), viol_low.tobytes(), viol_high.tobytes())
             if key != priced:
                 priced = key
                 cost = None
@@ -847,18 +881,17 @@ class SimplexEngine:
             if st.free_cols.size:
                 free_nb = st.free_cols[vstat[st.free_cols] != BASIC]
                 score[free_nb] = np.abs(neg_d[free_nb])
-            j = int(np.argmax(score > OPT_TOL if bland else score))
+            j = int((score > OPT_TOL if bland else score).argmax())
             if not score[j] > OPT_TOL:
                 # The stall stands when x meets the rows (A x = rhs) and d
                 # prices the basic columns at zero (B^T y = c_B).  When the
                 # etas let either drift past its tolerance, recompute the
                 # values from a fresh factorization and price again.
-                x = self._nonbasic_values(vstat, lower, upper)
+                x = st.xn.copy()
                 x[basis] = basic_val
                 resid = self.rhs - self._aug @ x
                 if factor.etas and (
-                    np.max(np.abs(resid), initial=0.0) > FEAS_TOL
-                    or np.max(np.abs(neg_d[basis]), initial=0.0) > OPT_TOL
+                    _exceeds(np.abs(resid), FEAS_TOL) or _exceeds(np.abs(neg_d[basis]), OPT_TOL)
                 ):
                     st.refactor()
                     continue
@@ -878,7 +911,7 @@ class SimplexEngine:
             w = factor.ftran(self._column(j))
             # The ratio test runs over the nonzeros of w only: every other
             # basic variable keeps its value.
-            idx = np.flatnonzero(w != 0.0)
+            idx = (w != 0.0).nonzero()[0]
             rate = sigma * w[idx]
             target_down = lb_b[idx]
             target_up = ub_b[idx]
@@ -908,12 +941,10 @@ class SimplexEngine:
                 status = UNBOUNDED
                 break
             if flip:
-                basic_val[idx] -= flip_range * rate
-                vstat[j] = AT_UPPER if vstat[j] == AT_LOWER else AT_LOWER
-                dirn[j] = -dirn[j]
+                st.flip(j, idx, flip_range * rate)
                 step = flip_range
             else:
-                cand = np.flatnonzero(ratios <= t_pivot + _TIE_TOL)
+                cand = (ratios <= t_pivot + _TIE_TOL).nonzero()[0]
                 if not bland:
                     mags = np.abs(rate[cand])
                     cand = cand[mags >= mags.max() - _TIE_TOL]
@@ -930,7 +961,7 @@ class SimplexEngine:
             bland = degen_streak >= BLAND_AFTER
             st.iterations += 1
 
-        x = self._nonbasic_values(vstat, lower, upper) if stall_x is None else stall_x
+        x = st.xn.copy() if stall_x is None else stall_x
         x[basis] = st.basic_val
         primal = x[:n]
         primal.flags.writeable = False
@@ -970,9 +1001,9 @@ class SimplexEngine:
         if neg_d is None:
             neg_d = self._neg_d(st.factor, basis)
             self._start = (key, start_factor, neg_d)
-        free_nb = free_cols[vstat[free_cols] != BASIC]
-        if np.max(dirn * neg_d, initial=0.0) > OPT_TOL or (
-            np.max(np.abs(neg_d[free_nb]), initial=0.0) > OPT_TOL
+        if _exceeds(dirn * neg_d, OPT_TOL) or (
+            free_cols.size
+            and _exceeds(np.abs(neg_d[free_cols[vstat[free_cols] != BASIC]]), OPT_TOL)
         ):
             return None, neg_d
         if not self.m:  # no row to violate its bounds: the start is optimal
@@ -983,10 +1014,8 @@ class SimplexEngine:
         degen_streak = 0
         while True:
             factor, basic_val = st.factor, st.basic_val
-            below = lb_b - basic_val
-            above = basic_val - ub_b
-            viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
+            viol = np.maximum(lb_b - basic_val, basic_val - ub_b)
+            r = int(viol.argmax())
             if not viol[r] > FEAS_TOL:
                 break
             if st.limit_reached():
@@ -996,21 +1025,22 @@ class SimplexEngine:
             # Row r leaves for the bound it violates.  With s = +1 (below
             # its lower bound) d moves by +t s alpha_r, so the eligible
             # columns are those whose d moves toward the wrong sign.
-            s = 1.0 if below[r] > 0.0 else -1.0
+            s = 1.0 if lb_b[r] - basic_val[r] > 0.0 else -1.0
             unit = np.zeros(self.m)
             unit[r] = 1.0
             rho = factor.btran(unit)
             alpha = self._aug_t @ rho
-            eligible = dirn * (s * alpha) < -_PIVOT_TOL
+            # dirn s alpha < 0, one product: s = +-1 makes every form exact
+            move = dirn * alpha
+            eligible = move < -_PIVOT_TOL if s > 0 else move > _PIVOT_TOL
             if free_cols.size:
                 free_nb = free_cols[vstat[free_cols] != BASIC]
                 eligible[free_nb] = np.abs(alpha[free_nb]) > _PIVOT_TOL
-            cand = np.flatnonzero(eligible)
+            cand = eligible.nonzero()[0]
             if not cand.size:
                 # No column can repair row r: it is infeasible unless its
                 # violation, recomputed from the rows, is within tolerance.
-                xn = self._nonbasic_values(vstat, st.lower, st.upper)
-                x_r = float(rho @ (self.rhs - self._aug @ xn))
+                x_r = float(rho @ (self.rhs - self._aug @ st.xn))
                 if max(lb_b[r] - x_r, x_r - ub_b[r]) > FEAS_TOL:
                     status = INFEASIBLE
                 break
@@ -1019,9 +1049,11 @@ class SimplexEngine:
             # then to the lowest index.
             a_c = alpha[cand]
             ratios = np.abs(neg_d[cand] / a_c)
-            mags = np.abs(a_c)
-            tie = ratios <= ratios.min() + _TIE_TOL
-            k = int(np.argmax(tie & (mags >= mags[tie].max() - _TIE_TOL)))
+            tie = (ratios <= ratios[ratios.argmin()] + _TIE_TOL).nonzero()[0]
+            if tie.size > 1:
+                mags = np.abs(a_c[tie])
+                tie = tie[mags >= mags[mags.argmax()] - _TIE_TOL]
+            k = int(tie[0])
             q = int(cand[k])
             t = float(ratios[k])
 
@@ -1034,7 +1066,7 @@ class SimplexEngine:
             neg_d -= (t * s) * alpha
             neg_d[q] = 0.0
             st.iterations += 1
-            if st.pivot(q, r, theta, w, np.flatnonzero(w), AT_LOWER if s > 0 else AT_UPPER):
+            if st.pivot(q, r, theta, w, w.nonzero()[0], AT_LOWER if s > 0 else AT_UPPER):
                 neg_d = self._neg_d(st.factor, basis)
                 agreed = True
             # Dual degenerate steps leave the dual objective where it was;

@@ -566,6 +566,24 @@ class TestBranchAndBound:
         assert report.nodes == 433
         assert len(factorized) == 233
 
+    def test_tree_kernel_calls_pinned(self, monkeypatch):
+        # The fixed work of the node LPs: an ftran for each start's basic
+        # values, each entering column and each optimum's refinement, and a
+        # btran for each dual step's row and each pricing.  A change that
+        # adds kernel calls moves these.
+        model = build_model(generate_instance(TREE_PARAMS))
+        calls = dict.fromkeys(("ftran", "btran"), 0)
+        for name in calls:
+
+            def counted(self, b, solve=getattr(simplex._Factor, name), name=name):
+                calls[name] += 1
+                return solve(self, b)
+
+            monkeypatch.setattr(simplex._Factor, name, counted)
+        report, _ = branch_and_bound(model, "none", SearchLimits(first_solution=False))
+        assert report.nodes == 433
+        assert calls == {"ftran": 1654, "btran": 1040}
+
     def test_time_limit_bounds_the_root_lp(self, scale_base):
         # the root LP alone takes seconds here; the limit must stop it
         model = relax_to_sos2(build_model(scale_suite(scale_base, [2704])[0]))

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import re
 import time
 import types
 from pathlib import Path
@@ -32,6 +33,7 @@ from bidopt.simplex import (
     SimplexEngine,
     _Factor,
     _REFACTOR_EVERY,
+    _SolveState,
     _gub_blocks,
 )
 
@@ -411,6 +413,26 @@ class TestStates:
         if columns:  # linprog takes no empty cost vector
             ref = scipy_reference(model)
             assert (ref.status, -ref.fun) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({-1: (0.0, 0.0)}, "column -1: no such column"),
+            ({5: (0.0, 0.0), 180: (0.0, 0.0)}, "column 180: no such column"),
+            ({223: (0.0, 0.0)}, "column 223: no such column"),
+            ({0: (math.nan, 1.0)}, "column 0: lower > upper, or NaN"),
+            ({5: (0.0, 0.0), 7: (0.0, math.nan)}, "column 7: lower > upper, or NaN"),
+        ],
+        ids=["negative", "first-logical", "past-the-end", "nan-lower", "nan-upper"],
+    )
+    def test_bounds_it_would_misread_are_rejected(self, bounds, message):
+        # 180 columns and 43 rows: -1 would fix the last row's logical and
+        # 180 the first, 223 is past every column, and a NaN bound would
+        # solve as no bound at all
+        engine = SimplexEngine(build_model(generate_instance(TestStallGuard.MODEL_PARAMS)))
+        assert (engine.n, engine.m) == (180, 43)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine.solve(bounds=bounds)
 
     def test_arrays_are_read_only(self, t1_model):
         sol = SimplexEngine(t1_model).solve()
@@ -1155,6 +1177,80 @@ class TestDualSimplex:
         sol = engine.solve(bounds=bounds, warm=parent.basis, deadline=1.5)
         assert (sol.status, sol.iterations) == (ITERATION_LIMIT, 2)
         assert dual_log == [(ITERATION_LIMIT, 2)]
+
+
+def assert_state_rebuilds(state: _SolveState) -> None:
+    """What ``state`` keeps up to date instead of rebuilding, against its
+    rebuild from the statuses and bounds, bit for bit: x_N (each nonbasic
+    column at its bound, 0 where that is infinite, each basic one at 0),
+    the pricing directions and the basic columns' bounds."""
+    lower, upper, vstat = state.lower, state.upper, state.vstat
+    xn = np.zeros(vstat.size)
+    dirn = np.zeros(vstat.size)
+    for j, status in enumerate(vstat.tolist()):
+        if status == BASIC:
+            continue
+        bound = lower[j] if status == AT_LOWER else upper[j]
+        xn[j] = bound if math.isfinite(bound) else 0.0
+        free = not (math.isfinite(lower[j]) or math.isfinite(upper[j]))
+        if upper[j] > lower[j] and not free:
+            dirn[j] = 1.0 if status == AT_LOWER else -1.0
+    assert state.xn.tobytes() == xn.tobytes()
+    assert state.dirn.tobytes() == dirn.tobytes()
+    assert np.sort(state.basis).tolist() == np.flatnonzero(vstat == BASIC).tolist()
+    assert state.lb_b.tobytes() == lower[state.basis].tobytes()
+    assert state.ub_b.tobytes() == upper[state.basis].tobytes()
+
+
+def _checked(method):
+    """Wrap a ``_SolveState`` method so that the kept state is checked
+    after each call; after a refactorization the basic values are also
+    the fresh factor's solve from the rebuilt x_N."""
+
+    def checked(self, *args):
+        out = method(self, *args)
+        assert_state_rebuilds(self)
+        if method.__name__ == "refactor":
+            engine = self.engine
+            fresh = self.factor.ftran(engine.rhs - engine._aug @ self.xn)
+            assert self.basic_val.tobytes() == fresh.tobytes()
+        return out
+
+    return checked
+
+
+class TestKeptState:
+    """``_SolveState`` keeps x_N, the pricing directions and the basic
+    columns' bounds up to date at each pivot and bound flip instead of
+    rebuilding them from the statuses and bounds.  After every pivot,
+    flip and refactorization, of cold and warm solves, under either
+    anti-cycling threshold and with a refactorization after every eta,
+    each must equal its rebuild."""
+
+    @settings(derandomize=True, max_examples=90, deadline=None)
+    @given(
+        make_model=st.sampled_from([random_model, random_sparse_model, random_bid_model]),
+        seed=st.integers(0, 2**32 - 1),
+        bland_after=st.sampled_from([50, 1]),
+        refactor_every=st.sampled_from([_REFACTOR_EVERY, 1]),
+    )
+    def test_kept_state_equals_its_rebuild(self, make_model, seed, bland_after, refactor_every):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "BLAND_AFTER", bland_after)
+            mp.setattr(simplex, "_REFACTOR_EVERY", refactor_every)
+            for name in ("pivot", "flip", "refactor"):
+                mp.setattr(_SolveState, name, _checked(getattr(_SolveState, name)))
+            rng = np.random.default_rng(seed)
+            model = make_model(rng)
+            engine = SimplexEngine(model)
+            root = engine.solve()
+            # a cut-off solve's basis is rarely dual feasible: the primal loop
+            engine.solve(warm=engine.solve(max_iterations=2).basis)
+            if root.status == OPTIMAL:
+                for _ in range(3):
+                    bounds = tighten(rng, model, root.primal)
+                    engine.solve(bounds=bounds, warm=root.basis)
+                    engine.solve(bounds=bounds)
 
 
 class TestCrash:

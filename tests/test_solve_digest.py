@@ -44,3 +44,11 @@ def test_workload_digests(workload):
     )
     # every answer and every instance file pinned bit for bit
     assert done.stdout.splitlines() == DIGESTS[workload]
+
+
+def test_gen_seed_0_is_the_tree_workloads_own():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--gen-seed", "0", "--workload", "tree-sos1-prove"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.splitlines() == DIGESTS["tree-sos1-prove"]

@@ -1,16 +1,18 @@
 """Digests of every answer the benchmark's workloads give, to show that a
 change to the solver leaves them the same, bit for bit.
 
-    python3 tools/solve_digest.py [--workload NAME ...]
+    python3 tools/solve_digest.py [--workload NAME ...] [--gen-seed G]
 
 Run from any directory; the solver is imported from the checkout's
 ``src`` and the workloads from ``perfbench/workloads.py``.  Each named
 workload (default: all three) is generated at its default generator
-seed, and every instance and solve mode goes through the benchmark's
-timed path: ``read_instance``, ``build_model`` (relaxed to SOS2 in SOS2
-modes), ``SimplexEngine``, ``branch_and_bound`` and ``write_solution``
-without its timing line.  Four SHA-256 digests are printed, one line
-each with the count of what it covers:
+seed, or from generator seed G on, as ``perfbench/run.py --gen-seed``
+moves it: a change can then be compared bit for bit with its parent on
+instances no pinned digest covers.  Every instance and solve mode goes
+through the benchmark's timed path: ``read_instance``, ``build_model``
+(relaxed to SOS2 in SOS2 modes), ``SimplexEngine``, ``branch_and_bound``
+and ``write_solution`` without its timing line.  Four SHA-256 digests
+are printed, one line each with the count of what it covers:
 
     solutions  every LpSolution a search receives: status (UTF-8),
                objective (<d), primal and, when present, reduced costs
@@ -64,7 +66,7 @@ def _floats(values: np.ndarray) -> bytes:
     return values.astype("<f8", copy=False).tobytes()
 
 
-def digest_workloads(names: list[str]) -> dict[str, Digest]:
+def digest_workloads(names: list[str], gen_seed: int | None = None) -> dict[str, Digest]:
     digests = {key: Digest() for key in ("solutions", "masters", "files", "instances")}
     solve = simplex.SimplexEngine.solve
     depth = 0
@@ -91,7 +93,8 @@ def digest_workloads(names: list[str]) -> dict[str, Digest]:
     try:
         for name in names:
             workload = workloads.WORKLOADS[name]
-            instances = workloads.generate(name, workload.default_gen_seed)
+            seed = workload.default_gen_seed if gen_seed is None else gen_seed
+            instances = workloads.generate(name, seed)
             with tempfile.TemporaryDirectory() as work_dir:
                 workloads.write_instances(instances, work_dir)
                 for number in range(len(instances)):
@@ -118,8 +121,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", action="append", choices=tuple(workloads.WORKLOADS),
                    help="a workload to run; repeat for more (default: all)")
+    p.add_argument("--gen-seed", type=int, default=None,
+                   help="first generator seed (default: each workload's own)")
     args = p.parse_args(argv)
-    for key, digest in digest_workloads(args.workload or list(workloads.WORKLOADS)).items():
+    names = args.workload or list(workloads.WORKLOADS)
+    for key, digest in digest_workloads(names, args.gen_seed).items():
         print(f"{key} {digest.count} {digest.sha.hexdigest()}")
     return 0
 
