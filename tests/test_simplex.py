@@ -1569,10 +1569,73 @@ def estimates(monkeypatch):
     return log
 
 
+@pytest.fixture
+def estimate_trace(monkeypatch):
+    """Every evaluation of L, as ``("L", u, L(u), subgradient)``, and every
+    master solve, as ``("master", model, solution)``, in the order they ran."""
+    trace = []
+    lagrangian, solve = SimplexEngine._lagrangian, SimplexEngine.solve
+
+    def recorded_lagrangian(self, lower, upper):
+        evaluate, floor = lagrangian(self, lower, upper)
+
+        def recorded(u):
+            value, grad = evaluate(u)
+            trace.append(("L", u.copy(), value, grad))
+            return value, grad
+
+        return recorded, floor
+
+    def recorded_solve(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        if self.model.row_names[:1] == ("cut0",):
+            trace.append(("master", self.model, sol))
+        return sol
+
+    monkeypatch.setattr(SimplexEngine, "_lagrangian", recorded_lagrangian)
+    monkeypatch.setattr(SimplexEngine, "solve", recorded_solve)
+    return trace
+
+
+def estimate_rounds(trace: list) -> list[dict]:
+    """One estimate's rounds read from its trace: each master's centre, L
+    at the centre (``top``), the step to its minimizer, the gap (the
+    master's objective) and the evaluations of L that follow it.
+
+    The first centre is u = 0.  A later master's centre is the last
+    round's final point or the centre before it, whichever gives the
+    master's lower bounds ``max(-centre, -box)``; on the models tested
+    exactly one of the two does."""
+    kind, centre, top, _ = trace[0]
+    assert kind == "L" and not centre.any()
+    rounds = []
+    for kind, *entry in trace[1:]:
+        if kind == "L":
+            rounds[-1]["points"].append(entry)
+            continue
+        model, sol = entry
+        l = len(model.column_names) - 1
+        if rounds:
+            point, value, _ = rounds[-1]["points"][-1]
+            bounds = [
+                np.maximum(0.0 - c, -model.upper[0]).tobytes() == model.lower[:l].tobytes()
+                for c in (centre, point)
+            ]
+            assert sum(bounds) == 1
+            if bounds[1]:
+                centre, top = point, value
+        rounds.append({
+            "centre": centre, "top": top, "step": sol.primal[:l],
+            "gap": sol.objective, "points": [],
+        })
+    return rounds
+
+
 class TestLagrangianEstimate:
     """A cold solve of a model with at least ``_GUB_PER_LINK`` GUB rows
-    per linking row crashes from a box-step cutting-plane estimate of the
-    linking rows' duals u; every other model keeps the u = 0 crash."""
+    per linking row crashes from a smoothed box-step cutting-plane
+    estimate of the linking rows' duals u; every other model keeps the
+    u = 0 crash."""
 
     def test_bound_covers_the_root_at_random_multipliers(self, suite1, scale_base):
         # L(u) relaxes the linking rows: at every u >= 0 it bounds the root
@@ -1627,10 +1690,61 @@ class TestLagrangianEstimate:
         # of the root objective, which a stop on a box-bound gap misses
         root = root_estimate_in_child(scale_base, 1)
         assert root["within_gap"]
-        assert root["iterations"] == 233  # 2 485 from the u = 0 crash
+        assert root["iterations"] == 174  # 233 from Kelley's u, 2 485 from u = 0
         assert root["objective"] == "424328.3922488976"
-        assert root["masters"] == 78
-        assert root["u"] == "6d63d41c2ebaaf36"
+        assert root["masters"] == 36  # 78 evaluating L at each minimizer
+        assert root["u"] == "82801be39225f86a"
+
+    @pytest.mark.parametrize("seed, kelley", [(61, 78), (62, 77), (63, 76)])
+    def test_smoothing_takes_fewer_masters_than_kelley(self, scale_base, seed, kelley):
+        # box-step Kelley, evaluating L at each master's minimizer, took
+        # ``kelley`` masters on these models; the smoothed points take 36-38
+        root = root_estimate_in_child(dataclasses.replace(scale_base, seed=seed), 1)
+        assert root["within_gap"]
+        assert root["masters"] <= 0.6 * kelley
+
+    def test_each_evaluation_lies_between_the_centre_and_the_minimizer(
+        self, scale_base, estimate_trace
+    ):
+        inside = 0
+        for model in [
+            *(gated_model(seed) for seed in range(5)),
+            build_model(scale_suite(scale_base, [2704])[0]),
+        ]:
+            estimate_trace.clear()
+            assert SimplexEngine(model).solve().status == OPTIMAL
+            for rnd in estimate_rounds(estimate_trace):
+                centre, step = rnd["centre"], rnd["step"]
+                for u, _, _ in rnd["points"]:
+                    # u >= 0 and u = centre + s * step for an s in [0, 1]
+                    assert (u >= 0.0).all()
+                    s = (u - centre) @ step / (step @ step)
+                    assert -1e-12 <= s <= 1.0 + 1e-12
+                    scale = 1.0 + np.abs(centre).max() + np.abs(step).max()
+                    assert np.abs(u - (centre + s * step)).max() <= 1e-12 * scale
+                    inside += 0.05 < s < 0.95
+        assert inside > 0  # the smoothed points, not the minimizers alone
+
+    def test_a_smoothed_cut_that_misses_the_minimizer_gives_way_to_it(self, estimate_trace):
+        # when the cut at the smoothed point does not lift the model at
+        # the master's minimizer beyond rounding, the round evaluates L at
+        # the minimizer itself and keeps that cut
+        fallbacks = 0
+        for seed in range(5):
+            estimate_trace.clear()
+            SimplexEngine(gated_model(seed)).solve()
+            for rnd in estimate_rounds(estimate_trace)[:-1]:  # the last one stops
+                minimizer = rnd["centre"] + rnd["step"]
+                u, value, grad = rnd["points"][0]
+                lift = value + grad @ (minimizer - u) - (rnd["top"] - rnd["gap"])
+                rounding = 1e-9 * max(1.0, abs(rnd["top"]))
+                if lift <= 0.5 * rounding:
+                    assert len(rnd["points"]) == 2
+                    assert rnd["points"][1][0].tobytes() == minimizer.tobytes()
+                    fallbacks += 1
+                elif lift > 2.0 * rounding:
+                    assert len(rnd["points"]) == 1
+        assert fallbacks >= 5  # 14 at the time of writing
 
     # OpenBLAS runs no more threads than the process has cores
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core: one BLAS thread")
@@ -1672,7 +1786,7 @@ class TestLagrangianEstimate:
     @pytest.mark.parametrize("sense", ["L"])
     def test_unmeetable_linking_rows_fall_back_to_u_zero(self, sense, estimates, monkeypatch):
         # L at the centre falls below the lowest objective of the
-        # convexity rows' choices within three rounds (200 without that stop)
+        # convexity rows' choices within four rounds (200 without that stop)
         model = unmeetable_link_model(sense)
         masters = master_solves(monkeypatch, model)
         engine = SimplexEngine(model)
@@ -1684,7 +1798,7 @@ class TestLagrangianEstimate:
         t0 = time.perf_counter()
         sol = engine.solve()
         assert time.perf_counter() - t0 < 10.0
-        assert len(masters) == 3
+        assert len(masters) == 4
         assert estimates == [None]
         assert sol.status == INFEASIBLE
         assert scipy_reference(model).status == 2

@@ -10,12 +10,12 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
 NO_MASTERS = "masters 0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 DIGESTS = {
-    # the search's two LP solves, the estimate's 78 master LPs and one
+    # the search's two LP solves, the estimate's 36 master LPs and one
     # solution file
     "scale-sos2-first": [
-        "solutions 2 818f411e0dc41d80277cf810d39301b82b841f971a6728304f42f761467aa51d",
-        "masters 78 f86a87efc6f11bcc6c64e92b4543f9704537c04c68aa7d095726d69a2bbffc51",
-        "files 1 42b1f0b53efd6e370a6af1329b651b4afad95b50ee5c94596c2a4a5e2cfddc37",
+        "solutions 2 12c8446f50ac9a8d3f60bc692f9df1facfd4d09cc3a6f07dba619cd12ba3dd51",
+        "masters 36 0c5dbaee78e0c47d5ed9da76ccd6fb28221789fdd7428ee0bda89df716576045",
+        "files 1 4194252d32c7a8f488f9cd977f40405c699efd35ef6daa9ca90f6cdd41e4256a",
         "instances 1 793ce186765ec11a20a2ee59de4c14f731ab55c75f7d046ba5cee37efd036115",
     ],
     # seven SOS1 trees proved optimal: every node LP and seven files
